@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MatrixShapeError, NotSymmetric
+from .errors import MatrixShapeError
 
-#: Default relative tolerance for symmetry checks.
+#: Relative tolerance for symmetry checks.
 TOL_SYM = 1e-10
 
 #: PSD margin: min eigenvalue >= -TOL_PSD * ||A||_2 counts as PSD.
@@ -49,33 +49,27 @@ def as_vector(v, name="vector"):
     return arr
 
 
-def is_symmetric(a, tol=TOL_SYM):
+def is_symmetric(a):
     a = np.asarray(a)
     scale = max(np.abs(a).max(), 1e-300)
-    return np.abs(a - a.T).max() <= tol * scale
-
-
-def require_symmetric(a, name="matrix", tol=TOL_SYM):
-    if not is_symmetric(a, tol):
-        raise NotSymmetric(f"{name} is not symmetric to relative tolerance {tol:g}")
-    return np.asarray(a)
+    return np.abs(a - a.T).max() <= TOL_SYM * scale
 
 
 def sym_part(a):
     return 0.5 * (a + a.T)
 
 
-def is_psd(a, tol=TOL_PSD):
+def is_psd(a):
     """Positive semidefiniteness of the symmetric part, with relative margin."""
     s = sym_part(np.asarray(a, dtype=float))
     scale = max(np.linalg.norm(s, 2), 1.0e-300)
-    return np.linalg.eigvalsh(s).min() >= -tol * scale
+    return np.linalg.eigvalsh(s).min() >= -TOL_PSD * scale
 
-def is_pd(a, tol=TOL_PD):
+def is_pd(a):
     """Strict positive definiteness of the symmetric part."""
     s = sym_part(np.asarray(a, dtype=float))
     scale = max(np.linalg.norm(s, 2), 1.0e-300)
-    return np.linalg.eigvalsh(s).min() > tol * scale
+    return np.linalg.eigvalsh(s).min() > TOL_PD * scale
 
 
 def spectral_scale(eigs):

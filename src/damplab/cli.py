@@ -13,8 +13,9 @@ Commands
                serialized for replay).
 ``reduce``     referenced-model export (equilibrium, Jacobian, spectra).
 
-The verbosity of progress logging is controlled by the ``DAMPLAB_LOG``
-environment variable (``debug``, ``info``, default ``warning``).
+The ``DAMPLAB_LOG`` environment variable (``debug``, ``info``, default
+``warning``) only sets the logging level: no command logs progress messages
+yet (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .errors import (
     TrackingAmbiguity,
 )
 from .linalg import classify_spectrum
-
-log = logging.getLogger("damplab")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -95,11 +94,6 @@ def _equilibrium(mfile, model, args):
     return model.solve_equilibrium(guess)
 
 
-def _nonzero_axis(report):
-    band = report.tol_axis * report.scale
-    return [z for z in report.axis_set if abs(z.imag) > band]
-
-
 def cmd_spectrum(args):
     mfile, model = _load(args)
     eq = _equilibrium(mfile, model, args)
@@ -116,8 +110,7 @@ def cmd_spectrum(args):
         print(f"  {_fmt_complex(z)}")
     print(f"inertia (left, axis, right): {report.inertia}")
 
-    nonzero_axis = _nonzero_axis(report)
-    hyperbolic = not nonzero_axis
+    hyperbolic = report.nonzero_axis_set.size == 0
     print(f"hyperbolic beyond the structural zero: {hyperbolic}")
 
     if model.is_lossless() and eq.in_omega:
@@ -261,6 +254,7 @@ def cmd_simulate(args):
     eq = _equilibrium(mfile, model, args)
     ref = model.referenced(eq)
     x_eq = ref.equilibrium_state
+    eigs, vecs = np.linalg.eig(ref.jacobian())
 
     if args.state:
         x0 = np.asarray(args.state, dtype=float)
@@ -269,7 +263,6 @@ def cmd_simulate(args):
                 f"referenced state needs {ref.dim} components, got {x0.size}"
             )
     else:
-        eigs, vecs = np.linalg.eig(ref.jacobian())
         upper = np.where(eigs.imag > 1e-9)[0]
         idx = (
             upper[np.argmax([eigs[i].real for i in upper])]
@@ -284,7 +277,6 @@ def cmd_simulate(args):
     section = None
     cycle = None
     if args.cycle_search:
-        eigs, vecs = np.linalg.eig(ref.jacobian())
         idx = np.argmax(eigs.imag)
         section = simulate.hopf_section(x_eq, vecs[:, idx])
         try:
@@ -380,13 +372,14 @@ def cmd_reduce(args):
     full_report = classify_spectrum(
         np.linalg.eigvals(model.to_second_order().jacobian_at(eq.delta0))
     )
-    reduced_eigs = np.linalg.eigvals(ref.jacobian())
+    jac = ref.jacobian()
+    reduced_eigs = np.linalg.eigvals(jac)
     reduced_report = classify_spectrum(reduced_eigs)
     payload = {
         "n": model.n,
         "equilibrium_angles": eq.delta0.tolist(),
         "referenced_equilibrium": ref.equilibrium_state.tolist(),
-        "jacobian": ref.jacobian().tolist(),
+        "jacobian": jac.tolist(),
         "eigenvalues": [{"re": z.real, "im": z.imag} for z in reduced_eigs],
         "inertia_full": list(full_report.inertia),
         "inertia_reduced": list(reduced_report.inertia),

@@ -35,7 +35,7 @@ from .errors import (
     TheoremViolation,
     TrackingAmbiguity,
 )
-from .linalg import jacobian_2n, numerical_rank
+from .linalg import jacobian_2n, numerical_rank, referenced_jacobian
 
 __all__ = [
     "AxisCrossing",
@@ -61,6 +61,18 @@ TOL_L1 = 1e-5
 #: Simplicity gap as a fraction of the spectral radius.
 GAP_MIN_FACTOR = 1e-6
 
+#: Central-difference step for ``damping_of`` when no analytic derivative
+#: is given, and for checking one that is.
+FD_STEP = 1e-6
+
+#: Eigenpair residual bound of :func:`eigenvalue_parameter_derivative`.
+EIGENPAIR_TOL = 1e-8
+
+#: Crossing refinement stops at ``|Re| <= REFINE_TOL * |eig|`` or after
+#: ``MAX_BISECT`` bisection steps.
+REFINE_TOL = 1e-10
+MAX_BISECT = 200
+
 
 @dataclass
 class DampingPath:
@@ -85,7 +97,6 @@ class DampingPath:
     referenced: bool = False
     rhs_of: Optional[Callable[[float], Callable[[np.ndarray], np.ndarray]]] = None
     x0: Optional[np.ndarray] = None
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         self.inertia = val.as_matrix(self.inertia, "inertia", dtype=float)
@@ -105,11 +116,7 @@ class DampingPath:
         if self.damping_derivative is not None:
             mid = 0.5 * (lo + hi)
             analytic = np.asarray(self.damping_derivative(mid), dtype=float)
-            h = self.fd_step
-            fd = (
-                np.asarray(self.damping_of(mid + h), float)
-                - np.asarray(self.damping_of(mid - h), float)
-            ) / (2 * h)
+            fd = self._damping_prime_fd(mid)
             scale = max(np.linalg.norm(analytic, 2), 1e-300)
             if np.linalg.norm(fd - analytic, 2) > 1e-6 * scale:
                 raise AssumptionViolated(
@@ -135,29 +142,23 @@ class DampingPath:
     def damping_prime(self, gamma):
         if self.damping_derivative is not None:
             return np.asarray(self.damping_derivative(gamma), dtype=float)
-        h = self.fd_step
+        return self._damping_prime_fd(gamma)
+
+    def _damping_prime_fd(self, gamma):
+        h = FD_STEP
         return (
             np.asarray(self.damping_of(gamma + h), float)
             - np.asarray(self.damping_of(gamma - h), float)
         ) / (2 * h)
 
-    def _reduction_maps(self):
-        n = self.n
-        t1 = np.hstack([np.eye(n - 1), -np.ones((n - 1, 1))])
-        t2 = np.vstack([np.eye(n - 1), np.zeros((1, n - 1))])
-        return t1, t2
-
     def jacobian(self, gamma):
         d = np.asarray(self.damping_of(gamma), dtype=float)
         if not self.referenced:
             return jacobian_2n(self.inertia, d, self.stiffness)
-        n = self.n
-        t1, t2 = self._reduction_maps()
-        minv_l = np.linalg.solve(self.inertia, self.stiffness)
-        minv_d = np.linalg.solve(self.inertia, d)
-        top = np.hstack([np.zeros((n - 1, n - 1)), t1])
-        bottom = np.hstack([-(minv_l @ t2), -minv_d])
-        return np.vstack([top, bottom])
+        return referenced_jacobian(
+            np.linalg.solve(self.inertia, self.stiffness),
+            np.linalg.solve(self.inertia, d),
+        )
 
     def jacobian_prime(self, gamma):
         """d/dgamma of the Jacobian: only the damping block moves."""
@@ -189,19 +190,13 @@ def _complex_upper(eigs, scale):
     return eigs[eigs.imag > 1e-9 * scale]
 
 
-def track_axis_crossing(
-    path,
-    samples=41,
-    tol_axis=val.TOL_AXIS,
-    refine_tol=1e-10,
-    max_bisect=200,
-):
+def track_axis_crossing(path, samples=41):
     """Locate all parameter values where a complex pair crosses the axis.
 
     Samples the spectrum on a uniform grid over ``path.gamma_range``, pairs
     eigenvalues between adjacent samples by nearest-neighbour continuity,
     and bisects every sign change of the real part down to
-    ``|Re| <= refine_tol * |eig|``.  An eigenvalue already inside the axis
+    ``|Re| <= REFINE_TOL * |eig|``.  An eigenvalue already inside the axis
     band at either end of the range is reported with ``boundary=True`` and
     left unrefined.
 
@@ -214,7 +209,7 @@ def track_axis_crossing(
     grid = np.linspace(lo, hi, samples)
     spectra = [np.linalg.eigvals(path.jacobian(g)) for g in grid]
     scale = max(val.spectral_scale(s) for s in spectra)
-    band = tol_axis * scale
+    band = val.TOL_AXIS * scale
 
     crossings = []
 
@@ -228,10 +223,10 @@ def track_axis_crossing(
         lam_a = lam_left
         a, b = g_left, g_right
         sign_a = np.sign(lam_a.real)
-        for _ in range(max_bisect):
+        for _ in range(MAX_BISECT):
             mid = 0.5 * (a + b)
             lam_mid = track_to(lam_a, mid)
-            if abs(lam_mid.real) <= refine_tol * abs(lam_mid):
+            if abs(lam_mid.real) <= REFINE_TOL * abs(lam_mid):
                 return mid, lam_mid
             if np.sign(lam_mid.real) == sign_a:
                 a, lam_a = mid, lam_mid
@@ -311,7 +306,7 @@ def track_axis_crossing(
     return unique
 
 
-def eigenvalue_parameter_derivative(jac, djac, lam, right, left, tol=1e-8):
+def eigenvalue_parameter_derivative(jac, djac, lam, right, left):
     """Eigenvalue drift ``l* dJ r`` for a simple eigenvalue with l* r = 1.
 
     Validates the eigenpair residuals and the normalization before applying
@@ -322,9 +317,10 @@ def eigenvalue_parameter_derivative(jac, djac, lam, right, left, tol=1e-8):
     right = np.asarray(right, dtype=complex)
     left = np.asarray(left, dtype=complex)
     scale = max(1.0, np.linalg.norm(jac, 2))
-    if np.linalg.norm(jac @ right - lam * right) > tol * scale * np.linalg.norm(right):
+    tol = EIGENPAIR_TOL * scale
+    if np.linalg.norm(jac @ right - lam * right) > tol * np.linalg.norm(right):
         raise NormalizationFailure("right eigenpair residual too large")
-    if np.linalg.norm(left.conj() @ jac - lam * left.conj()) > tol * scale * np.linalg.norm(left):
+    if np.linalg.norm(left.conj() @ jac - lam * left.conj()) > tol * np.linalg.norm(left):
         raise NormalizationFailure("left eigenpair residual too large")
     inner = np.vdot(left, right)
     if abs(inner - 1.0) > 1e-10:
@@ -420,10 +416,9 @@ def first_lyapunov_coefficient(
     return float(value.real / (2.0 * omega0))
 
 
-def _fd_jacobian(f, x0, h=None):
+def _fd_jacobian(f, x0):
     n = x0.size
-    if h is None:
-        h = np.sqrt(np.finfo(float).eps) * (np.linalg.norm(x0) + 1.0)
+    h = np.sqrt(np.finfo(float).eps) * (np.linalg.norm(x0) + 1.0)
     cols = []
     for i in range(n):
         e = np.zeros(n)
@@ -432,8 +427,8 @@ def _fd_jacobian(f, x0, h=None):
     return np.column_stack(cols)
 
 
-def classify_lyapunov(l1, tol_l1=TOL_L1):
-    if l1 is None or abs(l1) <= tol_l1:
+def classify_lyapunov(l1):
+    if l1 is None or abs(l1) <= TOL_L1:
         return DEGENERATE
     return SUPERCRITICAL if l1 < 0 else SUBCRITICAL
 
@@ -469,16 +464,7 @@ class HopfCertificate:
     kind: Optional[str]
 
 
-def hopf_conditions(
-    path,
-    gamma0,
-    omega_hint=None,
-    tol_axis=val.TOL_AXIS,
-    gap_min_factor=GAP_MIN_FACTOR,
-    tol_l1=TOL_L1,
-    compute_l1=True,
-    boundary=False,
-):
+def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=False):
     """Certificate for a Hopf candidate of ``path`` at parameter ``gamma0``.
 
     Verifies that ``i omega0`` is (numerically) an eigenvalue of the path
@@ -496,7 +482,7 @@ def hopf_conditions(
     jac0 = path.jacobian(gamma0)
     eigs, vecs = np.linalg.eig(jac0)
     scale = val.spectral_scale(eigs)
-    band = tol_axis * scale
+    band = val.TOL_AXIS * scale
 
     upper = [
         i for i in range(eigs.size) if eigs[i].imag > 1e-9 * scale
@@ -524,7 +510,7 @@ def hopf_conditions(
         (abs(eigs[i] - lam) for i in range(eigs.size) if i != idx),
         default=np.inf,
     )
-    simple = gap > gap_min_factor * scale
+    simple = gap > GAP_MIN_FACTOR * scale
 
     r0 = vecs[:, idx]
     # v is the pencil kernel direction: the velocity block of r0 over
@@ -588,7 +574,7 @@ def hopf_conditions(
         l1 = first_lyapunov_coefficient(
             f_gamma, path.x0, omega0, r0, l0, jac=jac0
         )
-        kind = classify_lyapunov(l1, tol_l1)
+        kind = classify_lyapunov(l1)
 
     return HopfCertificate(
         gamma0=float(gamma0),

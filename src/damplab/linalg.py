@@ -30,20 +30,20 @@ __all__ = [
     "matching_distance",
     "numerical_rank",
     "pencil_eigenvalues",
+    "referenced_jacobian",
     "takagi",
 ]
 
 
-def numerical_rank(a, tol_rank=None):
-    """Numerical rank of ``a``: singular values above ``tol_rank * sigma_max``.
+def numerical_rank(a):
+    """Numerical rank of ``a`` by the standard SVD rule.
+
+    Counts the singular values above ``max(m, n) * eps * sigma_max``.
 
     Parameters
     ----------
     a : array_like
         Real or complex matrix.
-    tol_rank : float, optional
-        Relative threshold.  Defaults to ``max(m, n) * eps``, the standard
-        SVD rank rule.
 
     Returns
     -------
@@ -57,9 +57,7 @@ def numerical_rank(a, tol_rank=None):
     smax = s[0]
     if smax == 0.0:
         return 0
-    if tol_rank is None:
-        tol_rank = max(a.shape) * np.finfo(float).eps
-    return int(np.count_nonzero(s > tol_rank * smax))
+    return int(np.count_nonzero(s > max(a.shape) * np.finfo(float).eps * smax))
 
 
 @dataclass(frozen=True)
@@ -149,6 +147,24 @@ def jacobian_2n(inertia, damping, stiffness):
     return np.vstack([top, bottom])
 
 
+def referenced_jacobian(minv_l, minv_d):
+    """Reference-bus reduction ``[[0, T1], [-(M^-1 L)[:, :n-1], -M^-1 D]]``.
+
+    ``minv_l`` is ``M^-1 L`` for a stiffness with zero row sums and
+    ``minv_d`` is ``M^-1 D``.  The state is ``(psi, omega)`` with
+    ``psi_j = delta_j - delta_n``; ``T1 = [I, -1]`` maps angle velocities to
+    referenced ones, and dropping the last column of ``M^-1 L`` embeds the
+    referenced angles with ``delta_n = 0``.  The result has dimension
+    ``2n - 1`` and the full spectrum minus the rotational zero eigenvalue.
+    """
+    n = minv_l.shape[0]
+    top = np.hstack(
+        [np.zeros((n - 1, n - 1)), np.eye(n - 1), -np.ones((n - 1, 1))]
+    )
+    bottom = np.hstack([-minv_l[:, : n - 1], -minv_d])
+    return np.vstack([top, bottom])
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Eigenvalues split by the sign of their real part.
@@ -173,6 +189,17 @@ class SpectrumReport:
     @property
     def hyperbolic(self):
         return self.axis_count == 0
+
+    @property
+    def nonzero_axis_set(self):
+        """Axis eigenvalues beyond the structural zero: ``|Im|`` above the band.
+
+        A grid's rotational gauge mode puts one zero eigenvalue in every
+        spectrum; hyperbolicity "beyond the structural zero" asks that this
+        set be empty.
+        """
+        band = self.tol_axis * self.scale
+        return self.axis_set[np.abs(self.axis_set.imag) > band]
 
 
 def classify_spectrum(eigs, tol_axis=val.TOL_AXIS):
@@ -205,24 +232,17 @@ def matching_distance(first, second):
     Returns the largest pairwise distance in the optimal matching; inf if
     the multisets have different sizes.
     """
-    a = np.atleast_1d(np.asarray(first, dtype=complex))
-    b = np.atleast_1d(np.asarray(second, dtype=complex))
-    if a.size != b.size:
+    if np.size(first) != np.size(second):
         return np.inf
-    if a.size == 0:
-        return 0.0
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return subset_distance(first, second)
 
 
 def subset_distance(sub, full):
-    """For each element of ``sub``, distance to its own nearest match in ``full``.
+    """For each element of ``sub``, distance to its own match in ``full``.
 
-    Greedy injective matching: returns the largest distance over ``sub`` (0.0
-    for an empty ``sub``, inf if ``full`` is too small).
+    The matching is injective and optimal (a linear sum assignment that
+    minimizes the total distance); returns its largest distance (0.0 for an
+    empty ``sub``, inf if ``full`` is too small).
     """
     sub = np.atleast_1d(np.asarray(sub, dtype=complex))
     full = np.atleast_1d(np.asarray(full, dtype=complex))
@@ -252,7 +272,7 @@ class TakagiFactorization:
         return float(np.linalg.norm(self.u.conj().T @ self.u - np.eye(n), 2))
 
 
-def takagi(s, tol_sym=val.TOL_SYM):
+def takagi(s):
     """Takagi factorization of a complex symmetric matrix via its SVD.
 
     Computes ``S = U Sigma U^T`` with ``U`` unitary and ``Sigma`` the singular
@@ -261,11 +281,11 @@ def takagi(s, tol_sym=val.TOL_SYM):
     correction ``Q = sqrtm(V^T W)`` rotates the left singular basis so the
     reconstruction is symmetric-consistent.
 
-    Raises NotSymmetric when ``max|S - S^T| > tol_sym * max|S|``.
+    Raises NotSymmetric when ``max|S - S^T| > TOL_SYM * max|S|``
+    (``_validation.TOL_SYM``).
     """
     s = val.as_matrix(s, "s", dtype=complex)
-    scale = max(np.abs(s).max(), 1e-300)
-    if np.abs(s - s.T).max() > tol_sym * scale:
+    if not val.is_symmetric(s):
         raise NotSymmetric("takagi requires a complex symmetric matrix")
 
     v, sig, wh = np.linalg.svd(s)

@@ -40,23 +40,22 @@ _EXHAUSTIVE_N_MAX = 12
 
 def _require_complex_symmetric(s, name="s"):
     s = val.as_matrix(s, name, dtype=complex)
-    scale = max(np.abs(s).max(), 1e-300)
-    if np.abs(s - s.T).max() > val.TOL_SYM * scale:
+    if not val.is_symmetric(s):
         raise PreconditionViolated(f"{name} must be complex symmetric")
     return s
 
 
 def _require_imag_psd(s, name="s"):
-    if not val.is_psd(s.imag, tol=val.TOL_PSD):
+    if not val.is_psd(s.imag):
         raise PreconditionViolated(f"Im({name}) must be positive semidefinite")
 
 
-def check_inverse_imag_duality(s, tol_psd=val.TOL_PSD):
+def check_inverse_imag_duality(s):
     """Flags (Im(S) >= 0 ?, Im(S^-1) <= 0 ?) for nonsingular complex symmetric S.
 
     Both flags are computed from eigenvalues of the real symmetric parts with
-    relative margin ``tol_psd``.  On conforming input the flags agree whenever
-    the first is definite beyond tolerance.
+    relative margin ``_validation.TOL_PSD``.  On conforming input the flags
+    agree whenever the first is definite beyond tolerance.
     """
     s = _require_complex_symmetric(s)
     n = s.shape[0]
@@ -68,8 +67,8 @@ def check_inverse_imag_duality(s, tol_psd=val.TOL_PSD):
     im_inv = val.sym_part(s_inv.imag)
     scale_s = max(np.linalg.norm(im_s, 2), 1e-300)
     scale_inv = max(np.linalg.norm(im_inv, 2), 1e-300)
-    imag_psd = np.linalg.eigvalsh(im_s).min() >= -tol_psd * scale_s
-    inv_imag_nsd = np.linalg.eigvalsh(im_inv).max() <= tol_psd * scale_inv
+    imag_psd = np.linalg.eigvalsh(im_s).min() >= -val.TOL_PSD * scale_s
+    inv_imag_nsd = np.linalg.eigvalsh(im_inv).max() <= val.TOL_PSD * scale_inv
     return bool(imag_psd), bool(inv_imag_nsd)
 
 
@@ -102,7 +101,7 @@ def psd_imag_update_nonsingular(s, e):
     return numerical_rank(s + 1j * e) == s.shape[0]
 
 
-def find_rank_principal_submatrix(s, r=None, tol_rank=None):
+def find_rank_principal_submatrix(s, r=None):
     """Index set ``alpha`` with ``S[alpha, alpha]`` nonsingular of size ``r = rank(S)``.
 
     Candidates are tried in descending order of the diagonal pivot magnitudes
@@ -115,7 +114,7 @@ def find_rank_principal_submatrix(s, r=None, tol_rank=None):
     """
     s = val.as_matrix(s, "s", dtype=complex)
     n = s.shape[0]
-    rank = numerical_rank(s, tol_rank)
+    rank = numerical_rank(s)
     if r is None:
         r = rank
     elif r != rank:
@@ -127,7 +126,7 @@ def find_rank_principal_submatrix(s, r=None, tol_rank=None):
 
     def nonsingular(alpha):
         sub = s[np.ix_(alpha, alpha)]
-        return numerical_rank(sub, tol_rank) == len(alpha)
+        return numerical_rank(sub) == len(alpha)
 
     # Pivoted-QR column order ranks indices by how much mass they carry.
     _, _, piv = scipy.linalg.qr(s, pivoting=True)
@@ -165,17 +164,18 @@ class PsdPerturbationInstance:
         return self
 
 
-def rank_monotonicity_holds(instance, tol_rank=None, check=True):
+def rank_monotonicity_holds(instance, check=True):
     """Whether ``rank(A + iD) <= rank(A + iD + iE)``.
 
     Must be true whenever the instance invariants hold (A symmetric, D and E
     PSD).  ``check=False`` bypasses the precondition for demonstrating that
-    the symmetry assumption is sharp; both ranks share one ``tol_rank`` so a
-    tolerance straddle cannot fake a violation.
+    the symmetry assumption is sharp; both ranks share the threshold of
+    :func:`numerical_rank` (the matrices have one size) so a tolerance
+    straddle cannot fake a violation.
     """
     if check:
         instance.validate()
     a = np.asarray(instance.a, dtype=float)
     base = a + 1j * np.asarray(instance.d, dtype=float)
     bumped = base + 1j * np.asarray(instance.e, dtype=float)
-    return numerical_rank(base, tol_rank) <= numerical_rank(bumped, tol_rank)
+    return numerical_rank(base) <= numerical_rank(bumped)

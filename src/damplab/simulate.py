@@ -48,6 +48,20 @@ EXPANDING = "expanding_section"
 RTOL = 1e-8
 ATOL = 1e-10
 
+#: Cycle search: return-map iterations before falling back to amplitude
+#: bisection, the Newton polish's fixed-point tolerance on ``|P(x) - x|``
+#: (relative to ``1 + |x|``), the time horizon of one return, and the
+#: returns per bisection probe.
+MAX_RETURNS = 60
+RETURN_TOL = 1e-8
+T_MAX_PER_RETURN = 200.0
+N_PROBE = 7
+
+#: Orbit classification: per-period envelope drift below which an orbit is
+#: near periodic, and the oscillation peaks that drift needs.
+DRIFT_TOL = 0.01
+MIN_PEAKS = 3
+
 
 def _as_rhs(system):
     if callable(system):
@@ -222,7 +236,7 @@ def _next_crossing(rhs, section, x_start, rtol, atol, t_max, escape_radius=None)
 
 
 def _bisect_onto_cycle(rhs, section, basis, seed, capture_floor,
-                       rtol, atol, t_max, n_probe=7):
+                       rtol, atol, t_max):
     """Seed point near an unstable cycle by amplitude bisection on a section ray.
 
     Launch points ``anchor + s * ray`` are classified by whether the
@@ -249,7 +263,7 @@ def _bisect_onto_cycle(rhs, section, basis, seed, capture_floor,
         prev = x
         first_radius = None
         last_radius = None
-        for _ in range(n_probe):
+        for _ in range(N_PROBE):
             nxt = _next_crossing(
                 rhs, section, prev, probe_rtol, probe_atol, t_max,
                 escape_radius=escape,
@@ -312,15 +326,7 @@ def _bisect_onto_cycle(rhs, section, basis, seed, capture_floor,
 
 
 def poincare_cycle_search(
-    system,
-    section,
-    seed_state,
-    max_returns=60,
-    rtol=RTOL,
-    atol=ATOL,
-    equilibrium=None,
-    return_tol=1e-8,
-    t_max_per_return=200.0,
+    system, section, seed_state, rtol=RTOL, atol=ATOL, equilibrium=None
 ):
     """Locate a periodic orbit as a fixed point of the section return map.
 
@@ -330,7 +336,7 @@ def poincare_cycle_search(
     the captured and the escaping regimes; the boundary is the cycle's
     stable manifold, so probes there shadow the cycle.  The candidate is
     then polished by Newton iteration on the return map in section
-    coordinates until ``|P(x) - x| <= return_tol`` (relative to
+    coordinates until ``|P(x) - x| <= RETURN_TOL`` (relative to
     ``1 + |anchor|``); seeds whose first two crossings are already nearly
     fixed skip straight to the polish, which makes parameter continuation
     from a neighbouring cycle cheap.  The stability hint is the sign of the
@@ -368,8 +374,8 @@ def poincare_cycle_search(
         best = None
         prev_step = None
         growing = 0
-        for _ in range(max_returns):
-            nxt = _next_crossing(rhs_dir, section, x, rtol, atol, t_max_per_return)
+        for _ in range(MAX_RETURNS):
+            nxt = _next_crossing(rhs_dir, section, x, rtol, atol, T_MAX_PER_RETURN)
             if nxt is None:
                 return "exhausted", best
             _, x_new = nxt
@@ -397,7 +403,7 @@ def poincare_cycle_search(
 
     def return_map(u):
         x = section.anchor + basis @ u
-        nxt = _next_crossing(rhs, section, x, rtol, atol, t_max_per_return)
+        nxt = _next_crossing(rhs, section, x, rtol, atol, T_MAX_PER_RETURN)
         if nxt is None:
             raise CycleNotFound("trajectory left the section during refinement")
         t_ret, x_ret = nxt
@@ -411,7 +417,7 @@ def poincare_cycle_search(
             pu, period, x_fixed = return_map(u)
             res = pu - u
             err = np.linalg.norm(res)
-            if err <= return_tol * (1 + np.linalg.norm(x_fixed)):
+            if err <= RETURN_TOL * (1 + np.linalg.norm(x_fixed)):
                 if np.linalg.norm(x_fixed - section.anchor) < capture_floor:
                     raise CycleNotFound("refinement collapsed onto the equilibrium")
                 return u, period, float(err)
@@ -434,11 +440,11 @@ def poincare_cycle_search(
 
     # A seed already near the cycle (e.g. continued from a neighbouring
     # parameter value) can go straight to the Newton polish.
-    first = _next_crossing(rhs, section, seed, rtol, atol, t_max_per_return)
+    first = _next_crossing(rhs, section, seed, rtol, atol, T_MAX_PER_RETURN)
     if first is not None:
         x1 = first[1]
         r1 = np.linalg.norm(x1 - section.anchor)
-        second = _next_crossing(rhs, section, x1, rtol, atol, t_max_per_return)
+        second = _next_crossing(rhs, section, x1, rtol, atol, T_MAX_PER_RETURN)
         if second is not None and r1 > capture_floor:
             relstep = np.linalg.norm(second[1] - x1) / max(r1, 1e-300)
             if relstep < 0.5:
@@ -457,11 +463,11 @@ def poincare_cycle_search(
             # captured and an escaping orbit lands arbitrarily close to it.
             anchor = _bisect_onto_cycle(
                 rhs, section, basis, seed, capture_floor,
-                rtol, atol, t_max_per_return,
+                rtol, atol, T_MAX_PER_RETURN,
             )
             if anchor is None:
                 raise CycleNotFound(
-                    f"return map did not converge within {max_returns} returns"
+                    f"return map did not converge within {MAX_RETURNS} returns"
                 )
         solved = polish(anchor)
 
@@ -503,14 +509,14 @@ def poincare_cycle_search(
     )
 
 
-def classify_orbit(traj, equilibrium, drift_tol=0.01, min_peaks=3):
+def classify_orbit(traj, equilibrium):
     """Spiral-in / spiral-out / near-periodic verdict from the radius envelope.
 
     The distance-to-equilibrium envelope is sampled once per oscillation, at
     the peak times of the most active state component (the radius itself can
     be exactly monotone or constant for energy-like norms, so its own local
     maxima are unreliable).  The median per-period drift of that envelope
-    decides: within ``drift_tol`` (1 percent) of 1 the orbit is near
+    decides: within ``DRIFT_TOL`` (1 percent) of 1 the orbit is near
     periodic.  Without enough oscillations a monotone radius trend is used,
     and anything still ambiguous is undetermined.
     """
@@ -531,11 +537,11 @@ def classify_orbit(traj, equilibrium, drift_tol=0.01, min_peaks=3):
         for i in range(1, tu.size - 1)
         if su[i] > floor and su[i] >= su[i - 1] and su[i] > su[i + 1]
     ]
-    if len(peaks) >= min_peaks:
+    if len(peaks) >= MIN_PEAKS:
         heights = ru[peaks]
         ratios = heights[1:] / np.maximum(heights[:-1], 1e-300)
         drift = float(np.median(ratios)) - 1.0
-        if abs(drift) < drift_tol:
+        if abs(drift) < DRIFT_TOL:
             return NEAR_PERIODIC
         return SPIRAL_IN if drift < 0 else SPIRAL_OUT
 

@@ -39,6 +39,14 @@ __all__ = [
     "undamped_spectral_map",
 ]
 
+#: Distance within which an axis eigenvalue of the more damped system counts
+#: as matched in the less damped one.
+MATCH_TOL = 1e-6
+
+#: Relative accuracy to which the square-root map must reproduce the
+#: undamped Jacobian spectrum.
+UNDAMPED_MAP_TOL = 1e-8
+
 
 @dataclass
 class SecondOrderSystem:
@@ -91,15 +99,6 @@ class SecondOrderSystem:
         acc = np.linalg.solve(self.inertia, -(self.damping @ y) - self.f(x))
         return np.concatenate([y, acc])
 
-    def symmetry_profile(self, x):
-        """Which of the symmetric-setting hypotheses hold at ``x``."""
-        return {
-            "inertia_spd": val.is_symmetric(self.inertia) and val.is_pd(self.inertia),
-            "damping_sym_psd": val.is_symmetric(self.damping)
-            and val.is_psd(self.damping),
-            "jacobian_sym": val.is_symmetric(self.jac(np.asarray(x, float))),
-        }
-
 
 @dataclass(frozen=True)
 class ObservabilityWitness:
@@ -113,16 +112,18 @@ class ObservabilityVerdict:
     """Outcome of the eigenvector test ``Bx != 0`` over the spectrum of A.
 
     ``witnesses`` holds one entry per unobservable eigenvalue cluster;
-    ``margins`` records min_x ||stack(A - lam I, B) x|| for every cluster so
-    near misses are visible even when the verdict is observable.
+    ``margins`` records ``||B x||`` for the x minimizing
+    ``||stack(A - lam I, B) x||`` in every cluster so near misses are
+    visible even when the verdict is observable.  The pair is observable
+    iff there is no witness.
     """
 
-    observable: bool
     witnesses: tuple
     margins: tuple
 
-    def __post_init__(self):
-        assert self.observable == (len(self.witnesses) == 0)
+    @property
+    def observable(self):
+        return not self.witnesses
 
 
 def _eigenvalue_clusters(eigs, scale):
@@ -138,14 +139,14 @@ def _eigenvalue_clusters(eigs, scale):
     return clusters
 
 
-def observability_test(a, b, tol_obs=val.TOL_OBS):
+def observability_test(a, b):
     """PBH-style observability of the pair ``(A, B)``.
 
     For each eigenvalue cluster of ``A`` the stacked matrix
     ``[A - lam I; B]`` is tested for rank deficiency: its smallest singular
-    value at or below ``tol_obs * max(1, ||A||, ||B||)`` marks the mode
-    unobservable.  This searches full eigenspaces, so repeated eigenvalues
-    are handled correctly.  The singular vector attaining the minimum is the
+    value at or below ``TOL_OBS * max(1, ||A||, ||B||)`` (``TOL_OBS`` from
+    ``_validation``) marks the mode unobservable.  This searches full
+    eigenspaces, so repeated eigenvalues are handled correctly.  The singular vector attaining the minimum is the
     reported witness together with its damping residual ``||B x||``.
     """
     a = val.as_matrix(a, "a", dtype=float)
@@ -155,7 +156,7 @@ def observability_test(a, b, tol_obs=val.TOL_OBS):
     m = a.shape[0]
     eigs = np.linalg.eigvals(a)
     scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
-    threshold = tol_obs * scale
+    threshold = val.TOL_OBS * scale
 
     witnesses = []
     margins = []
@@ -179,7 +180,6 @@ def observability_test(a, b, tol_obs=val.TOL_OBS):
                 )
             )
     return ObservabilityVerdict(
-        observable=not witnesses,
         witnesses=tuple(witnesses),
         margins=tuple(margins),
     )
@@ -194,18 +194,16 @@ class HyperbolicityVerdict:
     spectrum: SpectrumReport
 
 
-def _check_symmetric_setting(m, d, l, require_l="pd"):
+def _check_symmetric_setting(m, d, l):
     if not (val.is_symmetric(m) and val.is_pd(m)):
         raise AssumptionViolated("inertia symmetric positive definite")
     if not (val.is_symmetric(d) and val.is_psd(d)):
         raise AssumptionViolated("damping symmetric positive semidefinite")
-    if require_l == "pd" and not (val.is_symmetric(l) and val.is_pd(l)):
+    if not (val.is_symmetric(l) and val.is_pd(l)):
         raise AssumptionViolated("jacobian symmetric positive definite")
-    if require_l == "sym" and not val.is_symmetric(l):
-        raise AssumptionViolated("jacobian symmetric")
 
 
-def hyperbolicity_symmetric(system, x0, tol_obs=val.TOL_OBS, tol_axis=val.TOL_AXIS):
+def hyperbolicity_symmetric(system, x0):
     """Hyperbolicity verdict in the symmetric setting, with its observability twin.
 
     Requires M symmetric positive definite, D symmetric PSD and
@@ -217,13 +215,13 @@ def hyperbolicity_symmetric(system, x0, tol_obs=val.TOL_OBS, tol_axis=val.TOL_AX
     x0 = np.asarray(x0, dtype=float)
     m, d = system.inertia, system.damping
     l = system.jac(x0)
-    _check_symmetric_setting(m, d, l, require_l="pd")
+    _check_symmetric_setting(m, d, l)
 
     a = np.linalg.solve(m, l)
     b = np.linalg.solve(m, d)
-    obs = observability_test(a, b, tol_obs)
+    obs = observability_test(a, b)
 
-    report = classify_spectrum(np.linalg.eigvals(system.jacobian_at(x0)), tol_axis)
+    report = classify_spectrum(np.linalg.eigvals(system.jacobian_at(x0)))
     spectral_hyperbolic = report.axis_count == 0
 
     if spectral_hyperbolic != obs.observable:
@@ -242,14 +240,14 @@ def hyperbolicity_symmetric(system, x0, tol_obs=val.TOL_OBS, tol_axis=val.TOL_AX
     )
 
 
-def imaginary_pair_sufficient_unsymmetric(
-    inertia, damping, stiffness, tol_obs=val.TOL_OBS
-):
+def imaginary_pair_sufficient_unsymmetric(inertia, damping, stiffness):
     """Sufficient test for a purely imaginary Jacobian pair, unsymmetric case.
 
-    Searches the eigenpairs of ``M^-1 L`` for a real positive eigenvalue
-    whose eigenvector lies in the nullspace of ``M^-1 D``; on success returns
-    the pair ``(+i sqrt(lam), -i sqrt(lam))`` after asserting both lie in the
+    Runs :func:`observability_test` on ``(M^-1 L, M^-1 D)`` and keeps the
+    witnesses at real positive eigenvalues ``lam``: an eigenvector of
+    ``M^-1 L`` in the nullspace of ``M^-1 D``.  When there are several, the
+    smallest ``lam`` is used.  On success returns the pair
+    ``(+i sqrt(lam), -i sqrt(lam))`` after asserting both lie in the
     computed Jacobian spectrum.  An empty return proves nothing: the
     condition is only sufficient without symmetry.
     """
@@ -260,23 +258,16 @@ def imaginary_pair_sufficient_unsymmetric(
     b = np.linalg.solve(m, d)
     scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
 
-    eigvals, eigvecs = np.linalg.eig(a)
-    found = None
-    eye = np.eye(a.shape[0])
-    for lam in eigvals:
-        if abs(lam.imag) > 1e-9 * scale or lam.real <= 1e-12 * scale:
-            continue
-        # Search the whole eigenspace, not a single returned eigenvector.
-        stacked = np.vstack([a - lam.real * eye, b])
-        _, sing, vh = np.linalg.svd(stacked)
-        if sing[-1] <= tol_obs * scale:
-            found = (lam.real, vh[-1].conj())
-            break
-    if found is None:
+    positive = [
+        w.eigenvalue.real
+        for w in observability_test(a, b).witnesses
+        if abs(w.eigenvalue.imag) <= 1e-9 * scale
+        and w.eigenvalue.real > 1e-12 * scale
+    ]
+    if not positive:
         return None
 
-    lam, vec = found
-    omega = np.sqrt(lam)
+    omega = np.sqrt(min(positive))
     pair = (1j * omega, -1j * omega)
     jac_eigs = np.linalg.eigvals(jacobian_2n(m, d, l))
     for target in pair:
@@ -297,15 +288,15 @@ class MonotonicityReport:
     subset_holds: bool
 
 
-def monotonicity_compare(
-    first, second, x0, tol_axis=val.TOL_AXIS, match_tol=1e-6, check=True
-):
+def monotonicity_compare(first, second, x0, check=True):
     """Compare the imaginary-axis eigenvalue sets of two dampings of one system.
 
-    Both systems must share inertia and vector-field Jacobian at ``x0``;
-    in the symmetric setting, ``D_second >= D_first`` (PSD order) forces the
-    second axis set to be contained in the first.  ``check=False`` bypasses
-    the hypothesis validation and recomputes anyway, which is how the
+    Both systems must share inertia (entrywise to ``1e-12``) and
+    vector-field Jacobian at ``x0`` (entrywise to ``1e-10 * max(1, max|L|)``);
+    in the symmetric setting, ``D_second >= D_first`` (PSD order) forces
+    the second axis set to be contained in the first, each second-set
+    eigenvalue matched within ``MATCH_TOL``.  ``check=False`` bypasses the
+    hypothesis validation and recomputes anyway, which is how the
     unsymmetric counterexample is demonstrated.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -314,7 +305,7 @@ def monotonicity_compare(
     if check:
         if not np.allclose(first.inertia, second.inertia, rtol=0, atol=1e-12):
             raise AssumptionViolated("identical inertia")
-        if matching_distance(l1.ravel(), l2.ravel()) > 1e-10 * max(
+        if l1.shape != l2.shape or np.abs(l1 - l2).max() > 1e-10 * max(
             1.0, np.abs(l1).max()
         ):
             raise AssumptionViolated("identical vector-field jacobian")
@@ -331,13 +322,9 @@ def monotonicity_compare(
     diff = val.sym_part(second.damping - first.damping)
     dpsd = val.is_psd(diff)
 
-    axis_first = classify_spectrum(
-        np.linalg.eigvals(first.jacobian_at(x0)), tol_axis
-    ).axis_set
-    axis_second = classify_spectrum(
-        np.linalg.eigvals(second.jacobian_at(x0)), tol_axis
-    ).axis_set
-    subset = subset_distance(axis_second, axis_first) <= match_tol
+    axis_first = classify_spectrum(np.linalg.eigvals(first.jacobian_at(x0))).axis_set
+    axis_second = classify_spectrum(np.linalg.eigvals(second.jacobian_at(x0))).axis_set
+    subset = subset_distance(axis_second, axis_first) <= MATCH_TOL
     return MonotonicityReport(
         damping_increase_psd=bool(dpsd),
         axis_set_first=axis_first,
@@ -346,12 +333,13 @@ def monotonicity_compare(
     )
 
 
-def undamped_spectral_map(inertia, stiffness, check_tol=1e-8):
+def undamped_spectral_map(inertia, stiffness):
     """Square-root map between ``sigma(-M^-1 L)`` and the undamped Jacobian spectrum.
 
     Returns ``(mu, lam)`` where ``mu`` are the eigenvalues of ``-M^-1 L`` and
     ``lam`` the induced values ``+-sqrt(mu)``; asserts ``lam`` equals the
-    spectrum of the D = 0 Jacobian to ``check_tol``.
+    spectrum of the D = 0 Jacobian to ``UNDAMPED_MAP_TOL`` relative to its
+    spectral scale.
     """
     m = val.as_matrix(inertia, "inertia", dtype=float)
     l = val.as_matrix(stiffness, "stiffness", dtype=float)
@@ -361,7 +349,7 @@ def undamped_spectral_map(inertia, stiffness, check_tol=1e-8):
     direct = np.linalg.eigvals(jacobian_2n(m, np.zeros_like(m), l))
     dist = matching_distance(lam, direct)
     scale = val.spectral_scale(direct)
-    if dist > check_tol * scale:
+    if dist > UNDAMPED_MAP_TOL * scale:
         raise TheoremViolation(
             f"undamped spectral map mismatch: {dist:.3e}",
             first_verdict=lam,
@@ -370,9 +358,7 @@ def undamped_spectral_map(inertia, stiffness, check_tol=1e-8):
     return mu, lam
 
 
-def asymptotic_stability_full_damping(
-    inertia, damping, stiffness, tol_axis=val.TOL_AXIS
-):
+def asymptotic_stability_full_damping(inertia, damping, stiffness):
     """True iff every Jacobian eigenvalue lies strictly left of the axis.
 
     Requires M, D, L all symmetric positive definite; under those hypotheses
@@ -381,9 +367,9 @@ def asymptotic_stability_full_damping(
     m = val.as_matrix(inertia, "inertia", dtype=float)
     d = val.as_matrix(damping, "damping", dtype=float)
     l = val.as_matrix(stiffness, "stiffness", dtype=float)
-    _check_symmetric_setting(m, d, l, require_l="pd")
+    _check_symmetric_setting(m, d, l)
     if not val.is_pd(d):
         raise AssumptionViolated("damping symmetric positive definite")
     eigs = np.linalg.eigvals(jacobian_2n(m, d, l))
-    band = tol_axis * val.spectral_scale(eigs)
+    band = val.TOL_AXIS * val.spectral_scale(eigs)
     return bool(np.all(eigs.real < -band))

@@ -10,7 +10,7 @@ payloads for replay, and are shared between the test suite and the CLI
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,16 +66,16 @@ def _serialize(v):
 # -- random generators ------------------------------------------------------
 
 
-def _sym(rng, n, scale=1.0):
-    a = rng.normal(size=(n, n)) * scale
+def _sym(rng, n):
+    a = rng.normal(size=(n, n))
     return 0.5 * (a + a.T)
 
 
-def _psd(rng, n, rank=None, scale=1.0):
+def _psd(rng, n, rank=None):
     rank = n if rank is None else rank
     if rank == 0:
         return np.zeros((n, n))
-    g = rng.normal(size=(rank, n)) * scale
+    g = rng.normal(size=(rank, n))
     return g.T @ g
 
 
@@ -119,8 +119,6 @@ def random_lossless_grid(rng, n, gamma_profile="positive"):
         damping_coeff=d,
         omega_s=1.0,
     )
-    from dataclasses import replace
-
     model = replace(model, p_mech=model.flow(delta))
     eq = model.equilibrium_at(delta)
     return model, eq
@@ -158,8 +156,6 @@ def random_lossy_grid(rng, n):
         damping_coeff=d,
         omega_s=1.0,
     )
-    from dataclasses import replace
-
     model = replace(model, p_mech=model.flow(delta))
     eq = model.equilibrium_at(delta)
     return model, eq

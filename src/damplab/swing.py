@@ -32,7 +32,7 @@ from .errors import (
     SingularReducedJacobian,
     TheoremViolation,
 )
-from .linalg import classify_spectrum, jacobian_2n
+from .linalg import classify_spectrum, jacobian_2n, referenced_jacobian
 from .stability import SecondOrderSystem, observability_test
 
 __all__ = [
@@ -57,6 +57,14 @@ OMEGA_MARGIN = 1e-9
 
 #: Equilibrium residual tolerance (max |P_m - P_e|).
 TOL_EQ = 1e-10
+
+#: Newton iteration caps of :meth:`PowerGridModel.solve_equilibrium` and
+#: :meth:`ReferencedGridSystem.drift_equilibrium`.
+EQ_MAX_ITER = 100
+DRIFT_MAX_ITER = 50
+
+#: Absolute tolerance on the line angles that make a network lossless.
+LOSSLESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,24 +183,26 @@ class PowerGridModel:
 
     # -- structural predicates ------------------------------------------
 
-    def is_lossless(self, tol=1e-9):
+    def is_lossless(self):
         """True iff theta is -pi/2 on the diagonal and +pi/2 on every edge.
 
         Entries with zero admittance magnitude are ignored.
         """
         for j in range(self.n):
-            if self.y_mag[j, j] > 0 and abs(self.theta[j, j] + math.pi / 2) > tol:
+            if (self.y_mag[j, j] > 0
+                    and abs(self.theta[j, j] + math.pi / 2) > LOSSLESS_TOL):
                 return False
         for j, k in self.edges():
-            if abs(self.theta[j, k] - math.pi / 2) > tol:
+            if abs(self.theta[j, k] - math.pi / 2) > LOSSLESS_TOL:
                 return False
         return True
 
-    def in_omega(self, delta, margin=OMEGA_MARGIN):
+    def in_omega(self, delta):
         """Whether every edge angle theta_jk - delta_j + delta_k lies in (0, pi)."""
         phase = self._phase(delta)
         return all(
-            margin < phase[j, k] < math.pi - margin for j, k in self.edges()
+            OMEGA_MARGIN < phase[j, k] < math.pi - OMEGA_MARGIN
+            for j, k in self.edges()
         )
 
     # -- conversions ------------------------------------------------------
@@ -209,7 +219,7 @@ class PowerGridModel:
             jac=self.flow_jacobian,
         )
 
-    def solve_equilibrium(self, delta_guess, tol_eq=TOL_EQ, max_iter=100):
+    def solve_equilibrium(self, delta_guess):
         """Damped Gauss-Newton for P_m = P_e(delta) with delta_n pinned.
 
         The last angle stays at its guess value (rotational gauge); the
@@ -229,8 +239,8 @@ class PowerGridModel:
 
         res, delta = residual(x)
         norm = np.linalg.norm(res)
-        for _ in range(max_iter):
-            if np.abs(res).max() <= tol_eq:
+        for _ in range(EQ_MAX_ITER):
+            if np.abs(res).max() <= TOL_EQ:
                 break
             jac = -self.flow_jacobian(delta)[:, : n - 1]
             step, _, rank, _ = np.linalg.lstsq(jac, -res, rcond=None)
@@ -252,9 +262,9 @@ class PowerGridModel:
             x = x + alpha * step
             res, delta = trial_res, trial_delta
             norm = np.linalg.norm(res)
-        if np.abs(res).max() > tol_eq:
+        if np.abs(res).max() > TOL_EQ:
             raise NoConvergence(
-                f"no equilibrium within {max_iter} iterations",
+                f"no equilibrium within {EQ_MAX_ITER} iterations",
                 best=delta,
                 residual=float(np.abs(res).max()),
             )
@@ -298,12 +308,8 @@ class ReferencedGridSystem:
 
     def __init__(self, model, eq):
         self.model = model
-        n = model.n
         self.psi0 = eq.delta0[:-1] - eq.delta0[-1]
         self.delta0 = eq.delta0
-        # T1 maps angles to referenced angles; T2 embeds referenced angles.
-        self.t1 = np.hstack([np.eye(n - 1), -np.ones((n - 1, 1))])
-        self.t2 = np.vstack([np.eye(n - 1), np.zeros((1, n - 1))])
         self._minv = model.omega_s / model.inertia_const
         self._d = model.damping_coeff
 
@@ -330,7 +336,7 @@ class ReferencedGridSystem:
     def rhs_autonomous(self, u):
         return self.rhs(0.0, u)
 
-    def drift_equilibrium(self, guess, tol=TOL_EQ, max_iter=50):
+    def drift_equilibrium(self, guess):
         """Frequency-drift equilibrium from a referenced-state ``guess``.
 
         Every machine turns at one common frequency offset ``omega_bar``,
@@ -338,18 +344,19 @@ class ReferencedGridSystem:
         :meth:`rhs` iff ``P_m - P_e(psi) - D omega_bar 1 = 0`` (n equations
         in n unknowns).  Newton on ``(psi, omega_bar)`` starts from the
         guess's angles and mean frequency; raises NoConvergence with the
-        best state when the residual stays above ``tol``.
+        best state when the residual stays above ``TOL_EQ`` for
+        ``DRIFT_MAX_ITER`` steps.
         """
         n = self.model.n
         guess = np.asarray(guess, dtype=float)
         z = np.concatenate([guess[: n - 1], [guess[n - 1 :].mean()]])
         d = self._d[:, None]
-        for _ in range(max_iter):
+        for _ in range(DRIFT_MAX_ITER):
             delta = self._delta(z[:-1])
             res = self.model.p_mech - self.model.flow(delta) - self._d * z[-1]
-            if np.abs(res).max() <= tol:
+            if np.abs(res).max() <= TOL_EQ:
                 return np.concatenate([z[:-1], np.full(n, z[-1])])
-            jac = np.hstack([-self.model.flow_jacobian(delta) @ self.t2, -d])
+            jac = np.hstack([-self.model.flow_jacobian(delta)[:, : n - 1], -d])
             try:
                 z = z - np.linalg.solve(jac, res)
             except np.linalg.LinAlgError:
@@ -357,7 +364,7 @@ class ReferencedGridSystem:
                     "drift-equilibrium Newton system is singular"
                 ) from None
         raise NoConvergence(
-            f"no drift equilibrium within {max_iter} iterations",
+            f"no drift equilibrium within {DRIFT_MAX_ITER} iterations",
             best=np.concatenate([z[:-1], np.full(n, z[-1])]),
             residual=float(np.abs(res).max()),
         )
@@ -366,14 +373,9 @@ class ReferencedGridSystem:
         n = self.model.n
         psi = self.psi0 if u is None else u[: n - 1]
         flow_jac = self.model.flow_jacobian(self._delta(psi))
-        top = np.hstack([np.zeros((n - 1, n - 1)), self.t1])
-        bottom = np.hstack(
-            [
-                -(self._minv[:, None]) * (flow_jac @ self.t2),
-                -np.diag(self._minv * self._d),
-            ]
+        return referenced_jacobian(
+            self._minv[:, None] * flow_jac, np.diag(self._minv * self._d)
         )
-        return np.vstack([top, bottom])
 
 
 # -- grid-specific criteria ----------------------------------------------
@@ -386,8 +388,7 @@ class LosslessCriterionResult:
     spectrum: object
 
 
-def lossless_imaginary_criterion(model, eq, tol_obs=val.TOL_OBS,
-                                 tol_axis=val.TOL_AXIS):
+def lossless_imaginary_criterion(model, eq, tol_axis=val.TOL_AXIS):
     """Imaginary-pair criterion for lossless grids at an admissible equilibrium.
 
     The Jacobian spectrum contains a pair of purely imaginary eigenvalues
@@ -406,7 +407,7 @@ def lossless_imaginary_criterion(model, eq, tol_obs=val.TOL_OBS,
     lmat = system.jac(eq.delta0)
     a = np.linalg.solve(system.inertia, lmat)
     b = np.linalg.solve(system.inertia, system.damping)
-    verdict = observability_test(a, b, tol_obs)
+    verdict = observability_test(a, b)
     scale = max(1.0, np.linalg.norm(a, 2))
     positive = tuple(
         w for w in verdict.witnesses if w.eigenvalue.real > 1e-9 * scale
@@ -418,9 +419,7 @@ def lossless_imaginary_criterion(model, eq, tol_obs=val.TOL_OBS,
     report = classify_spectrum(
         np.linalg.eigvals(system.jacobian_at(eq.delta0)), tol_axis
     )
-    band = tol_axis * report.scale
-    nonzero_axis = [z for z in report.axis_set if abs(z.imag) > band]
-    pair_from_spectrum = len(nonzero_axis) > 0
+    pair_from_spectrum = report.nonzero_axis_set.size > 0
 
     if pair_from_observability != pair_from_spectrum:
         raise TheoremViolation(
@@ -435,7 +434,7 @@ def lossless_imaginary_criterion(model, eq, tol_obs=val.TOL_OBS,
     )
 
 
-def damping_repair_suggestion(model, eq, witnesses, tol_obs=val.TOL_OBS):
+def damping_repair_suggestion(model, eq, witnesses):
     """Generator indices whose damping, once raised from zero, removes the witnesses.
 
     For each unobservable mode the first undamped generator with a nonzero
@@ -445,7 +444,7 @@ def damping_repair_suggestion(model, eq, witnesses, tol_obs=val.TOL_OBS):
     suggestions = []
     for witness in witnesses:
         vec = np.abs(np.asarray(witness.vector))
-        threshold = tol_obs * max(vec.max(), 1e-300)
+        threshold = val.TOL_OBS * max(vec.max(), 1e-300)
         chosen = None
         for j in range(model.n):
             if vec[j] > threshold and model.damping_coeff[j] == 0:
@@ -492,7 +491,7 @@ def build_nonhyperbolic_family(n_peers, d_tail):
     return m, d, l
 
 
-def small_n_hyperbolicity_check(model, eq, tol_axis=val.TOL_AXIS):
+def small_n_hyperbolicity_check(model, eq):
     """Hyperbolicity (beyond the structural zero) for 2- and 3-generator grids.
 
     Hypotheses: exactly one undamped generator, connected network, coupling
@@ -525,12 +524,8 @@ def small_n_hyperbolicity_check(model, eq, tol_axis=val.TOL_AXIS):
             raise AssumptionViolated("equilibrium in the admissible angle set")
 
     system = model.to_second_order()
-    report = classify_spectrum(
-        np.linalg.eigvals(system.jacobian_at(eq.delta0)), tol_axis
-    )
-    band = tol_axis * report.scale
-    nonzero_axis = [z for z in report.axis_set if abs(z.imag) > band]
-    return len(nonzero_axis) == 0
+    report = classify_spectrum(np.linalg.eigvals(system.jacobian_at(eq.delta0)))
+    return report.nonzero_axis_set.size == 0
 
 
 # -- end of a cycle branch: homoclinic connection to a drift saddle ----------

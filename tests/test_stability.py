@@ -170,6 +170,18 @@ class TestMonotonicityCompare:
         assert len(report.axis_set_first) == 0
         assert matching_distance(report.axis_set_second, [1j, -1j]) < 1e-9
 
+    def test_permuted_jacobian_entries_rejected(self):
+        # Same multiset of entries, different matrices: the hypothesis
+        # "identical vector-field Jacobian" fails.
+        first = stability.SecondOrderSystem.linear(
+            np.eye(2), np.eye(2), np.array([[2.0, 1.0], [1.0, 3.0]])
+        )
+        second = stability.SecondOrderSystem.linear(
+            np.eye(2), np.eye(2), np.array([[3.0, 1.0], [1.0, 2.0]])
+        )
+        with pytest.raises(AssumptionViolated, match="jacobian"):
+            stability.monotonicity_compare(first, second, np.zeros(2))
+
     def test_monotonicity_suite(self):
         result = suites.suite_damping_monotonicity(seed=13, trials=150)
         assert result.passed, result.failures[:1]

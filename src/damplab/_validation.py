@@ -35,7 +35,7 @@ def as_matrix(a, name="matrix", square=True, dtype=None):
         raise MatrixShapeError(f"{name} must be 2-d, got ndim={arr.ndim}")
     if square and arr.shape[0] != arr.shape[1]:
         raise MatrixShapeError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise MatrixShapeError(f"{name} contains NaN or Inf entries")
     return arr
 

@@ -269,7 +269,14 @@ def cmd_simulate(args):
             if upper.size
             else np.argmax(eigs.real)
         )
-        mode = np.real(vecs[:, idx])
+        # LAPACK makes the largest component real, and which one that is
+        # hangs on last bits when two tie in magnitude, as in case1's
+        # symmetric mode.  The last component within 1e-8 of the largest
+        # magnitude is made real positive instead (LAPACK's pick for case1).
+        vec = vecs[:, idx]
+        mag = np.abs(vec)
+        pivot = np.flatnonzero(mag >= (1 - 1e-8) * mag.max())[-1]
+        mode = np.real(vec * (mag[pivot] / vec[pivot]))
         mode /= max(np.linalg.norm(mode), 1e-300)
         x0 = x_eq + args.kick * mode
 

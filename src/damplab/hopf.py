@@ -69,7 +69,7 @@ FD_STEP = 1e-6
 EIGENPAIR_TOL = 1e-8
 
 #: Crossing refinement stops at ``|Re| <= REFINE_TOL * |eig|`` or after
-#: ``MAX_BISECT`` bisection steps.
+#: ``MAX_BISECT`` regula-falsi steps.
 REFINE_TOL = 1e-10
 MAX_BISECT = 200
 
@@ -195,13 +195,15 @@ def track_axis_crossing(path, samples=41):
 
     Samples the spectrum on a uniform grid over ``path.gamma_range``, pairs
     eigenvalues between adjacent samples by nearest-neighbour continuity,
-    and bisects every sign change of the real part down to
-    ``|Re| <= REFINE_TOL * |eig|``.  An eigenvalue already inside the axis
-    band at either end of the range is reported with ``boundary=True`` and
-    left unrefined.
+    and refines every sign change of the real part by Illinois regula falsi
+    on ``Re lam(gamma)`` (Dowell & Jarratt, BIT 11, 1971) inside the
+    bracket, down to ``|Re| <= REFINE_TOL * |eig|`` or ``MAX_BISECT``
+    steps.  An eigenvalue already inside the axis band at either end of the
+    range is reported with ``boundary=True`` and left unrefined.
 
-    Raises TrackingAmbiguity when the continuation step exceeds half the
-    smallest eigenvalue gap, i.e. the grid is too coarse to pair branches.
+    Raises TrackingAmbiguity when a branch's continuation step exceeds half
+    the gap between its match and the match's nearest neighbour, or two
+    branches share one match, i.e. the grid is too coarse to pair branches.
     """
     if samples < 2:
         raise AssumptionViolated("sample count >= 2")
@@ -219,22 +221,31 @@ def track_axis_crossing(path, samples=41):
             raise TrackingAmbiguity("complex pair vanished during refinement")
         return eigs[np.argmin(np.abs(eigs - lam))]
 
-    def refine(g_left, g_right, lam_left):
-        lam_a = lam_left
-        a, b = g_left, g_right
-        sign_a = np.sign(lam_a.real)
+    def refine(a, b, lam_a, lam_b):
+        # Illinois: an end kept twice in a row has its value halved, so the
+        # secant point cannot stall at one end of the bracket.
+        fa, fb = lam_a.real, lam_b.real
+        kept = 0
         for _ in range(MAX_BISECT):
-            mid = 0.5 * (a + b)
-            lam_mid = track_to(lam_a, mid)
-            if abs(lam_mid.real) <= REFINE_TOL * abs(lam_mid):
-                return mid, lam_mid
-            if np.sign(lam_mid.real) == sign_a:
-                a, lam_a = mid, lam_mid
+            x = (a * fb - b * fa) / (fb - fa)
+            if not a < x < b:
+                x = 0.5 * (a + b)
+            lam_x = track_to(lam_a if x - a <= b - x else lam_b, x)
+            if abs(lam_x.real) <= REFINE_TOL * abs(lam_x):
+                return x, lam_x
+            if np.sign(lam_x.real) == np.sign(fa):
+                a, fa, lam_a = x, lam_x.real, lam_x
+                if kept == 1:
+                    fb *= 0.5
+                kept = 1
             else:
-                b = mid
+                b, fb, lam_b = x, lam_x.real, lam_x
+                if kept == -1:
+                    fa *= 0.5
+                kept = -1
             if b - a < 1e-15 * max(1.0, abs(hi)):
-                return 0.5 * (a + b), track_to(lam_a, 0.5 * (a + b))
-        return 0.5 * (a + b), track_to(lam_a, 0.5 * (a + b))
+                break
+        return x, lam_x
 
     # Samples already on the axis: range endpoints are flagged as boundary
     # crossings (no bracket to refine), interior grid points are ordinary
@@ -264,26 +275,28 @@ def track_axis_crossing(path, samples=41):
         interval_safe = (
             current.real.max() < -margin and following.real.max() < -margin
         ) or (current.real.min() > margin and following.real.min() > margin)
-        gaps = [
-            np.abs(following[i] - following[j])
-            for i in range(len(following))
-            for j in range(i + 1, len(following))
-        ]
-        min_gap = min(gaps) if gaps else np.inf
-        for lam in current:
-            nearest = following[np.argmin(np.abs(following - lam))]
-            step = abs(nearest - lam)
-            if step > 0.5 * min_gap and step > band:
+        distance = np.abs(current[:, None] - following[None, :])
+        match = np.argmin(distance, axis=1)
+        steps = distance[np.arange(current.size), match]
+        spacing = np.abs(following[:, None] - following[None, :])
+        np.fill_diagonal(spacing, np.inf)
+        gaps = spacing.min(axis=1)[match]
+        shared = np.bincount(match, minlength=following.size)[match] > 1
+        for lam, j, step, gap, twice in zip(current, match, steps, gaps, shared):
+            nearest = following[j]
+            if (twice or step > 0.5 * gap) and step > band:
                 if interval_safe:
                     continue
-                raise TrackingAmbiguity(
-                    f"continuation step {step:.3e} exceeds half the minimum "
-                    f"eigenvalue gap {min_gap:.3e}; increase samples"
+                what = (
+                    "two branches share one continuation match" if twice
+                    else f"continuation step {step:.3e} exceeds half the "
+                    f"eigenvalue gap {gap:.3e} at its match"
                 )
+                raise TrackingAmbiguity(f"{what} near gamma = {grid[k]:.6g}; increase samples")
             if abs(lam.real) <= band or abs(nearest.real) <= band:
                 continue  # boundary case already recorded or handled next interval
             if np.sign(lam.real) != np.sign(nearest.real):
-                g0, lam0 = refine(grid[k], grid[k + 1], lam)
+                g0, lam0 = refine(grid[k], grid[k + 1], lam, nearest)
                 crossings.append(
                     AxisCrossing(
                         gamma=float(g0),
@@ -515,12 +528,15 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     r0 = vecs[:, idx]
     # v is the pencil kernel direction: the velocity block of r0 over
     # i omega0.  In the symmetric setting it is the unobservable eigenvector
-    # of M^-1 L.  Phase convention: largest-magnitude component of v is made
-    # real positive and v has unit norm.
+    # of M^-1 L.  Phase convention: the first component within 1e-8 of the
+    # largest magnitude is made real positive (an exact tie, as in case1's
+    # mode (1, -1, 0), must not leave the sign to last bits) and v has unit
+    # norm.
     n = path.n
     vel = r0[-n:]
     v = vel / (1j * omega0)
-    pivot = np.argmax(np.abs(v))
+    mag = np.abs(v)
+    pivot = np.flatnonzero(mag >= (1 - 1e-8) * mag.max())[0]
     scale_factor = np.abs(v[pivot]) / (v[pivot] * np.linalg.norm(v))
     r0 = r0 * scale_factor
     v = v * scale_factor

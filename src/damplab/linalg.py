@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _validation as val
 from .errors import (
@@ -299,6 +298,8 @@ def takagi(s):
         if i == len(sig) or abs(sig[i] - sig[start]) > 1e-8 * max(sig[0], 1e-300):
             groups.append(list(range(start, i)))
             start = i
+
+    import scipy.linalg
 
     blocks = []
     for g in groups:

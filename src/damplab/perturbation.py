@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _validation as val
 from .errors import (
@@ -127,6 +126,8 @@ def find_rank_principal_submatrix(s, r=None):
     def nonsingular(alpha):
         sub = s[np.ix_(alpha, alpha)]
         return numerical_rank(sub) == len(alpha)
+
+    import scipy.linalg
 
     # Pivoted-QR column order ranks indices by how much mass they carry.
     _, _, piv = scipy.linalg.qr(s, pivoting=True)

@@ -35,6 +35,7 @@ __all__ = [
     "hyperbolicity_symmetric",
     "imaginary_pair_sufficient_unsymmetric",
     "monotonicity_compare",
+    "observability_symmetric",
     "observability_test",
     "undamped_spectral_map",
 ]
@@ -111,11 +112,16 @@ class ObservabilityWitness:
 class ObservabilityVerdict:
     """Outcome of the eigenvector test ``Bx != 0`` over the spectrum of A.
 
-    ``witnesses`` holds one entry per unobservable eigenvalue cluster;
-    ``margins`` records ``||B x||`` for the x minimizing
-    ``||stack(A - lam I, B) x||`` in every cluster so near misses are
-    visible even when the verdict is observable.  The pair is observable
-    iff there is no witness.
+    ``witnesses`` holds one entry per dimension of the unobservable subspace
+    of every eigenvalue cluster; ``margins`` holds one ``(lam, residual)``
+    per cluster so near misses are visible even when the verdict is
+    observable.  The pair is observable iff there is no witness.
+
+    Two functions return it.  :func:`observability_test` (PBH, any square
+    A) records as residual ``||B x||`` for the unit x minimizing
+    ``||stack(A - lam I, B) x||``.  :func:`observability_symmetric`
+    (``A = M^-1 L`` with M symmetric positive definite and L symmetric)
+    records ``min ||B x||`` over unit x in the cluster's eigenspace.
     """
 
     witnesses: tuple
@@ -146,8 +152,15 @@ def observability_test(a, b):
     ``[A - lam I; B]`` is tested for rank deficiency: its smallest singular
     value at or below ``TOL_OBS * max(1, ||A||, ||B||)`` (``TOL_OBS`` from
     ``_validation``) marks the mode unobservable.  This searches full
-    eigenspaces, so repeated eigenvalues are handled correctly.  The singular vector attaining the minimum is the
-    reported witness together with its damping residual ``||B x||``.
+    eigenspaces, so repeated eigenvalues are handled correctly.  The
+    singular vector attaining the minimum is the reported witness together
+    with its damping residual ``||B x||``.
+
+    One SVD of a 2n-by-n stack per cluster makes this O(n^4).  It serves
+    any A: :func:`imaginary_pair_sufficient_unsymmetric` calls it, and the
+    ``observability_equivalence`` suite checks
+    :func:`observability_symmetric`, which the symmetric setting uses,
+    against it.
     """
     a = val.as_matrix(a, "a", dtype=float)
     b = np.asarray(b, dtype=float)
@@ -185,6 +198,68 @@ def observability_test(a, b):
     )
 
 
+def observability_symmetric(m, l, d):
+    """Observability of ``(M^-1 L, M^-1 D)`` for M symmetric positive definite
+    and L symmetric, in O(n^3).
+
+    With the Cholesky factor ``M = C C^T``, ``M^-1 L`` is similar to the
+    symmetric ``C^-1 L C^-T = U diag(mu) U^T``, so its eigenvalues are
+    ``mu`` and its eigenvectors ``V = C^-T U`` (Golub & Van Loan, Matrix
+    Computations, section 8.7).  The eigenvalues are clustered as in
+    :func:`observability_test`; a cluster is unobservable iff
+    ``sigma_min(M^-1 D orth(V_c)) <= TOL_OBS * max(1, ||M^-1 L||, ||M^-1 D||)``,
+    the PBH threshold.  A single eigenvector needs one column norm; only
+    repeated clusters take a QR and an SVD.  Witnesses are unit vectors of
+    the eigenspace with their residual ``||M^-1 D x||``, one per deficiency
+    dimension.
+
+    Raises AssumptionViolated when M or L is not symmetric or M is not
+    positive definite.
+    """
+    m = val.as_matrix(m, "inertia", dtype=float)
+    l = val.as_matrix(l, "stiffness", dtype=float)
+    d = val.as_matrix(d, "damping", dtype=float)
+    if not (m.shape == l.shape == d.shape):
+        raise AssumptionViolated("shape", "inertia, stiffness and damping must match")
+    if not val.is_symmetric(m):
+        raise AssumptionViolated("inertia symmetric positive definite")
+    if not val.is_symmetric(l):
+        raise AssumptionViolated("jacobian symmetric")
+    try:
+        c = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise AssumptionViolated("inertia symmetric positive definite") from None
+    half = np.linalg.solve(c, l)  # C^-1 L
+    mu, u = np.linalg.eigh(np.linalg.solve(c, half.T))
+    vecs = np.linalg.solve(c.T, u)
+    vecs /= np.linalg.norm(vecs, axis=0)
+    b = np.linalg.solve(m, d)
+    a = np.linalg.solve(c.T, half)  # M^-1 L, for the PBH scale
+    scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
+    threshold = val.TOL_OBS * scale
+
+    residuals = np.linalg.norm(b @ vecs, axis=0).tolist()
+    witnesses = []
+    margins = []
+    for lam, idx in _eigenvalue_clusters(mu, scale):
+        lam = complex(lam)
+        if len(idx) == 1:
+            res = residuals[idx[0]]
+            margins.append((lam, res))
+            if res <= threshold:
+                witnesses.append(ObservabilityWitness(lam, vecs[:, idx[0]], res))
+            continue
+        basis, _ = np.linalg.qr(vecs[:, idx])
+        _, sing, vh = np.linalg.svd(b @ basis)
+        margins.append((lam, float(sing[-1])))
+        for j in range(int(np.count_nonzero(sing <= threshold))):
+            wvec = basis @ vh[-1 - j]
+            witnesses.append(
+                ObservabilityWitness(lam, wvec, float(np.linalg.norm(b @ wvec)))
+            )
+    return ObservabilityVerdict(witnesses=tuple(witnesses), margins=tuple(margins))
+
+
 @dataclass(frozen=True)
 class HyperbolicityVerdict:
     hyperbolic: bool
@@ -208,18 +283,16 @@ def hyperbolicity_symmetric(system, x0):
 
     Requires M symmetric positive definite, D symmetric PSD and
     ``L = jac(x0)`` symmetric positive definite.  Observability of
-    ``(M^-1 L, M^-1 D)`` and absence of axis eigenvalues of the 2n Jacobian
-    are computed independently; they are equivalent in this setting, so a
-    disagreement raises TheoremViolation carrying both verdicts.
+    ``(M^-1 L, M^-1 D)`` (by :func:`observability_symmetric`) and absence
+    of axis eigenvalues of the 2n Jacobian are computed independently; they
+    are equivalent in this setting, so a disagreement raises
+    TheoremViolation carrying both verdicts.
     """
     x0 = np.asarray(x0, dtype=float)
     m, d = system.inertia, system.damping
     l = system.jac(x0)
     _check_symmetric_setting(m, d, l)
-
-    a = np.linalg.solve(m, l)
-    b = np.linalg.solve(m, d)
-    obs = observability_test(a, b)
+    obs = observability_symmetric(m, l, d)
 
     report = classify_spectrum(np.linalg.eigvals(system.jacobian_at(x0)))
     spectral_hyperbolic = report.axis_count == 0

@@ -302,7 +302,11 @@ def suite_imag_updates(seed=DEFAULT_SEED, trials=1000):
 
 
 def suite_observability_equivalence(seed=DEFAULT_SEED, trials=500):
-    """Symmetric setting: hyperbolic iff the damping pair is observable."""
+    """Symmetric setting: hyperbolic iff the damping pair is observable.
+
+    The symmetric observability verdict inside ``hyperbolicity_symmetric``
+    is also checked against the PBH test, witness count by witness count.
+    """
     rng = np.random.default_rng(seed)
     result = SuiteResult("observability_equivalence", trials)
     for k in range(trials):
@@ -312,9 +316,14 @@ def suite_observability_equivalence(seed=DEFAULT_SEED, trials=500):
         d = _psd(rng, n, rank=int(rng.integers(0, n + 1)))
         system = stability.SecondOrderSystem.linear(m, d, l)
         try:
-            stability.hyperbolicity_symmetric(system, np.zeros(n))
+            verdict = stability.hyperbolicity_symmetric(system, np.zeros(n))
         except Exception as exc:
             result.record(trial=k, m=m, d=d, l=l, error=str(exc))
+            continue
+        pbh = stability.observability_test(np.linalg.solve(m, l), np.linalg.solve(m, d))
+        if len(pbh.witnesses) != len(verdict.observability.witnesses):
+            result.record(trial=k, m=m, d=d, l=l,
+                          error="symmetric and PBH observability disagree")
     return result
 
 

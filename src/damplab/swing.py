@@ -15,6 +15,7 @@ counterexample generators.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -33,7 +34,7 @@ from .errors import (
     TheoremViolation,
 )
 from .linalg import classify_spectrum, jacobian_2n, referenced_jacobian
-from .stability import SecondOrderSystem, observability_test
+from .stability import SecondOrderSystem, observability_symmetric
 
 __all__ = [
     "CAPTURED",
@@ -162,15 +163,26 @@ class PowerGridModel:
         delta = np.asarray(delta, dtype=float)
         return self.theta - delta[:, None] + delta[None, :]
 
+    @functools.cached_property
+    def _coupling(self):
+        """Complex coupling ``G = (V V^T o Y_mag) o exp(i theta)``.
+
+        ``P_e`` and the weights are ``Re`` and ``Im`` of
+        ``conj(z_j) G_jk z_k`` with ``z = exp(i delta)``, so the flow needs
+        n trigonometric calls instead of n^2.  Built on first use: most
+        small models of the suites never evaluate a flow.
+        """
+        return np.outer(self.voltage, self.voltage) * self.y_mag * np.exp(1j * self.theta)
+
     def flow(self, delta):
         """Electrical power vector P_e(delta), diagonal term included."""
-        vv = np.outer(self.voltage, self.voltage)
-        return np.sum(vv * self.y_mag * np.cos(self._phase(delta)), axis=1)
+        z = np.exp(1j * np.asarray(delta, dtype=float))
+        return (z.conj() * (self._coupling @ z)).real
 
     def weights(self, delta):
         """Coupling weights w[j,k] = V_j V_k Y_jk sin(theta_jk - delta_j + delta_k)."""
-        vv = np.outer(self.voltage, self.voltage)
-        w = vv * self.y_mag * np.sin(self._phase(delta))
+        z = np.exp(1j * np.asarray(delta, dtype=float))
+        w = (self._coupling * np.outer(z.conj(), z)).imag
         np.fill_diagonal(w, 0.0)
         return w
 
@@ -392,11 +404,13 @@ def lossless_imaginary_criterion(model, eq, tol_axis=val.TOL_AXIS):
     """Imaginary-pair criterion for lossless grids at an admissible equilibrium.
 
     The Jacobian spectrum contains a pair of purely imaginary eigenvalues
-    iff the pair ``(M^-1 grad P_e, M^-1 D)`` is unobservable.  The rotational
-    zero mode of the flow Jacobian cannot break observability (unless the
-    system is fully undamped), so witnesses are filtered to positive
-    eigenvalues; the verdict is cross-checked against the directly computed
-    axis content of the spectrum, structural zero excluded.
+    iff the pair ``(M^-1 grad P_e, M^-1 D)`` is unobservable, which
+    :func:`stability.observability_symmetric` decides (``grad P_e`` of a
+    lossless network is symmetric; AssumptionViolated if it is not).  The
+    rotational zero mode of the flow Jacobian cannot break observability
+    (unless the system is fully undamped), so witnesses are filtered to
+    positive eigenvalues; the verdict is cross-checked against the directly
+    computed axis content of the spectrum, structural zero excluded.
     """
     if not model.is_lossless():
         raise NotLossless("criterion requires a lossless network")
@@ -405,10 +419,8 @@ def lossless_imaginary_criterion(model, eq, tol_axis=val.TOL_AXIS):
 
     system = model.to_second_order()
     lmat = system.jac(eq.delta0)
-    a = np.linalg.solve(system.inertia, lmat)
-    b = np.linalg.solve(system.inertia, system.damping)
-    verdict = observability_test(a, b)
-    scale = max(1.0, np.linalg.norm(a, 2))
+    verdict = observability_symmetric(system.inertia, lmat, system.damping)
+    scale = max(1.0, max(abs(lam) for lam, _ in verdict.margins))
     positive = tuple(
         w for w in verdict.witnesses if w.eigenvalue.real > 1e-9 * scale
     )

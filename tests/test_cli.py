@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -227,3 +230,19 @@ class TestReduce:
         left, axis, right = payload["inertia_full"]
         rleft, raxis, rright = payload["inertia_reduced"]
         assert (left, axis - 1, right) == (rleft, raxis, rright)
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # scipy.linalg, scipy.integrate and scipy.optimize load on first use,
+    # so commands that need none of them start at numpy speed.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, damplab.cli; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.integrate', 'scipy.optimize') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from damplab.errors import (
     NotAnAxisEigenvalue,
     TrackingAmbiguity,
 )
-from conftest import OMEGA_CASE1
+from conftest import OMEGA_CASE1, grid_damping_path
 
 
 class TestDampingPath:
@@ -72,16 +73,16 @@ class TestTrackAxisCrossing:
         assert hopf.track_axis_crossing(path, samples=11) == []
 
     def test_coarse_grid_ambiguity(self):
-        # One fast-moving branch crossing the axis plus a pair of close
-        # frequencies: with two samples the continuation step exceeds half
-        # the minimum gap, with a fine grid the crossing is resolved.
-        stiffness = np.diag([1.0, 16.0, 17.64])
+        # A fast branch crosses the axis and ends 0.2 from a fixed branch
+        # (-0.8 + 3.919i): with two samples both branches pair with that one
+        # eigenvalue, with a fine grid the crossing is resolved.
+        stiffness = np.diag([16.0, 16.0])
 
         def damping_of(g):
-            return np.diag([2.0 * g - 1.0, 0.1, 0.1])
+            return np.diag([4.0 * g - 2.0, 1.6])
 
         path = hopf.DampingPath(
-            inertia=np.eye(3),
+            inertia=np.eye(2),
             stiffness=stiffness,
             damping_of=damping_of,
             gamma_range=(0.0, 1.0),
@@ -89,12 +90,62 @@ class TestTrackAxisCrossing:
         with pytest.raises(TrackingAmbiguity):
             hopf.track_axis_crossing(path, samples=2)
         # 81 samples place the crossing exactly on a grid point; 80 make the
-        # bisection produce it from a bracketing interval.
+        # refinement produce it from a bracketing interval.
         for samples in (81, 80):
             fine = hopf.track_axis_crossing(path, samples=samples)
             assert len(fine) == 1
             assert abs(fine[0].gamma - 0.5) < 1e-8
             assert not fine[0].boundary
+
+    def test_case2_refinement_jacobian_count(self, case2_path, monkeypatch):
+        # 21 samples plus the crossing's refinement: regula falsi needs a
+        # few Jacobians where bisection needed 22.
+        built = []
+        jacobian = case2_path.jacobian
+        monkeypatch.setattr(case2_path, "jacobian",
+                            lambda g: built.append(g) or jacobian(g))
+        crossings = hopf.track_axis_crossing(case2_path, samples=21)
+        assert len(crossings) == 1
+        assert len(built) <= 27
+
+    def test_distant_close_pair_is_no_ambiguity(self):
+        # The case2 pair tied to a random lossy grid: two close eigenvalues
+        # of the random part, 0.89 from the moving Hopf branch, must not
+        # stop the sweep.
+        n = 100
+        rng = np.random.default_rng(1)
+        base, base_eq = suites.random_lossy_grid(rng, n - 2)
+        y, theta = np.zeros((n, n)), np.full((n, n), math.pi / 2)
+        y[2:, 2:], theta[2:, 2:] = base.y_mag, base.theta
+        line = complex(-1.0, 5.7978)
+        y[0, 1] = y[1, 0] = abs(line)
+        theta[0, 1] = theta[1, 0] = math.atan2(line.imag, line.real)
+        theta[0, 0] = theta[1, 1] = 0.0
+        tie = 2 + int(rng.integers(0, n - 2))
+        y[1, tie] = y[tie, 1] = 0.3
+        anchor = base_eq.delta0[tie - 2]
+        delta = np.concatenate([[anchor + 1.4905, anchor], base_eq.delta0])
+        model = replace(
+            base, y_mag=y, theta=theta, p_mech=np.zeros(n),
+            voltage=np.concatenate([[1.0, 1.0], base.voltage]),
+            inertia_const=np.concatenate([[1.0, 1.0], base.inertia_const]),
+            damping_coeff=np.concatenate([[0.25, 1.0], base.damping_coeff]),
+        )
+        model = replace(model, p_mech=model.flow(delta))
+        eq = model.equilibrium_at(delta)
+
+        def damping(g):
+            d = model.damping_coeff.copy()
+            d[0] = g
+            return d
+
+        unit = np.zeros(n)
+        unit[0] = 1.0
+        path = grid_damping_path(model, eq, damping, lambda g: unit, (0.1, 0.3))
+        crossings = hopf.track_axis_crossing(path, samples=21)
+        assert len(crossings) == 1
+        assert abs(crossings[0].gamma - 0.264) <= 1e-3
+        assert not crossings[0].boundary
 
     def test_bad_sample_count(self):
         path = hopf.DampingPath(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,110 @@ class TestObservability:
         assert verdict.observable
         assert len(verdict.margins) == 2
         assert all(res > 0.5 for _, res in verdict.margins)
+
+
+def _kernel_damping(rng, vectors):
+    """Random PSD damping whose kernel contains ``vectors`` (columns)."""
+    n, k = vectors.shape
+    basis = np.linalg.qr(np.column_stack([vectors, rng.normal(size=(n, n - k))]))[0]
+    tail = basis[:, k:] * rng.uniform(0.5, 2.0, size=n - k)
+    return tail @ tail.T
+
+
+def _clusters(verdict):
+    """{cluster eigenvalue: [witness residuals]} in eigenvalue order."""
+    out = {}
+    for w in verdict.witnesses:
+        out.setdefault(round(complex(w.eigenvalue).real, 6), []).append(w.residual)
+    return out
+
+
+def _assert_agrees_with_pbh(m, l, d):
+    sym = stability.observability_symmetric(m, l, d)
+    a, b = np.linalg.solve(m, l), np.linalg.solve(m, d)
+    pbh = stability.observability_test(a, b)
+    threshold = 1e-8 * max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
+    assert sym.observable == pbh.observable
+    got, want = _clusters(sym), _clusters(pbh)
+    assert got.keys() == want.keys()
+    for lam in want:
+        assert len(got[lam]) == len(want[lam])
+        for r_sym, r_pbh in zip(got[lam], want[lam]):
+            assert abs(r_sym - r_pbh) <= threshold
+    for w in sym.witnesses:
+        v = w.vector
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        assert np.linalg.norm(a @ v - w.eigenvalue.real * v) <= 1e-8 * np.linalg.norm(a, 2)
+        assert abs(np.linalg.norm(b @ v) - w.residual) <= 1e-14
+    assert len(sym.margins) == len(pbh.margins)
+    return sym
+
+
+class TestObservabilitySymmetric:
+    def test_random_small_instances_match_pbh(self):
+        rng = np.random.default_rng(7)
+        unobservable = 0
+        for k in range(200):
+            n = int(rng.integers(1, 7))
+            m = suites._spd(rng, n)
+            l = suites._sym(rng, n) if k % 2 else suites._psd(rng, n)
+            if k % 3:
+                d = suites._psd(rng, n, rank=int(rng.integers(0, n + 1)))
+            else:
+                vecs = np.linalg.eig(np.linalg.solve(m, l))[1].real
+                d = _kernel_damping(rng, vecs[:, :1])
+            unobservable += not _assert_agrees_with_pbh(m, l, d).observable
+        assert 60 <= unobservable < 200
+
+    def test_repeated_eigenvalue_two_dimensional_kernel(self):
+        rng = np.random.default_rng(3)
+        n = 5
+        m = suites._spd(rng, n)
+        c = np.linalg.cholesky(m)
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        l = c @ q @ np.diag([0.5, 2.0, 2.0, 3.0, 4.5]) @ q.T @ c.T
+        eigvecs = np.linalg.solve(c.T, q)  # eigenvectors of M^-1 L
+        d = _kernel_damping(rng, eigvecs[:, 1:3])
+        verdict = _assert_agrees_with_pbh(m, l, d)
+        assert [complex(w.eigenvalue).real for w in verdict.witnesses] == pytest.approx(
+            [2.0, 2.0], abs=1e-10)
+        # the two witnesses span the damped-free eigenspace
+        span = np.column_stack([w.vector for w in verdict.witnesses])
+        assert np.linalg.matrix_rank(span, tol=1e-8) == 2
+        assert np.linalg.norm(d @ span) <= 1e-10
+
+    def test_mirror_grid_n100(self):
+        model, eq = suites.random_lossless_grid(np.random.default_rng(12), 98)
+        n = 100
+        y = np.zeros((n, n))
+        y[:98, :98] = model.y_mag
+        for a in (98, 99):
+            y[a, [3, 40, 77]] = y[[3, 40, 77], a] = [0.7, 1.3, 1.9]
+        y[98, 99] = y[99, 98] = 1.1
+        theta = np.full((n, n), math.pi / 2)
+        np.fill_diagonal(theta, -math.pi / 2)
+        pair = lambda values, value: np.concatenate([values, [value, value]])
+        delta = pair(eq.delta0, 0.1)
+        mirror = replace(
+            model, y_mag=y, theta=theta, voltage=pair(model.voltage, 1.0),
+            p_mech=np.zeros(n), inertia_const=pair(model.inertia_const, 1.5),
+            damping_coeff=pair(model.damping_coeff, 0.0),
+        )
+        system = mirror.to_second_order()
+        verdict = _assert_agrees_with_pbh(
+            system.inertia, system.jac(delta), system.damping)
+        assert len(verdict.witnesses) == 1
+        direction = np.zeros(n)
+        direction[98], direction[99] = 1.0, -1.0
+        assert abs(np.vdot(direction, verdict.witnesses[0].vector)) > (1 - 1e-10) * math.sqrt(2)
+
+    def test_rejects_unsymmetric_stiffness(self):
+        with pytest.raises(AssumptionViolated):
+            stability.observability_symmetric(np.eye(2), L_REMARK, np.eye(2))
+
+    def test_rejects_indefinite_inertia(self):
+        with pytest.raises(AssumptionViolated):
+            stability.observability_symmetric(np.diag([1.0, -1.0]), np.eye(2), np.eye(2))
 
 
 class TestHyperbolicitySymmetric:

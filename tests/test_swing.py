@@ -96,6 +96,40 @@ class TestFlowJacobian:
             assert np.all(nonzero.real > 0)
 
 
+def _trig_flow(model, delta):
+    """P_e, the weights and the flow Jacobian as trigonometric sums over
+    every bus pair, and the largest absolute row sum of the terms."""
+    n = model.n
+    p, w, size = np.zeros(n), np.zeros((n, n)), np.zeros(n)
+    for j in range(n):
+        for k in range(n):
+            c = model.voltage[j] * model.voltage[k] * model.y_mag[j, k]
+            phase = model.theta[j, k] - delta[j] + delta[k]
+            p[j] += c * math.cos(phase)
+            size[j] += c
+            if j != k:
+                w[j, k] = c * math.sin(phase)
+    jac = -w
+    np.fill_diagonal(jac, w.sum(axis=1))
+    return p, w, jac, size.max()
+
+
+class TestFlowKernel:
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    @pytest.mark.parametrize("kind", ["lossy", "lossless"])
+    def test_matches_trigonometric_sum(self, kind, n):
+        rng = np.random.default_rng(n)
+        make = suites.random_lossy_grid if kind == "lossy" else suites.random_lossless_grid
+        model, _ = make(rng, n)
+        for _ in range(3):
+            delta = rng.uniform(-math.pi, math.pi, size=n)
+            p, w, jac, size = _trig_flow(model, delta)
+            tol = 1e-12 * size
+            assert np.abs(model.flow(delta) - p).max() <= tol
+            assert np.abs(model.weights(delta) - w).max() <= tol
+            assert np.abs(model.flow_jacobian(delta) - jac).max() <= 2 * tol
+
+
 class TestLosslessDetection:
     def test_case1_lossless(self, case1):
         assert case1[0].is_lossless()

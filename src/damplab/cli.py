@@ -62,6 +62,11 @@ def _fmt_complex(z):
     return f"{z.real:+.6f}{z.imag:+.6f}i"
 
 
+def _sorted_eigenvalues(values):
+    """Eigenvalues by (real, imaginary) part, the order of every output."""
+    return sorted(values, key=lambda z: (z.real, z.imag))
+
+
 def _parse_range(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -101,12 +106,13 @@ def cmd_spectrum(args):
     report = classify_spectrum(
         np.linalg.eigvals(system.jacobian_at(eq.delta0)), args.tol_axis
     )
+    eigenvalues = _sorted_eigenvalues(report.eigenvalues)
     print(f"model: {args.model}")
     print(f"equilibrium angles: {np.array2string(eq.delta0, precision=6)}")
     print(f"residual: {eq.residual:.3e}   admissible-set member: {eq.in_omega}")
     print(f"lossless: {model.is_lossless()}")
     print("eigenvalues:")
-    for z in sorted(report.eigenvalues, key=lambda z: (z.real, z.imag)):
+    for z in eigenvalues:
         print(f"  {_fmt_complex(z)}")
     print(f"inertia (left, axis, right): {report.inertia}")
 
@@ -129,7 +135,7 @@ def cmd_spectrum(args):
 
     if args.out:
         payload = {
-            "eigenvalues": [{"re": z.real, "im": z.imag} for z in report.eigenvalues],
+            "eigenvalues": [{"re": z.real, "im": z.imag} for z in eigenvalues],
             "inertia": list(report.inertia),
             "hyperbolic_beyond_structural_zero": hyperbolic,
             "equilibrium": eq.delta0.tolist(),
@@ -387,7 +393,9 @@ def cmd_reduce(args):
         "equilibrium_angles": eq.delta0.tolist(),
         "referenced_equilibrium": ref.equilibrium_state.tolist(),
         "jacobian": jac.tolist(),
-        "eigenvalues": [{"re": z.real, "im": z.imag} for z in reduced_eigs],
+        "eigenvalues": [
+            {"re": z.real, "im": z.imag} for z in _sorted_eigenvalues(reduced_eigs)
+        ],
         "inertia_full": list(full_report.inertia),
         "inertia_reduced": list(reduced_report.inertia),
     }

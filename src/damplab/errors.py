@@ -112,7 +112,9 @@ class NonTransversal(DampLabError):
 
 
 class CycleNotFound(DampLabError):
-    """Return-map iteration exhausted without locating a periodic orbit."""
+    """The cycle search located no periodic orbit: the two-return defect
+    kept its sign, the bracket ended at an escape boundary, or the Newton
+    refinement failed.  This is no proof that no cycle exists."""
 
 
 class ModelFormatError(DampLabError):

@@ -3,10 +3,9 @@
 Integration uses the adaptive Dormand-Prince 4(5) pair (scipy's RK45) with
 per-step local error control ``rtol * |state| + atol`` so trajectories are
 deterministic for fixed inputs.  The Poincare machinery locates periodic
-orbits as fixed points of the section return map; unstable cycles, which
-plain iteration cannot reach, are approached by bisecting the launch
-amplitude toward the basin boundary before a Newton refinement on the
-return map.
+orbits, stable or unstable, as fixed points of the section return map: a
+scalar root of a two-return defect along a section ray brackets the cycle,
+and Newton's method on the return map refines it.
 """
 
 from __future__ import annotations
@@ -47,14 +46,15 @@ EXPANDING = "expanding_section"
 RTOL = 1e-8
 ATOL = 1e-10
 
-#: Cycle search: return-map iterations before falling back to amplitude
-#: bisection, the Newton polish's fixed-point tolerance on ``|P(x) - x|``
-#: (relative to ``1 + |x|``), the time horizon of one return, and the
-#: returns per bisection probe.
-MAX_RETURNS = 60
+#: Cycle search: the Newton polish's fixed-point tolerance on ``|P(x) - x|``
+#: (relative to ``1 + |x|``), the time horizon of one return, the ratio of
+#: successive launch amplitudes while bracketing the two-return defect's
+#: root, and the distance from the section anchor, in launch amplitudes,
+#: beyond which a probe has escaped.
 RETURN_TOL = 1e-8
 T_MAX_PER_RETURN = 200.0
-N_PROBE = 7
+BRACKET_FACTOR = 1.6
+ESCAPE_FACTOR = 10.0
 
 #: Orbit classification: per-period envelope drift below which an orbit is
 #: near periodic, and the oscillation peaks that drift needs.
@@ -181,6 +181,10 @@ def integrate(system, x_init, t_span, rtol=RTOL, atol=ATOL, t_eval=None,
 
 @dataclass(frozen=True)
 class LimitCycleEstimate:
+    """A located cycle: return time, section point, ``|P(x) - x|`` there,
+    ``EXPANDING`` iff the return-map Jacobian's spectral radius exceeds 1,
+    and the largest distance from the equilibrium over one period."""
+
     period: float
     anchor_state: np.ndarray
     return_error: float
@@ -238,120 +242,40 @@ def _next_crossing(rhs, section, x_start, rtol, atol, t_max, escape_radius=None)
     return t_accum + float(sol.t_events[0][0]), sol.y_events[0][0]
 
 
-def _bisect_onto_cycle(rhs, section, basis, seed, capture_floor,
-                       rtol, atol, t_max):
-    """Seed point near an unstable cycle by amplitude bisection on a section ray.
-
-    Launch points ``anchor + s * ray`` are classified by whether the
-    return-map radius sequence contracts toward the equilibrium or escapes;
-    the boundary between the regimes is the cycle's stable manifold.  Probe
-    quality is measured by the relative return-map step ``|P(x)-x| / radius``
-    (small only while shadowing the cycle, not while spiraling into the
-    equilibrium); the best crossing seen is returned as the Newton seed.
-    """
-    probe_rtol, probe_atol = max(rtol, 1e-7), max(atol, 1e-9)
-    first = _next_crossing(rhs, section, seed, probe_rtol, probe_atol, t_max)
-    if first is None:
-        return None
-    u0 = basis.T @ (first[1] - section.anchor)
-    radius = np.linalg.norm(u0)
-    if radius < 1e-12:
-        return None
-    direction = u0 / radius
-
-    best = {"state": None, "relstep": np.inf}
-
-    def probe(s, escape):
-        x = section.anchor + basis @ (s * direction)
-        prev = x
-        first_radius = None
-        last_radius = None
-        for _ in range(N_PROBE):
-            nxt = _next_crossing(
-                rhs, section, prev, probe_rtol, probe_atol, t_max,
-                escape_radius=escape,
-            )
-            if nxt is None:
-                return "out"
-            _, x_new = nxt
-            r_new = np.linalg.norm(basis.T @ (x_new - section.anchor))
-            relstep = np.linalg.norm(x_new - prev) / max(r_new, 1e-300)
-            if r_new > capture_floor and relstep < best["relstep"]:
-                best["relstep"] = relstep
-                best["state"] = x_new
-            if first_radius is None:
-                first_radius = r_new
-            last_radius = r_new
-            if r_new < capture_floor:
-                return "in"
-            prev = x_new
-        ratio = last_radius / max(first_radius, 1e-300)
-        if ratio < 0.98:
-            return "in"
-        if ratio > 1.02:
-            return "out"
-        return "near"
-
-    escape = 40.0 * radius
-    verdict = probe(radius, escape)
-    if verdict == "near":
-        return best["state"]
-    s_in = radius if verdict == "in" else None
-    s_out = radius if verdict == "out" else None
-    scale = radius
-    for _ in range(40):
-        if s_in is not None and s_out is not None:
-            break
-        scale = scale * (1.6 if s_out is None else 0.6)
-        escape = max(escape, 40.0 * scale)
-        verdict = probe(scale, escape)
-        if verdict == "near":
-            return best["state"]
-        if verdict == "in":
-            s_in = scale if s_in is None else max(s_in, scale)
-        elif s_out is None or scale < s_out:
-            s_out = scale
-    if s_in is None or s_out is None:
-        return None
-
-    for _ in range(30):
-        mid = 0.5 * (s_in + s_out)
-        verdict = probe(mid, escape)
-        if verdict == "near" or best["relstep"] < 1e-4:
-            return best["state"]
-        if verdict == "in":
-            s_in = mid
-        else:
-            s_out = mid
-        if abs(s_out - s_in) < 1e-9 * max(1.0, s_out):
-            break
-    return best["state"]
-
-
 def poincare_cycle_search(
     system, section, seed_state, rtol=RTOL, atol=ATOL, equilibrium=None
 ):
     """Locate a periodic orbit as a fixed point of the section return map.
 
-    Iterates the return map from ``seed_state``.  When plain iteration
-    cannot settle (an unstable cycle repels it toward the equilibrium or to
-    infinity), the launch amplitude along a section ray is bisected between
-    the captured and the escaping regimes; the boundary is the cycle's
-    stable manifold, so probes there shadow the cycle.  The candidate is
-    then polished by Newton iteration on the return map in section
-    coordinates until ``|P(x) - x| <= RETURN_TOL`` (relative to
-    ``1 + |anchor|``); seeds whose first two crossings are already nearly
-    fixed skip straight to the polish.  A neighbouring cycle's anchor is
-    not such a seed in general, so continuation is not cheap: on case2 the
-    gamma = 0.25 anchor seeded at gamma = 0.27 falls through to the amplitude
-    bisection and costs 119,893 RHS evaluations, against about 59,500 from a
-    0.01 mode kick.  The stability hint is the sign of the
-    radial expansion of the forward map at the fixed point; the amplitude is
-    the largest distance from ``equilibrium`` over one period.
+    Step one is a root of the two-return defect along the section ray
+    through the seed's first return, ``x_s = anchor + s d``:
+    ``g(s) = |P(P(x_s))| - |P(x_s)|``, distances from the section anchor.
+    It assumes that the section map contracts transversally within one
+    return (case2's transverse multipliers are 2e-5 to 0.24 on gamma =
+    0.25..0.34), so both points lie on the map's attracting curve and ``g``
+    changes sign at the cycle, stable or unstable.  The root is bracketed by
+    steps of ``BRACKET_FACTOR`` outward from ``s = |P(seed)|``, then inward,
+    and found by ``brentq``.  A probe that leaves ``ESCAPE_FACTOR * s``
+    counts as ``g = +inf``; an escaping end of the bracket is bisected until
+    it comes back finite, and when it has not within ``RETURN_TOL`` its edge
+    is an escape boundary (a saddle's stable manifold, as on case2 at
+    gamma = 0.35), not a cycle.  Step two is Newton on ``P(u) - u`` in
+    section coordinates with a finite-difference Jacobian until ``|P(x) -
+    x| <= RETURN_TOL`` (relative to ``1 + |x|``).  An unstable cycle's
+    spectral radius ``rho > 1`` of that Jacobian amplifies the integration
+    error over one period, so the Newton runs once more at ``rtol / rho``
+    and ``atol / rho``; ``rho`` also gives the stability hint.  The
+    amplitude is the largest distance from ``equilibrium`` over one period.
 
     Raises NonTransversal when the flow is tangent to the section at the
-    seed, CycleNotFound when iteration and refinement exhaust.
+    seed, and CycleNotFound when the defect keeps its sign, at an escape
+    boundary and when Newton fails.  CycleNotFound is no proof that no
+    cycle exists: at gamma = 0.3425, below the homoclinic end gamma_h =
+    0.34258 of the case2 branch, the launch amplitudes that neither spiral
+    in nor escape are too few for the bracket, and it is raised.
     """
+    from scipy.optimize import brentq
+
     rhs = _as_rhs(system)
     seed = np.asarray(seed_state, dtype=float)
     f_seed = np.asarray(rhs(0.0, seed))
@@ -363,143 +287,112 @@ def poincare_cycle_search(
     ) <= 1e-9 * f_norm:
         raise NonTransversal("flow is tangent to the section at the seed")
 
-    # Coarse tolerance for the map iteration; the Newton polish below owns
-    # the final accuracy.  A fixed point closer to the section anchor than
-    # the capture floor is the equilibrium itself, not a cycle.
-    coarse_tol = 1e-3
+    # A fixed point closer to the section anchor than the capture floor is
+    # the equilibrium itself, not a cycle.
     capture_floor = 1e-3 * (1.0 + np.linalg.norm(section.anchor))
+    first = _next_crossing(rhs, section, seed, rtol, atol, T_MAX_PER_RETURN)
+    if first is None:
+        raise CycleNotFound("the seed's orbit does not return to the section")
+    s_first = np.linalg.norm(first[1] - section.anchor)
+    if s_first < capture_floor:
+        raise CycleNotFound("the seed's first return lies on the equilibrium")
+    ray = (first[1] - section.anchor) / s_first
+    first_returns = {}
 
-    def iterate_map(rhs_dir, start):
-        """Iterate the return map; report (verdict, last iterate).
-
-        Verdicts: "cycle" (converged away from the anchor), "captured"
-        (spiraled into the equilibrium on the section), "diverging", or
-        "exhausted".
-        """
-        x = start
-        best = None
-        prev_step = None
-        growing = 0
-        for _ in range(MAX_RETURNS):
-            nxt = _next_crossing(rhs_dir, section, x, rtol, atol, T_MAX_PER_RETURN)
+    def defect(s):
+        """|P(P(x_s))| - |P(x_s)|, or +inf when the orbit escapes."""
+        x = section.anchor + s * ray
+        radii = []
+        for _ in range(2):
+            nxt = _next_crossing(rhs, section, x, rtol, atol, T_MAX_PER_RETURN,
+                                 escape_radius=ESCAPE_FACTOR * s)
             if nxt is None:
-                return "exhausted", best
-            _, x_new = nxt
-            step = np.linalg.norm(x_new - x)
-            best = x_new
-            radius = np.linalg.norm(x_new - section.anchor)
-            if radius < capture_floor:
-                return "captured", x_new
-            # Convergence is judged relative to the orbit radius: a slow
-            # spiral into the equilibrium keeps step/radius roughly constant
-            # while a true cycle approach drives it to zero.
-            if step <= coarse_tol * radius:
-                return "cycle", x_new
-            if prev_step is not None and step > prev_step:
-                growing += 1
-                if growing >= 3:
-                    return "diverging", x_new
-            else:
-                growing = 0
-            prev_step = step
-            x = x_new
-        return "exhausted", best
+                return np.inf
+            x = nxt[1]
+            first_returns.setdefault(s, x)
+            radii.append(np.linalg.norm(x - section.anchor))
+        return radii[1] - radii[0]
+
+    def bracket():
+        """Two launch amplitudes at which the defect has opposite signs.  The
+        outward walk spans 1.6**20, about 1e4; the inward one ends at the
+        capture floor."""
+        g_first = defect(s_first)
+        for factor in (BRACKET_FACTOR, 1.0 / BRACKET_FACTOR):
+            s, g = s_first, g_first
+            for _ in range(20):
+                s_next = s * factor
+                if s_next < capture_floor:
+                    break
+                g_next = defect(s_next)
+                if (g > 0) != (g_next > 0):
+                    return (s, g), (s_next, g_next)
+                if factor > 1.0 and g_next == np.inf:
+                    break
+                s, g = s_next, g_next
+        raise CycleNotFound("the two-return defect does not change sign")
+
+    (s_a, _), (s_b, g_b) = sorted(bracket(), key=lambda p: p[1] == np.inf)
+    # Move an escaping end toward the other until it comes back finite.
+    while g_b == np.inf:
+        if abs(s_b - s_a) <= RETURN_TOL * s_b:
+            raise CycleNotFound(
+                f"escape boundary at launch amplitude {s_b:.9g}: orbits beyond "
+                "it escape, orbits inside it spiral in"
+            )
+        s_mid = 0.5 * (s_a + s_b)
+        g_mid = defect(s_mid)
+        if g_mid > 0:
+            s_b, g_b = s_mid, g_mid
+        else:
+            s_a = s_mid
+    # brentq returns a point at which it evaluated the defect.
+    root = brentq(defect, s_a, s_b, rtol=RETURN_TOL)
 
     basis = section.basis()
+    m = basis.shape[1]
 
-    def return_map(u):
+    def return_map(u, tol):
         x = section.anchor + basis @ u
-        nxt = _next_crossing(rhs, section, x, rtol, atol, T_MAX_PER_RETURN)
+        nxt = _next_crossing(rhs, section, x, *tol, T_MAX_PER_RETURN)
         if nxt is None:
             raise CycleNotFound("trajectory left the section during refinement")
         t_ret, x_ret = nxt
         return basis.T @ (x_ret - section.anchor), t_ret, x_ret
 
-    def polish(anchor):
-        """Newton on P(u) - u = 0 in section coordinates from ``anchor``."""
-        u = basis.T @ (anchor - section.anchor)
+    def newton(u, tol):
+        """Newton on P(u) - u = 0 in section coordinates from ``u`` until
+        ``|P(x) - x| <= RETURN_TOL``, after at least one step (so a re-run at
+        a tighter tolerance moves ``u``); returns the last Jacobian too."""
+        jac = None
         err = np.inf
         for _ in range(30):
-            pu, period, x_fixed = return_map(u)
-            res = pu - u
-            err = np.linalg.norm(res)
-            if err <= RETURN_TOL * (1 + np.linalg.norm(x_fixed)):
-                if np.linalg.norm(x_fixed - section.anchor) < capture_floor:
+            pu, period, x_ret = return_map(u, tol)
+            err = np.linalg.norm(pu - u)
+            if jac is not None and err <= RETURN_TOL * (1 + np.linalg.norm(x_ret)):
+                if np.linalg.norm(x_ret - section.anchor) < capture_floor:
                     raise CycleNotFound("refinement collapsed onto the equilibrium")
-                return u, period, float(err)
-            m = u.size
-            jac = np.zeros((m, m))
+                return u, period, float(err), jac
             h = 1e-6 * (1.0 + np.linalg.norm(u))
-            for i in range(m):
-                e = np.zeros(m)
-                e[i] = h
-                pu_p, _, _ = return_map(u + e)
-                jac[:, i] = (pu_p - pu) / h
+            jac = np.column_stack(
+                [(return_map(u + h * e, tol)[0] - pu) / h for e in np.eye(m)]
+            )
             try:
-                du = np.linalg.solve(jac - np.eye(m), -res)
+                u = u + np.linalg.solve(jac - np.eye(m), u - pu)
             except np.linalg.LinAlgError:
                 raise CycleNotFound("singular return-map Newton system")
-            u = u + du
         raise CycleNotFound(f"Newton refinement stalled at |P(x)-x| = {err:.2e}")
 
-    solved = None
-
-    # A seed already near the cycle (e.g. continued from a neighbouring
-    # parameter value) can go straight to the Newton polish.
-    first = _next_crossing(rhs, section, seed, rtol, atol, T_MAX_PER_RETURN)
-    if first is not None:
-        x1 = first[1]
-        r1 = np.linalg.norm(x1 - section.anchor)
-        second = _next_crossing(rhs, section, x1, rtol, atol, T_MAX_PER_RETURN)
-        if second is not None and r1 > capture_floor:
-            relstep = np.linalg.norm(second[1] - x1) / max(r1, 1e-300)
-            if relstep < 0.5:
-                try:
-                    solved = polish(x1)
-                except CycleNotFound:
-                    solved = None
-
-    if solved is None:
-        verdict, anchor = iterate_map(rhs, seed)
-        if verdict != "cycle":
-            # Unstable cycle: it is a saddle of the return map, so plain
-            # iteration leaves it in either time direction.  Its stable
-            # manifold is the basin boundary of the equilibrium, so
-            # bisecting the launch amplitude along a section ray between a
-            # captured and an escaping orbit lands arbitrarily close to it.
-            anchor = _bisect_onto_cycle(
-                rhs, section, basis, seed, capture_floor,
-                rtol, atol, T_MAX_PER_RETURN,
-            )
-            if anchor is None:
-                raise CycleNotFound(
-                    f"return map did not converge within {MAX_RETURNS} returns"
-                )
-        solved = polish(anchor)
-
-    u, period, err = solved
+    u, period, err, jac = newton(
+        basis.T @ (first_returns[root] - section.anchor), (rtol, atol)
+    )
+    rho = float(np.abs(np.linalg.eigvals(jac)).max())
+    if rho > 1.0:
+        u, period, err, _ = newton(u, (rtol / rho, atol / rho))
     x_star = section.anchor + basis @ u
-    pu, period, x_ret = return_map(u)
-    err = float(np.linalg.norm(pu - u))
-
-    # Radial expansion of the forward map decides the stability hint.
-    if equilibrium is not None:
-        radial = x_star - np.asarray(equilibrium, dtype=float)
-        radial = basis.T @ radial
-        if np.linalg.norm(radial) < 1e-12:
-            radial = None
-    else:
-        radial = None
-    if radial is None:
-        radial = np.ones(u.size)
-    radial = radial / np.linalg.norm(radial)
-    delta = 1e-4 * (1.0 + np.linalg.norm(u))
-    pu_pert, _, _ = return_map(u + delta * radial)
-    growth = np.linalg.norm(pu_pert - pu) / delta
-    hint = EXPANDING if growth > 1.0 else CONTRACTING
 
     amplitude = None
-    if equilibrium is not None and period is not None:
+    if equilibrium is not None:
         orbit = integrate(rhs, x_star, (0.0, period), rtol=rtol, atol=atol)
         dist = np.linalg.norm(
             orbit.states - np.asarray(equilibrium, dtype=float)[None, :], axis=1
@@ -510,7 +403,7 @@ def poincare_cycle_search(
         period=float(period),
         anchor_state=x_star,
         return_error=err,
-        stability_hint=hint,
+        stability_hint=EXPANDING if rho > 1.0 else CONTRACTING,
         amplitude=amplitude,
     )
 

@@ -78,6 +78,17 @@ class TestSpectrum:
         assert payload["hyperbolic_beyond_structural_zero"] is True
         assert len(payload["eigenvalues"]) == 6
 
+    def test_json_eigenvalues_in_stdout_order(self, case1_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        cli.main(["spectrum", case1_file, "--gamma", "0.3", "--out", str(out)])
+        text = capsys.readouterr().out
+        printed = text.split("eigenvalues:\n")[1].split("inertia")[0].split()
+        written = [
+            cli._fmt_complex(complex(z["re"], z["im"]))
+            for z in json.loads(out.read_text())["eigenvalues"]
+        ]
+        assert written == printed
+
     def test_gamma_placeholder_needs_value(self, case1_file, capsys):
         code = cli.main(["spectrum", case1_file])
         assert code == cli.EXIT_ERROR
@@ -230,6 +241,12 @@ class TestReduce:
         left, axis, right = payload["inertia_full"]
         rleft, raxis, rright = payload["inertia_reduced"]
         assert (left, axis - 1, right) == (rleft, raxis, rright)
+
+    def test_eigenvalues_sorted(self, case2_file, tmp_path, capsys):
+        out = tmp_path / "reduced.json"
+        cli.main(["reduce", case2_file, "--gamma", "0.25", "--out", str(out)])
+        eigs = [(z["re"], z["im"]) for z in json.loads(out.read_text())["eigenvalues"]]
+        assert eigs == sorted(eigs)
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():

@@ -25,6 +25,40 @@ def normal_form(mu, sigma):
     return rhs
 
 
+def case2_at(gamma):
+    """The referenced lossy two-machine system at ``gamma``: its right-hand
+    side, equilibrium state, Hopf section and a mode kick of size 0.05."""
+    model = swing.demo_lossy_two_machine(gamma)
+    eq = model.equilibrium_at(np.array([1.4905, 0.0]))
+    ref = model.referenced(eq)
+    eigs, vecs = np.linalg.eig(ref.jacobian())
+    r0 = vecs[:, np.argmax(eigs.imag)]
+    x_eq = ref.equilibrium_state
+    kick = x_eq + 0.05 * np.real(r0) / np.linalg.norm(np.real(r0))
+    return ref.rhs, x_eq, simulate.hopf_section(x_eq, r0), kick
+
+
+def counted(rhs):
+    """``rhs`` and a list that grows by one entry per call of it."""
+    calls = []
+
+    def wrapped(t, x):
+        calls.append(t)
+        return rhs(t, x)
+
+    return wrapped, calls
+
+
+def closure(rhs, cycle):
+    """Relative gap after one period, integrated apart from damplab."""
+    from scipy.integrate import solve_ivp
+
+    anchor = cycle.anchor_state
+    sol = solve_ivp(rhs, (0.0, cycle.period), anchor, method="DOP853",
+                    rtol=1e-11, atol=1e-13)
+    return np.linalg.norm(sol.y[:, -1] - anchor) / np.linalg.norm(anchor)
+
+
 class TestIntegrate:
     def test_energy_conservation(self):
         traj = simulate.integrate(
@@ -182,22 +216,64 @@ class TestPoincareCycleSearch:
         amplitudes = []
         seed = None
         for gamma in (0.25, 0.31):
-            model = swing.demo_lossy_two_machine(gamma)
-            eq = model.equilibrium_at(np.array([1.4905, 0.0]))
-            ref = model.referenced(eq)
-            eigs, vecs = np.linalg.eig(ref.jacobian())
-            idx = np.argmax(eigs.imag)
-            x_eq = ref.equilibrium_state
-            section = simulate.hopf_section(x_eq, vecs[:, idx])
-            if seed is None:
-                r = np.real(vecs[:, idx])
-                seed = x_eq + 0.05 * r / np.linalg.norm(r)
+            rhs, x_eq, section, kick = case2_at(gamma)
             cycle = simulate.poincare_cycle_search(
-                ref.rhs, section, seed, equilibrium=x_eq
+                rhs, section, kick if seed is None else seed, equilibrium=x_eq
             )
             amplitudes.append(cycle.amplitude)
             seed = cycle.anchor_state
         assert amplitudes[0] < amplitudes[1]
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_stable_cycle_from_outside(self, radius):
+        # The defect keeps its sign on the outward walk from these seeds, so
+        # the inward walk brackets the cycle.
+        rhs = normal_form(0.05, -1.0)
+        section = simulate.PoincareSection(normal=[0.0, 1.0], anchor=[0.0, 0.0])
+        cycle = simulate.poincare_cycle_search(
+            rhs, section, np.array([radius, 0.0]), equilibrium=np.zeros(2)
+        )
+        assert abs(cycle.period - 2 * math.pi) <= 1e-6 * 2 * math.pi
+        assert cycle.stability_hint == simulate.CONTRACTING
+        assert abs(cycle.amplitude - math.sqrt(0.05)) < 1e-3
+
+    def test_case2_rhs_evaluation_counts(self):
+        # Counter gate on the case2 searches: from the mode kick at 0.25 and
+        # from the 0.25 anchor at 0.29 (48,912 and 120,020 evaluations with
+        # return-map iteration and amplitude bisection).
+        rhs, x_eq, section, kick = case2_at(0.25)
+        rhs, calls = counted(rhs)
+        cycle = simulate.poincare_cycle_search(rhs, section, kick, equilibrium=x_eq)
+        assert len(calls) <= 30_000
+        rhs, x_eq, section, _ = case2_at(0.29)
+        rhs, calls = counted(rhs)
+        simulate.poincare_cycle_search(
+            rhs, section, cycle.anchor_state, equilibrium=x_eq
+        )
+        assert len(calls) <= 30_000
+
+    def test_case2_branch_continues_to_gamma_034(self):
+        # Below the homoclinic end gamma_h = 0.34258 the cycle exists; its
+        # return-map multiplier grows from about 29 at 0.33 to about 800 at
+        # 0.34, and the anchor still closes under an independent integration.
+        rhs, x_eq, section, kick = case2_at(0.25)
+        seed = simulate.poincare_cycle_search(
+            rhs, section, kick, equilibrium=x_eq
+        ).anchor_state
+        branch = []
+        for gamma in (0.33, 0.335, 0.34):
+            rhs, x_eq, section, _ = case2_at(gamma)
+            cycle = simulate.poincare_cycle_search(
+                rhs, section, seed, equilibrium=x_eq
+            )
+            assert cycle.stability_hint == simulate.EXPANDING
+            assert closure(rhs, cycle) <= 1e-6
+            branch.append(cycle)
+            seed = cycle.anchor_state
+        amplitudes = [c.amplitude for c in branch]
+        periods = [c.period for c in branch]
+        assert amplitudes[0] < amplitudes[1] < amplitudes[2]
+        assert periods[0] < periods[1] < periods[2]
 
 
 class TestClassifyOrbit:

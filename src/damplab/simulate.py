@@ -1,11 +1,17 @@
 """Time-domain integration, Poincare return maps and orbit classification.
 
-Integration uses the adaptive Dormand-Prince 4(5) pair (scipy's RK45) with
-per-step local error control ``rtol * |state| + atol`` so trajectories are
-deterministic for fixed inputs.  The Poincare machinery locates periodic
-orbits, stable or unstable, as fixed points of the section return map: a
-scalar root of a two-return defect along a section ray brackets the cycle,
-and Newton's method on the return map refines it.
+Every integration uses per-step local error control ``rtol * |state| +
+atol``, so trajectories are deterministic for fixed inputs.  Trajectories
+(:func:`integrate`, whose step points the CLI writes out, and the amplitude
+orbit of a located cycle) use the Dormand-Prince 4(5) pair, scipy's RK45.
+Section returns use ``SHOOTING_METHOD``, the Dormand-Prince 8(5,3) pair
+(scipy's DOP853; Hairer, Norsett & Wanner, *Solving ODEs I*, II.5 and
+II.10): the return map runs at rtol 1e-8 and tighter, where an eighth-order
+pair takes far fewer steps, and on a small system scipy's per-step overhead
+costs as much as the right-hand side.  The Poincare machinery locates
+periodic orbits, stable or unstable, as fixed points of the section return
+map: a scalar root of a two-return defect along a section ray brackets the
+cycle, and Newton's method on the return map refines it.
 """
 
 from __future__ import annotations
@@ -45,6 +51,10 @@ EXPANDING = "expanding_section"
 #: Integrator defaults.
 RTOL = 1e-8
 ATOL = 1e-10
+
+#: scipy ``solve_ivp`` method of the shooting layers: the section returns
+#: here and the unstable-manifold orbits of ``swing.locate_homoclinic``.
+SHOOTING_METHOD = "DOP853"
 
 #: Cycle search: the Newton polish's fixed-point tolerance on ``|P(x) - x|``
 #: (relative to ``1 + |x|``), the time horizon of one return, the ratio of
@@ -195,9 +205,12 @@ class LimitCycleEstimate:
 def _next_crossing(rhs, section, x_start, rtol, atol, t_max, escape_radius=None):
     """First positive-direction section crossing after leaving x_start.
 
-    ``escape_radius`` installs a terminal guard on the distance from the
-    section anchor, so runaway orbits report "no crossing" quickly instead
-    of integrating out the whole horizon.
+    Both legs, the step off the section and the run to the crossing,
+    integrate with ``SHOOTING_METHOD``; the crossing is the root of the
+    section function on that method's dense output.  ``escape_radius``
+    installs a terminal guard on the distance from the section anchor, so
+    runaway orbits report "no crossing" quickly instead of integrating out
+    the whole horizon.
     """
 
     def event(t, y):
@@ -226,13 +239,14 @@ def _next_crossing(rhs, section, x_start, rtol, atol, t_max, escape_radius=None)
     t_accum = 0.0
     if abs(section.value(x_start)) < 1e-12 * (1 + np.linalg.norm(x_start)):
         dt = 1e-3 / max(speed, 1e-6)
-        warm = solve_ivp(rhs, (0, dt), x, method="RK45", rtol=rtol, atol=atol)
+        warm = solve_ivp(rhs, (0, dt), x, method=SHOOTING_METHOD, rtol=rtol,
+                         atol=atol)
         if not warm.success:
             return None
         x = warm.y[:, -1]
         t_accum = dt
     sol = solve_ivp(
-        rhs, (0, t_max), x, method="RK45", rtol=rtol, atol=atol,
+        rhs, (0, t_max), x, method=SHOOTING_METHOD, rtol=rtol, atol=atol,
         events=events,
     )
     if not sol.success or not sol.t_events[0].size:
@@ -263,9 +277,15 @@ def poincare_cycle_search(
     section coordinates with a finite-difference Jacobian until ``|P(x) -
     x| <= RETURN_TOL`` (relative to ``1 + |x|``).  An unstable cycle's
     spectral radius ``rho > 1`` of that Jacobian amplifies the integration
-    error over one period, so the Newton runs once more at ``rtol / rho``
-    and ``atol / rho``; ``rho`` also gives the stability hint.  The
-    amplitude is the largest distance from ``equilibrium`` over one period.
+    error over one period, so the fixed point is re-polished at ``rtol /
+    rho`` and ``atol / rho`` by a chord iteration, which keeps the Newton's
+    last Jacobian (the tighter tolerance moves it little) and so costs one
+    return per step; it takes at least one step.  ``rho`` also gives the
+    stability hint.  Section returns integrate with ``SHOOTING_METHOD``
+    (DOP853), whose steps stay long at these tolerances.  The amplitude is
+    the largest distance from ``equilibrium`` over the step points of one
+    period integrated by :func:`integrate`; it stays RK45, because
+    DOP853's fewer, longer steps would sample the orbit more coarsely.
 
     Raises NonTransversal when the flow is tangent to the section at the
     seed, and CycleNotFound when the defect keeps its sign, at an escape
@@ -360,23 +380,26 @@ def poincare_cycle_search(
         t_ret, x_ret = nxt
         return basis.T @ (x_ret - section.anchor), t_ret, x_ret
 
-    def newton(u, tol):
+    def newton(u, tol, chord=None):
         """Newton on P(u) - u = 0 in section coordinates from ``u`` until
         ``|P(x) - x| <= RETURN_TOL``, after at least one step (so a re-run at
-        a tighter tolerance moves ``u``); returns the last Jacobian too."""
-        jac = None
+        a tighter tolerance moves ``u``); returns the last Jacobian too.
+        Given a ``chord`` Jacobian, every step reuses it instead of a new
+        finite difference: one return per step instead of ``1 + m``."""
+        jac = chord
         err = np.inf
-        for _ in range(30):
+        for k in range(30):
             pu, period, x_ret = return_map(u, tol)
             err = np.linalg.norm(pu - u)
-            if jac is not None and err <= RETURN_TOL * (1 + np.linalg.norm(x_ret)):
+            if k and err <= RETURN_TOL * (1 + np.linalg.norm(x_ret)):
                 if np.linalg.norm(x_ret - section.anchor) < capture_floor:
                     raise CycleNotFound("refinement collapsed onto the equilibrium")
                 return u, period, float(err), jac
-            h = 1e-6 * (1.0 + np.linalg.norm(u))
-            jac = np.column_stack(
-                [(return_map(u + h * e, tol)[0] - pu) / h for e in np.eye(m)]
-            )
+            if chord is None:
+                h = 1e-6 * (1.0 + np.linalg.norm(u))
+                jac = np.column_stack(
+                    [(return_map(u + h * e, tol)[0] - pu) / h for e in np.eye(m)]
+                )
             try:
                 u = u + np.linalg.solve(jac - np.eye(m), u - pu)
             except np.linalg.LinAlgError:
@@ -388,7 +411,7 @@ def poincare_cycle_search(
     )
     rho = float(np.abs(np.linalg.eigvals(jac)).max())
     if rho > 1.0:
-        u, period, err, _ = newton(u, (rtol / rho, atol / rho))
+        u, period, err, _ = newton(u, (rtol / rho, atol / rho), chord=jac)
     x_star = section.anchor + basis @ u
 
     amplitude = None

@@ -34,6 +34,7 @@ from .errors import (
     TheoremViolation,
 )
 from .linalg import classify_spectrum, jacobian_2n, referenced_jacobian
+from .simulate import SHOOTING_METHOD
 from .stability import SecondOrderSystem, observability_symmetric
 
 __all__ = [
@@ -600,6 +601,10 @@ def locate_homoclinic(model, eq, damping_of, gamma_bracket, saddle_guess):
     * capture: the orbit enters the ball of radius
       ``MANIFOLD_CAPTURE_RADIUS`` about ``eq``.
 
+    The orbits integrate with ``simulate.SHOOTING_METHOD`` (DOP853) at
+    ``MANIFOLD_RTOL`` = 1e-10: at that tolerance the eighth-order pair takes
+    far fewer steps than RK45, and the bracket is the same.
+
     Assumption: on the whole bracket the capture ball lies inside the basin
     of attraction of ``eq``, so an orbit that enters it converges to ``eq``.
     While the unstable cycle born at the subcritical Hopf point exists it is
@@ -661,7 +666,7 @@ def locate_homoclinic(model, eq, damping_of, gamma_bracket, saddle_guess):
         sol = solve_ivp(
             ref.rhs, (0.0, MANIFOLD_T_MAX),
             saddle + branch * MANIFOLD_OFFSET * v,
-            method="RK45", rtol=MANIFOLD_RTOL, atol=MANIFOLD_ATOL,
+            method=SHOOTING_METHOD, rtol=MANIFOLD_RTOL, atol=MANIFOLD_ATOL,
             events=[slip, capture],
         )
         if sol.t_events[0].size:

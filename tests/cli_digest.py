@@ -60,9 +60,10 @@ TOLERANCES = (
     # |Re lam| <= REFINE_TOL |lam| = 1e-10 |lam|, so to about
     # 1e-10 |lam| / |d Re lam / d gamma|.
     ("hopf-scan", ".*", ".*", 1e-8, 1e-9),
-    # Trajectories and cycles: RK45 (simulate.RTOL) and the return map
-    # (RETURN_TOL, relative to 1 + |x|) work to 1e-8 on states of order
-    # one, the angles; the cycle's return error is a residual below that.
+    # Trajectories and cycles: trajectories (RK45) and the return map
+    # (DOP853), both at simulate.RTOL, and the Newton (RETURN_TOL, relative
+    # to 1 + |x|) work to 1e-8 on states of order one, the angles; the
+    # cycle's return error is a residual below that.
     ("simulate", ".*", ".*", 1e-8, 1e-8),
     # Spectra, equilibria and matrices: rounding of the flow kernel.
     (".*", ".*", ".*", 1e-12, 1e-14),

@@ -269,6 +269,25 @@ class TestLocateHomoclinic:
             swing.locate_homoclinic(model, eq, self.damping_of, (0.30, 0.33),
                                     [1.8, -0.5, -0.5])
 
+    def test_case2_rhs_evaluation_count(self, case2, monkeypatch):
+        # Counter gate on the case2 bracket over (0.33, 0.35): DOP853
+        # manifold orbits take 30,579 evaluations, RK45 ones took 75,006.
+        calls = []
+        rhs = swing.ReferencedGridSystem.rhs
+
+        def counted(self, t, x):
+            calls.append(t)
+            return rhs(self, t, x)
+
+        monkeypatch.setattr(swing.ReferencedGridSystem, "rhs", counted)
+        model, eq = case2
+        end = swing.locate_homoclinic(model, eq, self.damping_of, (0.33, 0.35),
+                                      [1.8, -0.5, -0.5])
+        assert (end.gamma_low, end.gamma_high) == pytest.approx(
+            (0.342578125, 0.342587890625), abs=1e-12
+        )
+        assert len(calls) <= 36_000
+
 
 class TestLosslessCriterion:
     def test_case1_undamped_pair(self, case1):

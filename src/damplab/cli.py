@@ -147,47 +147,11 @@ def cmd_spectrum(args):
     return EXIT_OK if hyperbolic else EXIT_NONHYPERBOLIC
 
 
-def _grid_damping_path(mfile, model, eq, gamma_range):
-    """Referenced damping path over the model file's gamma placeholders.
-
-    Without placeholders the path is constant in the parameter, which is a
-    legitimate (crossing-free) scan.
-    """
-    mask = np.array(
-        [1.0 if entry == "gamma" else 0.0 for entry in mfile.damping_spec]
-    )
-    system = model.to_second_order()
-    stiffness = system.jac(eq.delta0)
-
-    def damping_of(g):
-        return np.diag(mfile.damping_vector(g)) / model.omega_s
-
-    def damping_derivative(g):
-        return np.diag(mask) / model.omega_s
-
-    def rhs_of(g):
-        frozen = model.with_damping(mfile.damping_vector(g))
-        ref = frozen.referenced(eq)
-        return lambda x: ref.rhs(0.0, x)
-
-    ref0 = model.referenced(eq)
-    return hopf.DampingPath(
-        inertia=system.inertia,
-        stiffness=stiffness,
-        damping_of=damping_of,
-        damping_derivative=damping_derivative,
-        gamma_range=gamma_range[:2],
-        referenced=True,
-        rhs_of=rhs_of,
-        x0=ref0.equilibrium_state,
-    )
-
-
 def cmd_hopf_scan(args):
     mfile, model = _load(args, gamma=args.gamma_range[0])
     eq = _equilibrium(mfile, model, args)
     lo, hi, samples = args.gamma_range
-    path = _grid_damping_path(mfile, model, eq, (lo, hi))
+    path = swing.grid_damping_path(model, eq, mfile.gamma_mask, (lo, hi))
 
     grid = np.linspace(lo, hi, samples)
     locus_rows = ["gamma,branch,re,im"]

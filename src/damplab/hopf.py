@@ -124,17 +124,6 @@ class DampingPath:
                     "analytic derivative disagrees with finite differences",
                 )
 
-    @classmethod
-    def from_system(cls, system, x0, damping_of, gamma_range, **kwargs):
-        """Build a path by linearizing ``system`` (a SecondOrderSystem) at ``x0``."""
-        return cls(
-            inertia=system.inertia,
-            stiffness=system.jac(np.asarray(x0, dtype=float)),
-            damping_of=damping_of,
-            gamma_range=gamma_range,
-            **kwargs,
-        )
-
     @property
     def n(self):
         return self.inertia.shape[0]
@@ -386,22 +375,22 @@ def _trilinear_qqqbar(f, x0, q, h):
 
 
 def first_lyapunov_coefficient(
-    f, x0, omega0, right, left, jac=None, h2=None, h3=None
+    f, x0, omega0, right, left, jac, h2=None, h3=None
 ):
     """First Lyapunov coefficient of a Hopf point of ``x' = f(x)``.
 
-    ``right``/``left`` are Jacobian eigenvectors for ``+i omega0`` (any
-    scaling; they are renormalized to <q,q> = <p,q> = 1 internally).  The
-    quadratic and cubic terms of ``f`` enter through central-difference
-    directional derivatives with steps ``h2``/``h3`` (defaults: cube and
-    fourth root of machine epsilon times ``1 + |x0|``), so the result is
-    deterministic for fixed steps.  The system must be free of other axis
-    eigenvalues, zero ones in particular, since the formula solves with the
-    Jacobian itself.
+    ``jac`` is the Jacobian of ``f`` at ``x0``, and ``right``/``left`` are
+    its eigenvectors for ``+i omega0`` (any scaling; they are renormalized
+    to <q,q> = <p,q> = 1 internally).  The quadratic and cubic terms of
+    ``f`` enter through central-difference directional derivatives with
+    steps ``h2``/``h3`` (defaults: cube and fourth root of machine epsilon
+    times ``1 + |x0|``), so the result is deterministic for fixed steps.
+    The system must be free of other axis eigenvalues, zero ones in
+    particular, since the formula solves with the Jacobian itself.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    a = np.asarray(jac, dtype=float) if jac is not None else _fd_jacobian(f, x0)
+    a = np.asarray(jac, dtype=float)
     scale = np.linalg.norm(x0) + 1.0
     eps = np.finfo(float).eps
     if h2 is None:
@@ -427,17 +416,6 @@ def first_lyapunov_coefficient(
 
     value = np.vdot(p, c_q) - 2.0 * np.vdot(p, term2) + np.vdot(p, term3)
     return float(value.real / (2.0 * omega0))
-
-
-def _fd_jacobian(f, x0):
-    n = x0.size
-    h = np.sqrt(np.finfo(float).eps) * (np.linalg.norm(x0) + 1.0)
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        cols.append((f(x0 + h * e) - f(x0 - h * e)) / (2 * h))
-    return np.column_stack(cols)
 
 
 def classify_lyapunov(l1):
@@ -512,9 +490,10 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     lam = eigs[idx]
     omega0 = float(lam.imag)
 
+    jac_norm = np.linalg.norm(jac0, 2)
     resid = np.linalg.svd(jac0 - 1j * omega0 * np.eye(jac0.shape[0]),
                           compute_uv=False)[-1]
-    if resid > 1e-7 * max(1.0, np.linalg.norm(jac0, 2)):
+    if resid > 1e-7 * max(1.0, jac_norm):
         raise NotAnAxisEigenvalue(
             f"sigma_min(J - i omega0 I) = {resid:.3e} too large at gamma0"
         )
@@ -570,15 +549,18 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     kmax = int(math.ceil(math.sqrt(max(rho, 0.0)) / omega0)) + 2
     resonance_clear = True
     jac_smin = np.linalg.svd(jac0, compute_uv=False)[-1]
-    if jac_smin <= 1e-8 * max(1.0, np.linalg.norm(jac0, 2)):
+    if jac_smin <= 1e-8 * max(1.0, jac_norm):
         resonance_clear = False  # zero eigenvalue: kappa = 0 resonance
+    inertia_norm = np.linalg.norm(path.inertia, 2)
+    damping_norm = np.linalg.norm(np.asarray(path.damping_of(gamma0)), 2)
+    stiffness_norm = np.linalg.norm(path.stiffness, 2)
     for kappa in range(2, kmax + 1):
         lam_k = 1j * kappa * omega0
         smin = path.pencil_sigma_min(lam_k, gamma0)
         pencil_scale = (
-            abs(lam_k) ** 2 * np.linalg.norm(path.inertia, 2)
-            + abs(lam_k) * np.linalg.norm(np.asarray(path.damping_of(gamma0)), 2)
-            + np.linalg.norm(path.stiffness, 2)
+            abs(lam_k) ** 2 * inertia_norm
+            + abs(lam_k) * damping_norm
+            + stiffness_norm
         )
         if smin <= 1e-8 * pencil_scale:
             resonance_clear = False

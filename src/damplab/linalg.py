@@ -186,10 +186,6 @@ class SpectrumReport:
         return (self.left_count, self.axis_count, self.right_count)
 
     @property
-    def hyperbolic(self):
-        return self.axis_count == 0
-
-    @property
     def nonzero_axis_set(self):
         """Axis eigenvalues beyond the structural zero: ``|Im|`` above the band.
 

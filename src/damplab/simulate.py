@@ -72,14 +72,6 @@ DRIFT_TOL = 0.01
 MIN_PEAKS = 3
 
 
-def _as_rhs(system):
-    if callable(system):
-        return system
-    if hasattr(system, "rhs"):
-        return system.rhs
-    raise TypeError("system must be callable(t, x) or expose .rhs")
-
-
 @dataclass(frozen=True)
 class SectionCrossing:
     time: float
@@ -141,15 +133,14 @@ def hopf_section(equilibrium, right_eigenvector):
     return PoincareSection(normal=normal, anchor=np.asarray(equilibrium, float))
 
 
-def integrate(system, x_init, t_span, rtol=RTOL, atol=ATOL, t_eval=None,
+def integrate(rhs, x_init, t_span, rtol=RTOL, atol=ATOL, t_eval=None,
               section=None):
-    """Adaptive Dormand-Prince 4(5) trajectory of ``x' = f(t, x)``.
+    """Adaptive Dormand-Prince 4(5) trajectory of ``x' = rhs(t, x)``.
 
     Raises StepSizeUnderflow (with the last good state attached) when the
     integrator stalls; a ``section`` may be supplied to log its positive
     crossings into the trajectory's event log.
     """
-    rhs = _as_rhs(system)
     x_init = np.asarray(x_init, dtype=float)
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
@@ -257,9 +248,10 @@ def _next_crossing(rhs, section, x_start, rtol, atol, t_max, escape_radius=None)
 
 
 def poincare_cycle_search(
-    system, section, seed_state, rtol=RTOL, atol=ATOL, equilibrium=None
+    rhs, section, seed_state, rtol=RTOL, atol=ATOL, equilibrium=None
 ):
-    """Locate a periodic orbit as a fixed point of the section return map.
+    """Locate a periodic orbit of ``x' = rhs(t, x)`` as a fixed point of the
+    section return map.
 
     Step one is a root of the two-return defect along the section ray
     through the seed's first return, ``x_s = anchor + s d``:
@@ -296,7 +288,6 @@ def poincare_cycle_search(
     """
     from scipy.optimize import brentq
 
-    rhs = _as_rhs(system)
     seed = np.asarray(seed_state, dtype=float)
     f_seed = np.asarray(rhs(0.0, seed))
     f_norm = np.linalg.norm(f_seed)

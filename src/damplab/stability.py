@@ -51,16 +51,14 @@ UNDAMPED_MAP_TOL = 1e-8
 
 @dataclass
 class SecondOrderSystem:
-    """Second-order model ``M x'' + D x' + f(x) = 0``.
+    """Linearization data of a second-order model ``M x'' + D x' + f(x) = 0``.
 
-    ``f`` maps an n-state to an n-vector and ``jac`` evaluates its Jacobian.
-    For linear studies ``f``/``jac`` may be built from a constant stiffness
-    matrix via :meth:`linear`.
+    ``jac`` evaluates the Jacobian of ``f`` at an n-state; :meth:`linear`
+    builds it from a constant stiffness matrix.
     """
 
     inertia: np.ndarray
     damping: np.ndarray
-    f: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
@@ -75,30 +73,18 @@ class SecondOrderSystem:
     @classmethod
     def linear(cls, inertia, damping, stiffness):
         stiffness = val.as_matrix(stiffness, "stiffness", dtype=float)
-        return cls(
-            inertia=inertia,
-            damping=damping,
-            f=lambda x: stiffness @ x,
-            jac=lambda x: stiffness,
-        )
+        return cls(inertia=inertia, damping=damping, jac=lambda x: stiffness)
 
     @property
     def n(self):
         return self.inertia.shape[0]
 
     def with_damping(self, damping):
-        return SecondOrderSystem(self.inertia, damping, self.f, self.jac)
+        return SecondOrderSystem(self.inertia, damping, self.jac)
 
     def jacobian_at(self, x):
         """2n-by-2n Jacobian of the first-order system at state ``(x, 0)``."""
         return jacobian_2n(self.inertia, self.damping, self.jac(np.asarray(x, float)))
-
-    def rhs(self, t, z):
-        """First-order right-hand side over the stacked state ``z = (x, y)``."""
-        n = self.n
-        x, y = z[:n], z[n:]
-        acc = np.linalg.solve(self.inertia, -(self.damping @ y) - self.f(x))
-        return np.concatenate([y, acc])
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .errors import (
     SingularReducedJacobian,
     TheoremViolation,
 )
+from .hopf import DampingPath
 from .linalg import classify_spectrum, jacobian_2n, referenced_jacobian
 from .simulate import SHOOTING_METHOD
 from .stability import SecondOrderSystem, observability_symmetric
@@ -48,6 +49,7 @@ __all__ = [
     "damping_repair_suggestion",
     "demo_lossless_three_machine",
     "demo_lossy_two_machine",
+    "grid_damping_path",
     "load_grid_model",
     "locate_homoclinic",
     "lossless_imaginary_criterion",
@@ -221,16 +223,11 @@ class PowerGridModel:
     # -- conversions ------------------------------------------------------
 
     def to_second_order(self):
-        """Second-order form: M = diag(m)/omega_s, D = diag(d)/omega_s,
-        f(delta) = P_e(delta) - P_m."""
+        """Second-order form: M = diag(m)/omega_s, D = diag(d)/omega_s, and
+        ``jac`` the flow Jacobian, the Jacobian of ``P_e(delta) - P_m``."""
         m = np.diag(self.inertia_const) / self.omega_s
         d = np.diag(self.damping_coeff) / self.omega_s
-        return SecondOrderSystem(
-            inertia=m,
-            damping=d,
-            f=lambda x: self.flow(x) - self.p_mech,
-            jac=self.flow_jacobian,
-        )
+        return SecondOrderSystem(inertia=m, damping=d, jac=self.flow_jacobian)
 
     def solve_equilibrium(self, delta_guess):
         """Damped Gauss-Newton for P_m = P_e(delta) with delta_n pinned.
@@ -283,7 +280,6 @@ class PowerGridModel:
             )
         return GridEquilibrium(
             delta0=delta,
-            omega0=np.zeros(n),
             residual=float(np.abs(res).max()),
             in_omega=self.in_omega(delta),
         )
@@ -294,7 +290,6 @@ class PowerGridModel:
         res = self.p_mech - self.flow(delta0)
         return GridEquilibrium(
             delta0=delta0,
-            omega0=np.zeros(self.n),
             residual=float(np.abs(res).max()),
             in_omega=self.in_omega(delta0),
         )
@@ -306,7 +301,6 @@ class PowerGridModel:
 @dataclass(frozen=True)
 class GridEquilibrium:
     delta0: np.ndarray
-    omega0: np.ndarray
     residual: float
     in_omega: bool
 
@@ -345,9 +339,6 @@ class ReferencedGridSystem:
             self.model.p_mech - self.model.flow(self._delta(psi))
         ) - self._minv * self._d * omega
         return np.concatenate([dpsi, domega])
-
-    def rhs_autonomous(self, u):
-        return self.rhs(0.0, u)
 
     def drift_equilibrium(self, guess):
         """Frequency-drift equilibrium from a referenced-state ``guess``.
@@ -389,6 +380,37 @@ class ReferencedGridSystem:
         return referenced_jacobian(
             self._minv[:, None] * flow_jac, np.diag(self._minv * self._d)
         )
+
+
+def grid_damping_path(model, eq, mask, gamma_range):
+    """Referenced damping path of ``model`` frozen at ``eq``.
+
+    The damping coefficients under the boolean ``mask`` equal the path
+    parameter gamma; the others keep ``model.damping_coeff``.  An all-False
+    mask gives a path that is constant in gamma, a legitimate
+    (crossing-free) scan.  The path carries the referenced vector field and
+    its equilibrium, so :func:`hopf.hopf_conditions` computes ``l1``.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    system = model.to_second_order()
+
+    def coefficients(gamma):
+        return np.where(mask, gamma, model.damping_coeff)
+
+    def rhs_of(gamma):
+        ref = model.with_damping(coefficients(gamma)).referenced(eq)
+        return lambda x: ref.rhs(0.0, x)
+
+    return DampingPath(
+        inertia=system.inertia,
+        stiffness=system.jac(eq.delta0),
+        damping_of=lambda g: np.diag(coefficients(g)) / model.omega_s,
+        damping_derivative=lambda g: np.diag(mask.astype(float)) / model.omega_s,
+        gamma_range=tuple(gamma_range),
+        referenced=True,
+        rhs_of=rhs_of,
+        x0=model.referenced(eq).equilibrium_state,
+    )
 
 
 # -- grid-specific criteria ----------------------------------------------
@@ -804,7 +826,11 @@ class GridModelFile:
         self.damping_spec = data["damping"]
         self.omega_s = data.get("omega_s", 1.0)
         self.delta_guess = data.get("delta_guess")
-        self.has_gamma = any(entry == "gamma" for entry in self.damping_spec)
+        #: Which damping entries are the placeholder "gamma".
+        self.gamma_mask = np.array(
+            [entry == "gamma" for entry in self.damping_spec], dtype=bool
+        )
+        self.has_gamma = bool(self.gamma_mask.any())
 
     def damping_vector(self, gamma=None):
         if self.has_gamma and gamma is None:
@@ -814,7 +840,7 @@ class GridModelFile:
             )
         out = []
         for i, entry in enumerate(self.damping_spec):
-            if entry == "gamma":
+            if self.gamma_mask[i]:
                 out.append(float(gamma))
             else:
                 try:

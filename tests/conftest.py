@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from damplab import hopf, swing
+from damplab import swing
 
 ROOT3 = math.sqrt(3.0)
 OMEGA_CASE1 = math.sqrt(1.5)
@@ -29,55 +29,16 @@ def case2():
     return model, eq
 
 
-def grid_damping_path(base_model, eq, damping_of_vec, derivative_vec,
-                      gamma_range):
-    """Referenced damping path for a diagonal damping family of a grid model."""
-    system = base_model.to_second_order()
-    stiffness = system.jac(eq.delta0)
-
-    def damping_of(g):
-        return np.diag(damping_of_vec(g)) / base_model.omega_s
-
-    def damping_derivative(g):
-        return np.diag(derivative_vec(g)) / base_model.omega_s
-
-    def rhs_of(g):
-        frozen = base_model.with_damping(damping_of_vec(g))
-        ref = frozen.referenced(eq)
-        return lambda x: ref.rhs(0.0, x)
-
-    return hopf.DampingPath(
-        inertia=system.inertia,
-        stiffness=stiffness,
-        damping_of=damping_of,
-        damping_derivative=damping_derivative,
-        gamma_range=gamma_range,
-        referenced=True,
-        rhs_of=rhs_of,
-        x0=base_model.referenced(eq).equilibrium_state,
-    )
-
-
 @pytest.fixture(scope="session")
 def case1_path(case1):
     model, eq = case1
-    return grid_damping_path(
-        model, eq,
-        lambda g: np.array([g, g, 1.5]),
-        lambda g: np.array([1.0, 1.0, 0.0]),
-        (0.0, 0.5),
-    )
+    return swing.grid_damping_path(model, eq, [True, True, False], (0.0, 0.5))
 
 
 @pytest.fixture(scope="session")
 def case2_path(case2):
     model, eq = case2
-    return grid_damping_path(
-        model, eq,
-        lambda g: np.array([g, 1.0]),
-        lambda g: np.array([1.0, 0.0]),
-        (0.1, 0.3),
-    )
+    return swing.grid_damping_path(model, eq, [True, False], (0.1, 0.3))
 
 
 @pytest.fixture()

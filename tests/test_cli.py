@@ -227,6 +227,26 @@ class TestVerify:
         dump = json.loads((tmp_path / "verify_failures.json").read_text())
         assert "flow_jacobian_fd" in dump and dump["flow_jacobian_fd"]
 
+    def test_failure_payloads_round_trip_through_json(self):
+        # The replay dump is json.dumps of the failures: every numpy and
+        # complex value must come out as plain JSON.
+        result = suites.SuiteResult(name="replay", trials=1)
+        result.record(
+            matrix=np.array([[1.0, 2.0], [3.0, 4.0]]),
+            eigenvalues=np.array([1 + 2j, -0.5j]),
+            index=np.int64(3),
+            margin=np.float32(0.5),
+            eigenvalue=complex(0.25, -1.0),
+        )
+        assert result.failures == [{
+            "matrix": [[1.0, 2.0], [3.0, 4.0]],
+            "eigenvalues": {"re": [1.0, 0.0], "im": [2.0, -0.5]},
+            "index": 3,
+            "margin": 0.5,
+            "eigenvalue": {"re": 0.25, "im": -1.0},
+        }]
+        assert json.loads(json.dumps(result.failures)) == result.failures
+
 
 class TestReduce:
     def test_export(self, case2_file, tmp_path, capsys):
@@ -249,17 +269,45 @@ class TestReduce:
         assert eigs == sorted(eigs)
 
 
-def test_cli_import_leaves_scipy_solvers_unloaded():
-    # scipy.linalg, scipy.integrate and scipy.optimize load on first use,
-    # so commands that need none of them start at numpy speed.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def scipy_solvers_loaded(argv, cwd):
+    """The scipy solver modules loaded after running ``argv`` (nothing but
+    the import when empty) in a fresh interpreter."""
     code = (
-        "import sys, damplab.cli; "
+        "import sys, damplab.cli\n"
+        "if sys.argv[1:]:\n"
+        "    damplab.cli.main(sys.argv[1:])\n"
         "print(sorted(m for m in ('scipy.linalg', 'scipy.integrate', 'scipy.optimize') "
-        "if m in sys.modules))"
+        "if m in sys.modules), file=sys.stderr)"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, "-c", code, *argv], check=True, capture_output=True,
+        text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
     )
-    assert out.stdout.strip() == "[]"
+    return out.stderr.splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
+    # scipy.linalg, scipy.integrate and scipy.optimize load on first use,
+    # so commands that need none of them start at numpy speed.
+    assert scipy_solvers_loaded([], tmp_path) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "case1.json", "--gamma", "0"],
+        ["spectrum", "case2.json", "--gamma", "0.25"],
+        ["hopf-scan", "case1.json", "--gamma-range", "0:1:21"],
+        ["hopf-scan", "case2.json", "--gamma-range", "0.1:0.3:21"],
+        ["reduce", "case2.json", "--gamma", "0.25"],
+    ],
+    ids=lambda argv: "_".join(argv[:2]),
+)
+def test_startup_bound_commands_leave_scipy_solvers_unloaded(argv, tmp_path):
+    # Importing scipy.linalg alone costs about 0.3 s, most of one of these
+    # commands' 0.43 s.
+    argv = [argv[0], os.path.join(ROOT, "models", argv[1]), *argv[2:]]
+    assert scipy_solvers_loaded(argv, tmp_path) == "[]"

@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from damplab import hopf, suites
+from damplab import hopf, suites, swing
 from damplab.errors import (
     AssumptionViolated,
     NormalizationFailure,
     NotAnAxisEigenvalue,
     TrackingAmbiguity,
 )
-from conftest import OMEGA_CASE1, grid_damping_path
+from conftest import OMEGA_CASE1
 
 
 class TestDampingPath:
@@ -133,19 +133,32 @@ class TestTrackAxisCrossing:
         )
         model = replace(model, p_mech=model.flow(delta))
         eq = model.equilibrium_at(delta)
-
-        def damping(g):
-            d = model.damping_coeff.copy()
-            d[0] = g
-            return d
-
-        unit = np.zeros(n)
-        unit[0] = 1.0
-        path = grid_damping_path(model, eq, damping, lambda g: unit, (0.1, 0.3))
+        mask = np.arange(n) == 0
+        path = swing.grid_damping_path(model, eq, mask, (0.1, 0.3))
         crossings = hopf.track_axis_crossing(path, samples=21)
         assert len(crossings) == 1
         assert abs(crossings[0].gamma - 0.264) <= 1e-3
         assert not crossings[0].boundary
+
+    def test_illinois_halving_keeps_refinement_short(self):
+        # Re lam(gamma) = (e^1.5 - e^(5 gamma)) / 2 bends strongly on the
+        # bracket, so plain regula falsi keeps one end and creeps in from
+        # the other for 176 Jacobians; halving the kept end's value gets
+        # the crossing at gamma = 0.3 in 13.
+        calls = []
+
+        def damping_of(g):
+            calls.append(g)
+            return np.array([[math.exp(5 * g) - math.exp(1.5)]])
+
+        path = hopf.DampingPath(
+            inertia=np.eye(1), stiffness=np.array([[1e4]]),
+            damping_of=damping_of, gamma_range=(0.0, 1.0),
+        )
+        crossings = hopf.track_axis_crossing(path, samples=2)
+        assert len(crossings) == 1
+        assert abs(crossings[0].gamma - 0.3) <= 1e-9
+        assert len(calls) <= 20
 
     def test_bad_sample_count(self):
         path = hopf.DampingPath(
@@ -186,6 +199,26 @@ class TestHopfConditions:
         # kappa = 2 harmonic: det P(2 i omega0) well away from zero
         pencil_smin = case1_path.pencil_sigma_min(2j * OMEGA_CASE1, 0.0)
         assert pencil_smin > 1e-2
+
+    @pytest.mark.parametrize(
+        "stiffness, damping",
+        [
+            ((1.0, 4.0), (-0.5, 0.0)),  # 1:2, pencil root at 2i
+            ((1.0, 9.0), (-0.5, 0.0)),  # 1:3, pencil root at 3i
+            ((1.0, 0.0), (-0.5, 1.0)),  # zero eigenvalue
+        ],
+    )
+    def test_resonance_detected(self, stiffness, damping):
+        base = np.array(damping)
+        path = hopf.DampingPath(
+            inertia=np.eye(2),
+            stiffness=np.diag(stiffness),
+            damping_of=lambda g: np.diag(base + [g, 0.0]),
+            gamma_range=(0.0, 1.0),
+        )
+        cert = hopf.hopf_conditions(path, 0.5, omega_hint=1.0)
+        assert abs(cert.omega0 - 1.0) <= 1e-12
+        assert not cert.resonance_clear
 
     def test_case2_certificate(self, case2_path):
         crossings = hopf.track_axis_crossing(case2_path, samples=21)

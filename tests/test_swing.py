@@ -206,8 +206,7 @@ class TestToSecondOrder:
 
     def test_residual_is_vector_field_zero(self, case1):
         model, eq = case1
-        system = model.to_second_order()
-        assert np.abs(system.f(eq.delta0)).max() <= 1e-12
+        assert np.abs(model.flow(eq.delta0) - model.p_mech).max() <= 1e-12
 
 
 class TestReferencedReduction:

@@ -9,7 +9,8 @@ coefficient that decides whether the born cycle is stable.
 
 The Lyapunov coefficient follows the standard center-manifold projection
 method: with ``A q = i w0 q``, ``A^T p = -i w0 p``, ``<q,q> = <p,q> = 1``
-and B, C the second/third directional derivatives of the vector field,
+and B, C the second/third derivative forms of the vector field (mixed
+central differences, O(h^2) in the step),
 
     l1 = Re( <p, C(q,q,conj(q))>
              - 2 <p, B(q, A^-1 B(q, conj(q)))>
@@ -21,6 +22,7 @@ Negative l1 means a stable (supercritical) cycle, positive an unstable
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -134,11 +136,9 @@ class DampingPath:
         return self._damping_prime_fd(gamma)
 
     def _damping_prime_fd(self, gamma):
-        h = FD_STEP
-        return (
-            np.asarray(self.damping_of(gamma + h), float)
-            - np.asarray(self.damping_of(gamma - h), float)
-        ) / (2 * h)
+        return _central(
+            lambda g: np.asarray(self.damping_of(g), float), gamma, FD_STEP, 1.0
+        )
 
     def jacobian(self, gamma):
         d = np.asarray(self.damping_of(gamma), dtype=float)
@@ -330,48 +330,27 @@ def eigenvalue_parameter_derivative(jac, djac, lam, right, left):
     return complex(np.vdot(left, djac @ right))
 
 
-# -- multilinear forms by central differences --------------------------------
+# -- derivatives by central differences --------------------------------------
 
 
-def _directional2(f, x0, z, h):
-    return (f(x0 + h * z) - 2.0 * f(x0) + f(x0 - h * z)) / (h * h)
+def _central(f, x0, h, *dirs):
+    """``D^k f(x0)[d_1, ..., d_k]`` to O(h^2) by the mixed central difference
+    ``sum over s in {+1,-1}^k of (prod s_i) f(x0 + h sum s_i d_i) / (2h)^k``.
 
-
-def _directional3(f, x0, z, h):
-    return (
-        f(x0 + 2 * h * z) - 2.0 * f(x0 + h * z) + 2.0 * f(x0 - h * z) - f(x0 - 2 * h * z)
-    ) / (2.0 * h**3)
-
-
-def _bilinear_real(f, x0, u, w, h):
-    return 0.25 * (_directional2(f, x0, u + w, h) - _directional2(f, x0, u - w, h))
-
-
-def _trilinear_uuw(f, x0, u, w, h):
-    return (
-        _directional3(f, x0, u + w, h)
-        - _directional3(f, x0, u - w, h)
-        - 2.0 * _directional3(f, x0, w, h)
-    ) / 6.0
-
-
-def _bilinear(f, x0, u, w, h):
-    """Complex bilinear B(u, w) assembled from real directional derivatives."""
-    ur, ui, wr, wi = u.real, u.imag, w.real, w.imag
-    return (
-        _bilinear_real(f, x0, ur, wr, h)
-        - _bilinear_real(f, x0, ui, wi, h)
-        + 1j * (_bilinear_real(f, x0, ur, wi, h) + _bilinear_real(f, x0, ui, wr, h))
-    )
-
-
-def _trilinear_qqqbar(f, x0, q, h):
-    a, b = q.real, q.imag
-    caaa = _directional3(f, x0, a, h)
-    cbbb = _directional3(f, x0, b, h)
-    caab = _trilinear_uuw(f, x0, a, b, h)
-    cabb = _trilinear_uuw(f, x0, b, a, h)
-    return (caaa + cabb) + 1j * (caab + cbbb)
+    For k = 1 this is ``(f(x0 + h d) - f(x0 - h d)) / (2h)``.  A complex
+    direction splits by multilinearity, ``F(u + i w) = F(u) + i F(w)``, so
+    ``f`` is only evaluated at real points.
+    """
+    for i, d in enumerate(dirs):
+        if np.iscomplexobj(d):
+            re, im = (_central(f, x0, h, *dirs[:i], z, *dirs[i + 1 :])
+                      for z in (d.real, d.imag))
+            return re + 1j * im
+    total = 0.0
+    for signs in itertools.product((1.0, -1.0), repeat=len(dirs)):
+        step = sum(s * d for s, d in zip(signs, dirs))
+        total = total + math.prod(signs) * f(x0 + h * step)
+    return total / (2 * h) ** len(dirs)
 
 
 def first_lyapunov_coefficient(
@@ -381,10 +360,10 @@ def first_lyapunov_coefficient(
 
     ``jac`` is the Jacobian of ``f`` at ``x0``, and ``right``/``left`` are
     its eigenvectors for ``+i omega0`` (any scaling; they are renormalized
-    to <q,q> = <p,q> = 1 internally).  The quadratic and cubic terms of
-    ``f`` enter through central-difference directional derivatives with
-    steps ``h2``/``h3`` (defaults: cube and fourth root of machine epsilon
-    times ``1 + |x0|``), so the result is deterministic for fixed steps.
+    to <q,q> = <p,q> = 1 internally).  B and C are mixed central
+    differences (:func:`_central`, 128 evaluations of ``f``); their steps
+    ``h2``/``h3`` default to ``eps^(1/(k+2)) (1 + |x0|)`` for a k-linear
+    form, which balances O(h^2) truncation against rounding.
     The system must be free of other axis eigenvalues, zero ones in
     particular, since the formula solves with the Jacobian itself.
     """
@@ -393,10 +372,8 @@ def first_lyapunov_coefficient(
     a = np.asarray(jac, dtype=float)
     scale = np.linalg.norm(x0) + 1.0
     eps = np.finfo(float).eps
-    if h2 is None:
-        h2 = eps ** (1.0 / 3.0) * scale
-    if h3 is None:
-        h3 = eps**0.25 * scale
+    h2 = eps**0.25 * scale if h2 is None else h2
+    h3 = eps**0.2 * scale if h3 is None else h3
 
     q = np.asarray(right, dtype=complex)
     q = q / np.linalg.norm(q)
@@ -406,13 +383,13 @@ def first_lyapunov_coefficient(
         raise NormalizationFailure("left/right eigenvectors nearly orthogonal")
     p = p / np.conj(inner)
 
-    b_qq = _bilinear(f, x0, q, q, h2)
-    b_qqbar = _bilinear(f, x0, q, np.conj(q), h2)
+    b_qq = _central(f, x0, h2, q, q)
+    b_qqbar = _central(f, x0, h2, q, np.conj(q))
     s1 = np.linalg.solve(a, b_qqbar)
-    term2 = _bilinear(f, x0, q, s1, h2)
+    term2 = _central(f, x0, h2, q, s1)
     s2 = np.linalg.solve(2j * omega0 * np.eye(n) - a, b_qq)
-    term3 = _bilinear(f, x0, np.conj(q), s2, h2)
-    c_q = _trilinear_qqqbar(f, x0, q, h3)
+    term3 = _central(f, x0, h2, np.conj(q), s2)
+    c_q = _central(f, x0, h3, q, q, np.conj(q))
 
     value = np.vdot(p, c_q) - 2.0 * np.vdot(p, term2) + np.vdot(p, term3)
     return float(value.real / (2.0 * omega0))
@@ -531,10 +508,8 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     djac = path.jacobian_prime(gamma0)
     dlam = eigenvalue_parameter_derivative(jac0, djac, lam, r0, l0)
 
-    h = 1e-6 * max(1.0, abs(gamma0))
-    lam_plus = _nearest_eig(path.jacobian(gamma0 + h), lam)
-    lam_minus = _nearest_eig(path.jacobian(gamma0 - h), lam)
-    dlam_fd = (lam_plus - lam_minus) / (2 * h)
+    dlam_fd = _central(lambda g: _nearest_eig(path.jacobian(g), lam), gamma0,
+                       1e-6 * max(1.0, abs(gamma0)), 1.0)
     if abs(dlam) > 1e-10 and abs(dlam_fd - dlam) > 1e-5 * abs(dlam):
         raise TheoremViolation(
             "transversality cross-check failed: eigenvector projection and "

@@ -819,6 +819,10 @@ class GridModelFile:
         self.n = data["n"]
         if not isinstance(self.n, int) or self.n < 2:
             raise ModelFormatError(f"{source}: n must be an integer >= 2")
+        if not isinstance(data["Y"], list):
+            raise ModelFormatError(f"{source}: Y must be a list of entries")
+        if not (isinstance(data["damping"], list) and len(data["damping"]) == self.n):
+            raise ModelFormatError(f"{source}: damping must be a list of length {self.n}")
         self.y_entries = data["Y"]
         self.voltage = data["V"]
         self.p_mech = data["Pm"]
@@ -889,6 +893,7 @@ class GridModelFile:
                 filled[a, bdx] = True
                 y[a, bdx] = mag
                 theta[a, bdx] = ang
+        damping = self.damping_vector(gamma)
         try:
             return PowerGridModel(
                 y_mag=y,
@@ -896,7 +901,7 @@ class GridModelFile:
                 voltage=np.asarray(self.voltage, dtype=float),
                 p_mech=np.asarray(self.p_mech, dtype=float),
                 inertia_const=np.asarray(self.inertia, dtype=float),
-                damping_coeff=self.damping_vector(gamma),
+                damping_coeff=damping,
                 omega_s=float(self.omega_s),
             )
         except ModelFormatError as exc:

@@ -92,6 +92,15 @@ class TestSpectrum:
     def test_gamma_placeholder_needs_value(self, case1_file, capsys):
         code = cli.main(["spectrum", case1_file])
         assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "'gamma' placeholders" in err
+        assert err.count(case1_file) == 1
+
+    def test_scalar_damping_exits_1(self, model_file, capsys):
+        path = model_file(dict(CASE1, damping=0.5))
+        code = cli.main(["spectrum", path, "--gamma", "0.3"])
+        assert code == cli.EXIT_ERROR
+        assert "damping must be a list of length 3" in capsys.readouterr().err
 
 
 class TestHopfScan:

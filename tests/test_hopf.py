@@ -294,6 +294,82 @@ def _nearest(eigs, lam):
     return eigs[np.argmin(np.abs(eigs - lam))]
 
 
+def _closed_form_l1(model, eq, jac, cert):
+    """l1 of the referenced swing flow from its exact multilinear forms.
+
+    With ``H = conj(z)_j G_jk z_k`` at the equilibrium and
+    ``du_jk = u_k - u_j`` on the angle part ``(psi, 0)`` of a direction,
+    the flow's forms are ``B_P = -sum_k Re H du dw`` and
+    ``C_P = sum_k Im H du dv dw``; the field's are ``(0, -(omega_s/m) B_P)``
+    and likewise for C.
+    """
+    n = model.n
+    z = np.exp(1j * eq.delta0)
+    h = z.conj()[:, None] * model._coupling * z[None, :]
+    minv = model.omega_s / model.inertia_const
+
+    def diff(u):
+        angles = np.concatenate([u[: n - 1], [0.0]])
+        return angles[None, :] - angles[:, None]
+
+    def field(flow_form):
+        return np.concatenate([np.zeros(n - 1), -minv * flow_form])
+
+    def b(u, w):
+        return field(-(h.real * diff(u) * diff(w)).sum(axis=1))
+
+    def c(u, v, w):
+        return field((h.imag * diff(u) * diff(v) * diff(w)).sum(axis=1))
+
+    q = cert.r0 / np.linalg.norm(cert.r0)
+    p = cert.l0 / np.conj(np.vdot(cert.l0, q))
+    w0 = cert.omega0
+    s1 = np.linalg.solve(jac, b(q, q.conj()))
+    s2 = np.linalg.solve(2j * w0 * np.eye(jac.shape[0]) - jac, b(q, q))
+    value = (
+        np.vdot(p, c(q, q, q.conj()))
+        - 2.0 * np.vdot(p, b(q, s1))
+        + np.vdot(p, b(q.conj(), s2))
+    )
+    return value.real / (2.0 * w0)
+
+
+class TestCentralDifference:
+    def test_first_order_is_two_point_quotient(self):
+        def f(g):
+            return np.array([math.exp(g), math.sin(3 * g)])
+
+        h = 1e-6
+        expected = (f(0.3 + h) - f(0.3 - h)) / (2 * h)
+        assert np.array_equal(hopf._central(f, 0.3, h, 1.0), expected)
+
+    def test_exact_forms_of_a_cubic_map(self):
+        # Mixed differences of order 2 and 3 have no truncation error on a
+        # cubic, so only rounding separates them from the exact forms.
+        rng = np.random.default_rng(3)
+        m = 4
+        lin = rng.normal(size=(m, m))
+        quad = rng.normal(size=(m, m, m))
+        quad = 0.5 * (quad + quad.transpose(0, 2, 1))
+        cub = rng.normal(size=(m, m, m, m))
+        cub = sum(cub.transpose(0, *perm) for perm in
+                  ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))) / 6
+
+        def f(x):
+            return (lin @ x + np.einsum("ijk,j,k", quad, x, x)
+                    + np.einsum("ijkl,j,k,l", cub, x, x, x))
+
+        x0 = rng.normal(size=m)
+        u, v, w = (rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(3))
+        b_exact = 2 * np.einsum("ijk,j,k", quad, u, w) + 6 * np.einsum(
+            "ijkl,j,k,l", cub, x0, u, w)
+        c_exact = 6 * np.einsum("ijkl,j,k,l", cub, u, v, w)
+        np.testing.assert_allclose(hopf._central(f, x0, 0.5, u, w), b_exact,
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_allclose(hopf._central(f, x0, 0.5, u, v, w), c_exact,
+                                   rtol=0, atol=1e-10)
+
+
 class TestFirstLyapunovCoefficient:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_cubic_normal_form_sign(self, sign):
@@ -323,11 +399,11 @@ class TestFirstLyapunovCoefficient:
                 hopf.first_lyapunov_coefficient(
                     f, case1_path.x0, cert.omega0, cert.r0, cert.l0,
                     jac=case1_path.jacobian(0.0),
-                    h2=fac * eps ** (1 / 3) * scale,
-                    h3=fac * eps**0.25 * scale,
+                    h2=fac * eps**0.25 * scale,
+                    h3=fac * eps**0.2 * scale,
                 )
             )
-        assert abs(values[1] - values[0]) < 0.05 * abs(values[0])
+        assert abs(values[1] - values[0]) < 1e-5 * abs(values[0])
 
     def test_step_halving_stability_case2(self, case2_path):
         crossings = hopf.track_axis_crossing(case2_path, samples=21)
@@ -342,12 +418,25 @@ class TestFirstLyapunovCoefficient:
             hopf.first_lyapunov_coefficient(
                 f, case2_path.x0, cert.omega0, cert.r0, cert.l0,
                 jac=case2_path.jacobian(cert.gamma0),
-                h2=fac * eps ** (1 / 3) * scale,
-                h3=fac * eps**0.25 * scale,
+                h2=fac * eps**0.25 * scale,
+                h3=fac * eps**0.2 * scale,
             )
             for fac in (1.0, 0.5)
         ]
-        assert abs(values[1] - values[0]) < 0.05 * abs(values[0])
+        assert abs(values[1] - values[0]) < 1e-5 * abs(values[0])
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_matches_closed_form(self, case, request):
+        model, eq = request.getfixturevalue(case)
+        path = request.getfixturevalue(f"{case}_path")
+        if case == "case1":
+            gamma0, omega = 0.0, OMEGA_CASE1
+        else:
+            crossing = hopf.track_axis_crossing(path, samples=21)[0]
+            gamma0, omega = crossing.gamma, crossing.omega
+        cert = hopf.hopf_conditions(path, gamma0, omega_hint=omega)
+        exact = _closed_form_l1(model, eq, path.jacobian(gamma0), cert)
+        assert abs(cert.l1 - exact) <= 1e-6 * abs(exact)
 
     def test_classify(self):
         assert hopf.classify_lyapunov(-1.0) == hopf.SUPERCRITICAL

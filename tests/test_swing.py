@@ -453,6 +453,22 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="duplicate"):
             swing.load_grid_model(model_file(data)).model()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("damping", 0.5, "damping must be a list of length 2"),
+            ("damping", [0.1], "damping must be a list of length 2"),
+            ("Y", 5, "Y must be a list"),
+        ],
+    )
+    def test_field_shapes_checked(self, model_file, field, value, message):
+        data = self.base_data()
+        data[field] = value
+        path = model_file(data)
+        with pytest.raises(ModelFormatError, match=message) as info:
+            swing.load_grid_model(path)
+        assert str(info.value).count(path) == 1
+
     def test_gamma_placeholder_requires_value(self, model_file):
         data = self.base_data()
         data["damping"] = ["gamma", 0.2]

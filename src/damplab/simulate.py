@@ -3,25 +3,29 @@
 Every integration uses per-step local error control ``rtol * |state| +
 atol``, so trajectories are deterministic for fixed inputs.  Trajectories
 (:func:`integrate`, whose step points the CLI writes out, and the amplitude
-orbit of a located cycle) use the Dormand-Prince 4(5) pair, scipy's RK45.
-Section returns use ``SHOOTING_METHOD``, the Dormand-Prince 8(5,3) pair
-(scipy's DOP853; Hairer, Norsett & Wanner, *Solving ODEs I*, II.5 and
-II.10): the return map runs at rtol 1e-8 and tighter, where an eighth-order
-pair takes far fewer steps, and on a small system scipy's per-step overhead
-costs as much as the right-hand side.  The Poincare machinery locates
-periodic orbits, stable or unstable, as fixed points of the section return
-map: a scalar root of a two-return defect along a section ray brackets the
-cycle, and Newton's method on the return map refines it.
+orbit of a located cycle) use damplab's own loop over the Dormand-Prince
+5(4) pair, which takes the steps of scipy's RK45 bit for bit without
+importing ``scipy.integrate`` (whose import costs a fresh ``simulate`` run
+more than its integration does).  Section returns use ``SHOOTING_METHOD``,
+the Dormand-Prince 8(5,3) pair (scipy's DOP853; Hairer, Norsett & Wanner,
+*Solving ODEs I*, II.5 and II.10): the return map runs at rtol 1e-8 and
+tighter, where an eighth-order pair takes far fewer steps, and on a small
+system scipy's per-step overhead costs as much as the right-hand side.  The
+Poincare machinery locates periodic orbits, stable or unstable, as fixed
+points of the section return map: a scalar root of a two-return defect
+along a section ray brackets the cycle, and Newton's method on the return
+map refines it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import CycleNotFound, NonTransversal, StepSizeUnderflow
+from .errors import CycleNotFound, NoConvergence, NonTransversal, StepSizeUnderflow
 
 __all__ = [
     "CONTRACTING",
@@ -133,51 +137,226 @@ def hopf_section(equilibrium, right_eigenvector):
     return PoincareSection(normal=normal, anchor=np.asarray(equilibrium, float))
 
 
+#: The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+#: 1980; Hairer, Norsett & Wanner, *Solving ODEs I*, II.5): nodes, stage
+#: weights, fifth-order weights, the error weights (fifth minus fourth order,
+#: the seventh stage being the FSAL derivative at the new point) and the
+#: quartic dense output with Shampine's choice of c_6, all as in scipy's
+#: RK45, so the two take the same steps bit for bit.
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_DP_STAGES = [(s, _DP_A[s, :s], float(_DP_C[s])) for s in range(1, 6)]
+
+#: Step-size control (Hairer, Norsett & Wanner, II.4): the new step is
+#: ``SAFETY * err**(-1/5)`` times the last, within [MIN_FACTOR, MAX_FACTOR],
+#: and does not grow right after a rejected step.
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1 / 5
+
+_EPS = np.finfo(float).eps
+
+
+def _rms(x):
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, f0, t1, rtol, atol):
+    """Hairer's starting step (*Solving ODEs I*, II.4): one Euler probe
+    estimates the second derivative; error order 4."""
+    span = t1 - t0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, span)
+
+
+def _dense(t_old, h, y_old, K):
+    """The step's quartic interpolant ``y(t_old + x h)``, for scalar or
+    1-d ``t``; states in the last axis."""
+    Q = K.T.dot(_DP_P)
+
+    def sol(t):
+        x = (np.asarray(t) - t_old) / h
+        p = np.cumprod(np.tile(x, (4,) + (1,) * x.ndim), axis=0)
+        return (h * np.dot(Q, p)).T + y_old
+
+    return sol
+
+
+def _brent(f, a, b, xtol, rtol):
+    """Root of ``f`` in the bracket ``[a, b]`` by Brent's method (inverse
+    quadratic interpolation, secant and bisection), to ``xtol + rtol |x|``;
+    the steps of scipy's ``brentq``, at most 100 of them."""
+    x_pre, x_cur = a, b
+    f_pre, f_cur = f(x_pre), f(x_cur)
+    if f_pre == 0:
+        return x_pre
+    if f_cur == 0:
+        return x_cur
+    if np.signbit(f_pre) == np.signbit(f_cur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(100):
+        if f_pre != 0 and f_cur != 0 and np.signbit(f_pre) != np.signbit(f_cur):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        if f_cur == 0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            if 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0 else -delta)
+        f_cur = f(x_cur)
+    raise NoConvergence("Brent's method did not converge in 100 steps",
+                        best=x_cur, residual=f_cur)
+
+
 def integrate(rhs, x_init, t_span, rtol=RTOL, atol=ATOL, t_eval=None,
               section=None):
-    """Adaptive Dormand-Prince 4(5) trajectory of ``x' = rhs(t, x)``.
+    """Adaptive Dormand-Prince 5(4) trajectory of ``x' = rhs(t, x)``.
 
-    Raises StepSizeUnderflow (with the last good state attached) when the
-    integrator stalls; a ``section`` may be supplied to log its positive
-    crossings into the trajectory's event log.
+    The step points are the trajectory unless ``t_eval`` lists the sample
+    times; those are read off the step's quartic dense output.  A
+    ``section`` logs its positive crossings into the trajectory's event log:
+    a step whose end points bracket one (``value <= 0`` then ``>= 0``) has
+    it located on the dense output by Brent's method to 4 eps.  Steps,
+    samples and crossings equal scipy's ``solve_ivp(method="RK45")`` with
+    ``events`` of direction +1.  Raises StepSizeUnderflow, with the last
+    accepted time and state, when the step falls below 10 ulp of ``t``.
     """
     x_init = np.asarray(x_init, dtype=float)
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
     if not np.all(np.isfinite(x_init)):
         raise ValueError("initial state must be finite")
-    t0, t1 = t_span
+    t0, t1 = map(float, t_span)
     if t1 == t0:
         return TrajectoryRecord(times=np.array([t0]), states=x_init[None, :])
+    if t1 < t0:
+        raise ValueError("t_span must be increasing")
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if t_eval.ndim != 1 or not t_eval.size or np.any(np.diff(t_eval) <= 0):
+            raise ValueError("t_eval must be 1-d, nonempty and strictly increasing")
+        if t_eval[0] < t0 or t_eval[-1] > t1:
+            raise ValueError("t_eval must lie within t_span")
 
-    events = None
-    if section is not None:
-        def crossing(t, y):
-            return section.value(y)
+    def fun(t, y):
+        return np.asarray(rhs(t, y), dtype=float)
 
-        crossing.terminal = False
-        crossing.direction = 1
-        events = [crossing]
+    t, y = t0, x_init
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t1, rtol, atol)
+    K = np.empty((7, y.size))
+    stages = [(s, K[:s].T, a, c) for s, a, c in _DP_STAGES]
+    K_b, K_e = K[:-1].T, K.T
+    times, states = ([t], [y]) if t_eval is None else ([], [])
+    n_eval = 0
+    log = []
+    g = None if section is None else section.value(y)
+    while t < t1:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflow(
+                    "integration failed: Required step size is less than "
+                    "spacing between numbers.", last_time=t, last_state=y,
+                )
+            t_new = min(t + h_abs, t1)
+            h_abs = h = t_new - t
+            K[0] = f
+            for s, K_s, a, c in stages:
+                K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
+            y_new = y + h * np.dot(K_b, _DP_B)
+            f_new = fun(t_new, y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(K_e, _DP_E) * h / scale)
+            if error < 1:
+                factor = (MAX_FACTOR if error == 0 else
+                          min(MAX_FACTOR, SAFETY * error ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
 
-    from scipy.integrate import solve_ivp
+        sol = None
+        if section is not None:
+            g_new = section.value(y_new)
+            if g <= 0 <= g_new:
+                sol = _dense(t, h, y, K)
+                te = _brent(lambda u: section.value(sol(u)), t, t_new,
+                            4 * _EPS, 4 * _EPS)
+                log.append(SectionCrossing(time=float(te), state=sol(te),
+                                           direction=1))
+            g = g_new
+        if t_eval is None:
+            times.append(t_new)
+            states.append(y_new)
+        else:
+            n_next = np.searchsorted(t_eval, t_new, side="right")
+            if n_next > n_eval:
+                sol = sol or _dense(t, h, y, K)
+                times.append(t_eval[n_eval:n_next])
+                states.append(sol(t_eval[n_eval:n_next]))
+                n_eval = n_next
+        t, y, f = t_new, y_new, f_new
 
-    sol = solve_ivp(
-        rhs, (t0, t1), x_init, method="RK45", rtol=rtol, atol=atol,
-        t_eval=t_eval, events=events, dense_output=False,
-    )
-    if not sol.success:
-        raise StepSizeUnderflow(
-            f"integration failed: {sol.message}",
-            last_time=sol.t[-1] if sol.t.size else t0,
-            last_state=sol.y[:, -1] if sol.t.size else x_init,
-        )
-    log = ()
-    if events is not None and sol.t_events[0].size:
-        log = tuple(
-            SectionCrossing(time=float(te), state=ye, direction=1)
-            for te, ye in zip(sol.t_events[0], sol.y_events[0])
-        )
-    return TrajectoryRecord(times=sol.t, states=sol.y.T, event_log=log)
+    join = np.array if t_eval is None else np.concatenate
+    return TrajectoryRecord(times=join(times), states=join(states),
+                            event_log=tuple(log))
 
 
 @dataclass(frozen=True)
@@ -261,7 +440,7 @@ def poincare_cycle_search(
     0.25..0.34), so both points lie on the map's attracting curve and ``g``
     changes sign at the cycle, stable or unstable.  The root is bracketed by
     steps of ``BRACKET_FACTOR`` outward from ``s = |P(seed)|``, then inward,
-    and found by ``brentq``.  A probe that leaves ``ESCAPE_FACTOR * s``
+    and found by Brent's method.  A probe that leaves ``ESCAPE_FACTOR * s``
     counts as ``g = +inf``; an escaping end of the bracket is bisected until
     it comes back finite, and when it has not within ``RETURN_TOL`` its edge
     is an escape boundary (a saddle's stable manifold, as on case2 at
@@ -276,8 +455,9 @@ def poincare_cycle_search(
     stability hint.  Section returns integrate with ``SHOOTING_METHOD``
     (DOP853), whose steps stay long at these tolerances.  The amplitude is
     the largest distance from ``equilibrium`` over the step points of one
-    period integrated by :func:`integrate`; it stays RK45, because
-    DOP853's fewer, longer steps would sample the orbit more coarsely.
+    period integrated by :func:`integrate`; it stays on that fifth-order
+    pair, because DOP853's fewer, longer steps would sample the orbit more
+    coarsely.
 
     Raises NonTransversal when the flow is tangent to the section at the
     seed, and CycleNotFound when the defect keeps its sign, at an escape
@@ -286,8 +466,6 @@ def poincare_cycle_search(
     0.34258 of the case2 branch, the launch amplitudes that neither spiral
     in nor escape are too few for the bracket, and it is raised.
     """
-    from scipy.optimize import brentq
-
     seed = np.asarray(seed_state, dtype=float)
     f_seed = np.asarray(rhs(0.0, seed))
     f_norm = np.linalg.norm(f_seed)
@@ -357,8 +535,8 @@ def poincare_cycle_search(
             s_b, g_b = s_mid, g_mid
         else:
             s_a = s_mid
-    # brentq returns a point at which it evaluated the defect.
-    root = brentq(defect, s_a, s_b, rtol=RETURN_TOL)
+    # Brent's method returns a point at which it evaluated the defect.
+    root = _brent(defect, s_a, s_b, 2e-12, RETURN_TOL)
 
     basis = section.basis()
     m = basis.shape[1]

@@ -24,6 +24,7 @@ import numpy as np
 from . import _validation as val
 from .errors import (
     AssumptionViolated,
+    MatrixShapeError,
     ModelFormatError,
     NoConvergence,
     NoRepairIndex,
@@ -873,15 +874,20 @@ class GridModelFile:
                 ) from None
             if not (0 <= j < n and 0 <= k < n):
                 raise ModelFormatError(f"{where}: bus number out of range 1..{n}")
-            if "re" in entry or "im" in entry:
-                z = complex(entry.get("re", 0.0), entry.get("im", 0.0))
-                mag, ang = abs(z), math.atan2(z.imag, z.real)
-            elif "mag" in entry:
-                mag, ang = float(entry["mag"]), float(entry.get("angle", 0.0))
-            else:
+            try:
+                if "re" in entry or "im" in entry:
+                    z = complex(entry.get("re", 0.0), entry.get("im", 0.0))
+                    mag, ang = abs(z), math.atan2(z.imag, z.real)
+                elif "mag" in entry:
+                    mag, ang = float(entry["mag"]), float(entry.get("angle", 0.0))
+                else:
+                    raise ModelFormatError(
+                        f"{where}: needs either re/im or mag/angle"
+                    )
+            except (TypeError, ValueError):
                 raise ModelFormatError(
-                    f"{where}: needs either re/im or mag/angle"
-                )
+                    f"{where}: re/im and mag/angle must be numbers"
+                ) from None
             if mag < 0:
                 raise ModelFormatError(f"{where}: magnitude must be nonnegative")
             for a, bdx in ((j, k), (k, j)):
@@ -893,18 +899,27 @@ class GridModelFile:
                 filled[a, bdx] = True
                 y[a, bdx] = mag
                 theta[a, bdx] = ang
+
+        def numbers(key, value, convert=lambda v: np.asarray(v, dtype=float)):
+            try:
+                return convert(value)
+            except (TypeError, ValueError):
+                raise ModelFormatError(
+                    f"{key} must be numeric, got {value!r}"
+                ) from None
+
         damping = self.damping_vector(gamma)
         try:
             return PowerGridModel(
                 y_mag=y,
                 theta=theta,
-                voltage=np.asarray(self.voltage, dtype=float),
-                p_mech=np.asarray(self.p_mech, dtype=float),
-                inertia_const=np.asarray(self.inertia, dtype=float),
+                voltage=numbers("V", self.voltage),
+                p_mech=numbers("Pm", self.p_mech),
+                inertia_const=numbers("inertia", self.inertia),
                 damping_coeff=damping,
-                omega_s=float(self.omega_s),
+                omega_s=numbers("omega_s", self.omega_s, float),
             )
-        except ModelFormatError as exc:
+        except (ModelFormatError, MatrixShapeError) as exc:
             raise ModelFormatError(f"{self.source}: {exc}") from None
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -101,6 +102,29 @@ class TestSpectrum:
         code = cli.main(["spectrum", path, "--gamma", "0.3"])
         assert code == cli.EXIT_ERROR
         assert "damping must be a list of length 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("V", ["x", 1], "V must be numeric"),
+            ("omega_s", "fast", "omega_s must be numeric"),
+            ("inertia", [1, "heavy"], "inertia must be numeric"),
+            ("Y", [{"from": 1, "to": 2, "mag": "x"}], r"Y\[0\]: re/im and mag/angle"),
+            ("Y", [{"from": 1, "to": 2, "re": "x"}], r"Y\[0\]: re/im and mag/angle"),
+            ("V", 5, "voltage must be 1-d"),
+            ("Pm", None, "p_mech must be 1-d"),
+        ],
+        ids=["V_string", "omega_s_string", "inertia_string", "Y_mag_string",
+             "Y_re_string", "V_scalar", "Pm_null"],
+    )
+    def test_non_numeric_field_exits_1(self, model_file, capsys, field, value,
+                                       message):
+        path = model_file(dict(case2_dict(), **{field: value}))
+        code = cli.main(["spectrum", path, "--gamma", "0.25"])
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert re.search(message, err)
+        assert err.count(path) == 1
 
 
 class TestHopfScan:
@@ -320,3 +344,13 @@ def test_startup_bound_commands_leave_scipy_solvers_unloaded(argv, tmp_path):
     # commands' 0.43 s.
     argv = [argv[0], os.path.join(ROOT, "models", argv[1]), *argv[2:]]
     assert scipy_solvers_loaded(argv, tmp_path) == "[]"
+
+
+def test_simulate_leaves_scipy_integrators_unloaded(tmp_path):
+    # Trajectories run on damplab's own Dormand-Prince loop and root finder;
+    # only the cycle search's shooting layers load scipy's solvers.
+    argv = ["simulate", os.path.join(ROOT, "models", "case1.json"), "--gamma", "0",
+            "--kick", "0.02", "--t-span", "0", "200", "--out", str(tmp_path / "out")]
+    loaded = scipy_solvers_loaded(argv, tmp_path)
+    assert "scipy.integrate" not in loaded
+    assert "scipy.optimize" not in loaded

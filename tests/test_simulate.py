@@ -15,6 +15,11 @@ def damped(t, z):
     return np.array([z[1], -z[0] - 0.3 * z[1]])
 
 
+def van_der_pol(t, z):
+    # Stiff enough at mu = 5 that steps are rejected on the fast branches.
+    return np.array([z[1], 5.0 * (1.0 - z[0] ** 2) * z[1] - z[0]])
+
+
 def normal_form(mu, sigma):
     def rhs(t, z):
         x, y = z
@@ -152,6 +157,82 @@ class TestIntegrate:
         f_peak = freqs[peak] + shift * (freqs[1] - freqs[0])
         f_want = math.sqrt(1.5) / (2 * math.pi)
         assert abs(f_peak - f_want) <= 0.02 * f_want
+
+
+def case1_kick():
+    """case1's referenced flow at gamma = 0 and a 0.02 kick along the
+    undamped mode (the psi-parts of (1, -1, 0))."""
+    model = swing.demo_lossless_three_machine(0.0)
+    ref = model.referenced(model.solve_equilibrium([0.1, 1.0, 1.0]))
+    kick = np.zeros(5)
+    kick[:2] = [1.0, -1.0]
+    return ref.rhs, ref.equilibrium_state + 0.02 * kick / np.linalg.norm(kick)
+
+
+def rk45(rhs, x0, t_span, **options):
+    """scipy's RK45 at damplab's default tolerances, with its RHS calls."""
+    from scipy.integrate import solve_ivp
+
+    rhs, calls = counted(rhs)
+    sol = solve_ivp(rhs, t_span, x0, method="RK45", rtol=simulate.RTOL,
+                    atol=simulate.ATOL, **options)
+    assert sol.success
+    return sol, calls
+
+
+class TestDormandPrince:
+    """integrate's own Dormand-Prince 5(4) loop against scipy's RK45."""
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            lambda: (*case1_kick(), (0.0, 200.0)),
+            lambda: (case2_at(0.25)[0], case2_at(0.25)[3], (0.0, 200.0)),
+            lambda: (harmonic, np.array([1.0, 0.0]), (0.0, 100.0)),
+            lambda: (van_der_pol, np.array([2.0, 0.0]), (0.0, 30.0)),
+        ],
+        ids=["case1", "case2_kick", "harmonic", "van_der_pol"],
+    )
+    def test_steps_equal_rk45(self, system):
+        rhs, x0, t_span = system()
+        sol, scipy_calls = rk45(rhs, x0, t_span)
+        rhs, calls = counted(rhs)
+        traj = simulate.integrate(rhs, x0, t_span)
+        assert traj.times.size > 200
+        assert np.array_equal(traj.times, sol.t)
+        assert np.array_equal(traj.states, sol.y.T)
+        assert len(calls) == len(scipy_calls)
+
+    def test_section_crossings_match_rk45_events(self):
+        rhs, _, section, kick = case2_at(0.25)
+
+        def event(t, y):
+            return section.value(y)
+
+        event.direction = 1
+        sol, _ = rk45(rhs, kick, (0.0, 200.0), events=[event])
+        traj = simulate.integrate(rhs, kick, (0.0, 200.0), section=section)
+        assert len(traj.event_log) == sol.t_events[0].size > 20
+        np.testing.assert_allclose([c.time for c in traj.event_log],
+                                   sol.t_events[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose([c.state for c in traj.event_log],
+                                   sol.y_events[0], rtol=0, atol=1e-12)
+        assert all(c.direction == 1 for c in traj.event_log)
+
+    def test_t_eval_samples_match_rk45(self):
+        rhs, x0 = case1_kick()
+        t_eval = np.linspace(0.0, 200.0, 1001)
+        sol, _ = rk45(rhs, x0, (0.0, 200.0), t_eval=t_eval)
+        traj = simulate.integrate(rhs, x0, (0.0, 200.0), t_eval=t_eval)
+        assert np.array_equal(traj.times, t_eval)
+        np.testing.assert_allclose(traj.states, sol.y.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "t_eval", [[0.0, 2.0, 1.0], [[0.0, 1.0]], [], [-1.0, 1.0], [0.0, 3.0]]
+    )
+    def test_rejects_bad_t_eval(self, t_eval):
+        with pytest.raises(ValueError):
+            simulate.integrate(harmonic, [1.0, 0.0], (0.0, 2.0), t_eval=t_eval)
 
 
 class TestPoincareCycleSearch:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -32,7 +33,6 @@ import numpy as np
 from . import __version__, hopf, simulate, suites, swing
 from ._validation import TOL_AXIS
 from .errors import (
-    CycleNotFound,
     DampLabError,
     StepSizeUnderflow,
     TrackingAmbiguity,
@@ -75,6 +75,33 @@ def _parse_range(text):
     if n < 2 or not lo < hi:
         raise argparse.ArgumentTypeError("need lo < hi and samples >= 2")
     return lo, hi, n
+
+
+def _finite(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text):
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+class _TimeSpan(argparse.Action):
+    """``T0 T1``, finite, with ``T0 <= T1``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[1] < values[0]:
+            parser.error(f"argument {option_string}: the end {values[1]:g} "
+                         f"precedes the start {values[0]:g}")
+        setattr(namespace, self.dest, values)
 
 
 def _load(args, gamma=None):
@@ -261,7 +288,7 @@ def cmd_simulate(args):
                 ref.rhs, section, x0, equilibrium=x_eq,
                 rtol=args.rtol, atol=args.atol,
             )
-        except (CycleNotFound, DampLabError) as exc:
+        except DampLabError as exc:
             print(f"cycle search: not found ({exc})")
 
     try:
@@ -290,7 +317,6 @@ def cmd_simulate(args):
         + [f"omega_{j + 1}" for j in range(n)]
         + ["crossing"]
     )
-    crossing_times = {c.time for c in traj.event_log}
     rows = [",".join(header)]
     for t, state in zip(traj.times, traj.states):
         cells = [f"{t:.10g}"] + [f"{x:.12g}" for x in state] + ["0"]
@@ -405,13 +431,14 @@ def build_parser():
     p = sub.add_parser("simulate", help="integrate the referenced model")
     add_model(p)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--state", type=float, nargs="+", default=None,
+    p.add_argument("--state", type=_finite, nargs="+", default=None,
                    help="initial referenced state (psi_1.. omega_1..)")
-    p.add_argument("--kick", type=float, default=1e-2,
+    p.add_argument("--kick", type=_finite, default=1e-2,
                    help="mode kick amplitude when --state is omitted")
-    p.add_argument("--t-span", type=float, nargs=2, default=(0.0, 100.0))
-    p.add_argument("--rtol", type=float, default=simulate.RTOL)
-    p.add_argument("--atol", type=float, default=simulate.ATOL)
+    p.add_argument("--t-span", type=_finite, nargs=2, default=(0.0, 100.0),
+                   action=_TimeSpan)
+    p.add_argument("--rtol", type=_positive, default=simulate.RTOL)
+    p.add_argument("--atol", type=_positive, default=simulate.ATOL)
     p.add_argument("--cycle-search", action="store_true")
     p.set_defaults(func=cmd_simulate)
 

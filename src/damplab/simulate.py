@@ -1,24 +1,26 @@
 """Time-domain integration, Poincare return maps and orbit classification.
 
-Every integration uses per-step local error control ``rtol * |state| +
-atol``, so trajectories are deterministic for fixed inputs.  Trajectories
+Every integration runs on one adaptive Runge-Kutta step loop, driven by
+a tableau record, with per-step local error control ``rtol * |state| +
+atol`` (so trajectories are deterministic for fixed inputs) and one event
+rule for section crossings and stop conditions.  Trajectories
 (:func:`integrate`, whose step points the CLI writes out, and the amplitude
-orbit of a located cycle) use damplab's own loop over the Dormand-Prince
-5(4) pair, which takes the steps of scipy's RK45 bit for bit without
-importing ``scipy.integrate`` (whose import costs a fresh ``simulate`` run
-more than its integration does).  Section returns use ``SHOOTING_METHOD``,
-the Dormand-Prince 8(5,3) pair (scipy's DOP853; Hairer, Norsett & Wanner,
-*Solving ODEs I*, II.5 and II.10): the return map runs at rtol 1e-8 and
-tighter, where an eighth-order pair takes far fewer steps, and on a small
-system scipy's per-step overhead costs as much as the right-hand side.  The
-Poincare machinery locates periodic orbits, stable or unstable, as fixed
-points of the section return map: a scalar root of a two-return defect
-along a section ray brackets the cycle, and Newton's method on the return
-map refines it.
+orbit of a located cycle) use the Dormand-Prince 5(4) pair.  Section
+returns and the unstable-manifold orbits of ``swing.locate_homoclinic`` use
+``SHOOTING_METHOD``, the Dormand-Prince 8(5,3) pair (DOP853; Hairer,
+Norsett & Wanner, *Solving ODEs I*, II.5, II.6 and II.10): they run at rtol
+1e-8 and tighter, where it takes far fewer steps.  Either pair takes the
+steps of scipy's ``solve_ivp`` bit for bit, without ``scipy.integrate``.
+The Poincare machinery locates periodic orbits, stable or unstable, as
+fixed points of the section return map: a scalar root of a two-return
+defect along a section ray brackets the cycle, and Newton's method on the
+return map refines it.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -55,10 +57,6 @@ EXPANDING = "expanding_section"
 #: Integrator defaults.
 RTOL = 1e-8
 ATOL = 1e-10
-
-#: scipy ``solve_ivp`` method of the shooting layers: the section returns
-#: here and the unstable-manifold orbits of ``swing.locate_homoclinic``.
-SHOOTING_METHOD = "DOP853"
 
 #: Cycle search: the Newton polish's fixed-point tolerance on ``|P(x) - x|``
 #: (relative to ``1 + |x|``), the time horizon of one return, the ratio of
@@ -137,6 +135,23 @@ def hopf_section(equilibrium, right_eigenvector):
     return PoincareSection(normal=normal, anchor=np.asarray(equilibrium, float))
 
 
+#: An embedded explicit Runge-Kutta pair as the step loop runs it: a step
+#: takes ``b.size`` stages of nodes ``c`` and coefficients ``a`` and weights
+#: ``b``; stage ``b.size`` is the derivative at the new point, and rows of
+#: ``a`` past it feed the dense output.  ``error(K, h, scale)`` is a step's
+#: scaled error norm from its stage derivatives (the columns of ``K``), of
+#: order ``order``; ``dense(fun, t, h, y, y_new, K)`` is the step's
+#: interpolant ``y(u)`` for scalar or 1-d ``u``, states in the last axis.
+_Pair = collections.namedtuple("_Pair", "c a b error order dense")
+
+
+_EPS = np.finfo(float).eps
+
+
+def _rms(x):
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
 #: The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
 #: 1980; Hairer, Norsett & Wanner, *Solving ODEs I*, II.5): nodes, stage
 #: weights, fifth-order weights, the error weights (fifth minus fourth order,
@@ -168,26 +183,234 @@ _DP_P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ])
-_DP_STAGES = [(s, _DP_A[s, :s], float(_DP_C[s])) for s in range(1, 6)]
+
+
+def _dp54_dense(fun, t, h, y, y_new, K):
+    Q = K.T.dot(_DP_P)
+
+    def sol(u):
+        x = (np.asarray(u) - t) / h
+        p = np.cumprod(np.tile(x, (4,) + (1,) * x.ndim), axis=0)
+        return (h * np.dot(Q, p)).T + y
+
+    return sol
+
+
+_DP54 = _Pair(_DP_C, _DP_A, _DP_B, lambda K, h, s: _rms(np.dot(K, _DP_E) * h / s),
+              4, _dp54_dense)
+
+
+def _sparse(width, rows):
+    """The ``len(rows) x width`` array with each row's nonzero entries."""
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        for j, value in row.items():
+            out[i, j] = value
+    return out
+
+
+#: The Dormand-Prince 8(5,3) pair with the coefficients of Hairer's DOP853
+#: code (Hairer, Norsett & Wanner, *Solving ODEs I*, II.5, II.6 and II.10),
+#: as in scipy's DOP853: the nodes and stage coefficients of the 12 stages,
+#: the eighth-order weights (row 12 of ``A``), three extra stages for the
+#: seventh-order dense output (rows 13 to 15), the fifth- and third-order
+#: error weights, and the dense output's coefficients of the extra powers.
+_DOP_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
+    0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25,
+    0.307692307692307692307692307692, 0.651282051282051282051282051282, 0.6,
+    0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
+    0.777777777777777777777777777778,
+])
+_DOP_A = _sparse(16, [
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2,
+     1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2,
+     2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1,
+     2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2,
+     3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2,
+     3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1,
+     5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1,
+     3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1,
+     5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1,
+     7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1,
+     3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1,
+     5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1,
+     7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1,
+     3: 5.18637242884406370830023853209, 4: 1.09143734899672957818500254654,
+     5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1,
+     7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449,
+     3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444,
+     5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1,
+     7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258,
+     9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2,
+     5: 4.45031289275240888144113950566, 6: 1.89151789931450038304281599044,
+     7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1,
+     9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1,
+     11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2,
+     6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1,
+     8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1,
+     10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2,
+     5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2,
+     7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4,
+     11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4,
+     13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1,
+     5: -4.69762141536116384314449447206, 6: 7.68342119606259904184240953878,
+     7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1,
+     12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149,
+     14: -9.15095847217987001081870187138},
+])
+_DOP_B = _DOP_A[12, :12]
+_DOP_E5 = _sparse(13, [{
+    0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
+    6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
+    8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+    10: 0.8192320648511571246570742613e-1,
+    11: -0.2235530786388629525884427845e-1,
+}])[0]
+_DOP_E3 = np.append(_DOP_B, 0.0) - _sparse(13, [{
+    0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+    11: 0.220588235294117647058823529412e-1,
+}])[0]
+_DOP_D = _sparse(16, [
+    {0: -0.84289382761090128651353491142e+1,
+     5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e+1,
+     7: 0.23846676565120698287728149680e+1,
+     8: 0.21170345824450282767155149946e+1,
+     9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e+1,
+     11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1,
+     13: 0.18148505520854727256656404962e+2,
+     14: -0.91946323924783554000451984436e+1,
+     15: -0.44360363875948939664310572000e+1},
+    {0: 0.10427508642579134603413151009e+2,
+     5: 0.24228349177525818288430175319e+3,
+     6: 0.16520045171727028198505394887e+3,
+     7: -0.37454675472269020279518312152e+3,
+     8: -0.22113666853125306036270938578e+2,
+     9: 0.77334326684722638389603898808e+1,
+     10: -0.30674084731089398182061213626e+2,
+     11: -0.93321305264302278729567221706e+1,
+     12: 0.15697238121770843886131091075e+2,
+     13: -0.31139403219565177677282850411e+2,
+     14: -0.93529243588444783865713862664e+1,
+     15: 0.35816841486394083752465898540e+2},
+    {0: 0.19985053242002433820987653617e+2,
+     5: -0.38703730874935176555105901742e+3,
+     6: -0.18917813819516756882830838328e+3,
+     7: 0.52780815920542364900561016686e+3,
+     8: -0.11573902539959630126141871134e+2,
+     9: 0.68812326946963000169666922661e+1,
+     10: -0.10006050966910838403183860980e+1,
+     11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e+1,
+     13: -0.60196695231264120758267380846e+2,
+     14: 0.84320405506677161018159903784e+2,
+     15: 0.11992291136182789328035130030e+2},
+    {0: -0.25693933462703749003312586129e+2,
+     5: -0.15418974869023643374053993627e+3,
+     6: -0.23152937917604549567536039109e+3,
+     7: 0.35763911791061412378285349910e+3,
+     8: 0.93405324183624310003907691704e+2,
+     9: -0.37458323136451633156875139351e+2,
+     10: 0.10409964950896230045147246184e+3,
+     11: 0.29840293426660503123344363579e+2,
+     12: -0.43533456590011143754432175058e+2,
+     13: 0.96324553959188282948394950600e+2,
+     14: -0.39177261675615439165231486172e+2,
+     15: -0.14972683625798562581422125276e+3},
+])
+
+
+def _dop853_error(K, h, scale):
+    """DOP853's error norm ``|h| e5^2 / sqrt((e5^2 + 0.01 e3^2) n)`` from the
+    scaled fifth- and third-order estimates.  The squares are of rounded
+    norms, as scipy takes them, so that the steps stay equal bit for bit."""
+    e5, e3 = (math.sqrt(e.dot(e)) ** 2
+              for e in (np.dot(K, _DOP_E5) / scale, np.dot(K, _DOP_E3) / scale))
+    if e5 == 0 and e3 == 0:
+        return 0.0
+    return h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
+
+
+def _dop853_dense(fun, t, h, y, y_new, K):
+    for s in range(13, 16):
+        K[s] = fun(t + _DOP_C[s] * h, y + np.dot(K[:s].T, _DOP_A[s, :s]) * h)
+    dy = y_new - y
+    F = [dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0]), *(h * np.dot(_DOP_D, K))]
+
+    def sol(u):
+        x = (np.asarray(u) - t) / h
+        x = x[:, None] if x.ndim else x
+        out = 0.0
+        for i, f in enumerate(reversed(F)):
+            out = (out + f) * (x if i % 2 == 0 else 1 - x)
+        return out + y
+
+    return sol
+
+
+_DOP853 = _Pair(_DOP_C, _DOP_A, _DOP_B, _dop853_error, 7, _dop853_dense)
+
+#: The pair of the shooting layers, the section returns here and the
+#: unstable-manifold orbits of ``swing.locate_homoclinic``: they run at rtol
+#: 1e-8 and tighter, where the eighth-order pair takes far fewer steps.
+SHOOTING_METHOD = _DOP853
 
 #: Step-size control (Hairer, Norsett & Wanner, II.4): the new step is
-#: ``SAFETY * err**(-1/5)`` times the last, within [MIN_FACTOR, MAX_FACTOR],
-#: and does not grow right after a rejected step.
+#: ``SAFETY * err**(-1/(order + 1))`` times the last, within [MIN_FACTOR,
+#: MAX_FACTOR], and does not grow right after a rejected step.
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1 / 5
-
-_EPS = np.finfo(float).eps
 
 
-def _rms(x):
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
-
-
-def _initial_step(fun, t0, y0, f0, t1, rtol, atol):
-    """Hairer's starting step (*Solving ODEs I*, II.4): one Euler probe
-    estimates the second derivative; error order 4."""
+def _initial_step(fun, t0, y0, f0, t1, rtol, atol, order):
+    """Hairer's starting step (*Solving ODEs I*, II.4) for an error estimate
+    of order ``order``: one Euler probe estimates the second derivative."""
     span = t1 - t0
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
@@ -199,21 +422,8 @@ def _initial_step(fun, t0, y0, f0, t1, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
     return min(100 * h0, h1, span)
-
-
-def _dense(t_old, h, y_old, K):
-    """The step's quartic interpolant ``y(t_old + x h)``, for scalar or
-    1-d ``t``; states in the last axis."""
-    Q = K.T.dot(_DP_P)
-
-    def sol(t):
-        x = (np.asarray(t) - t_old) / h
-        p = np.cumprod(np.tile(x, (4,) + (1,) * x.ndim), axis=0)
-        return (h * np.dot(Q, p)).T + y_old
-
-    return sol
 
 
 def _brent(f, a, b, xtol, rtol):
@@ -261,49 +471,36 @@ def _brent(f, a, b, xtol, rtol):
                         best=x_cur, residual=f_cur)
 
 
-def integrate(rhs, x_init, t_span, rtol=RTOL, atol=ATOL, t_eval=None,
-              section=None):
-    """Adaptive Dormand-Prince 5(4) trajectory of ``x' = rhs(t, x)``.
-
-    The step points are the trajectory unless ``t_eval`` lists the sample
-    times; those are read off the step's quartic dense output.  A
-    ``section`` logs its positive crossings into the trajectory's event log:
-    a step whose end points bracket one (``value <= 0`` then ``>= 0``) has
-    it located on the dense output by Brent's method to 4 eps.  Steps,
-    samples and crossings equal scipy's ``solve_ivp(method="RK45")`` with
-    ``events`` of direction +1.  Raises StepSizeUnderflow, with the last
-    accepted time and state, when the step falls below 10 ulp of ``t``.
-    """
-    x_init = np.asarray(x_init, dtype=float)
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be positive")
-    if not np.all(np.isfinite(x_init)):
-        raise ValueError("initial state must be finite")
-    t0, t1 = map(float, t_span)
-    if t1 == t0:
-        return TrajectoryRecord(times=np.array([t0]), states=x_init[None, :])
-    if t1 < t0:
-        raise ValueError("t_span must be increasing")
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.ndim != 1 or not t_eval.size or np.any(np.diff(t_eval) <= 0):
-            raise ValueError("t_eval must be 1-d, nonempty and strictly increasing")
-        if t_eval[0] < t0 or t_eval[-1] > t1:
-            raise ValueError("t_eval must lie within t_span")
+def _steps(pair, rhs, t, y, t1, rtol, atol, stops=()):
+    """The accepted steps of the adaptive ``pair`` on ``y' = rhs(t, y)`` from
+    ``(t, y)`` to ``t1``, each as ``(t_new, y_new, sol, fired)``: ``sol()``
+    builds the step's dense output once, and ``fired`` lists ``(time,
+    index)`` of the ``stops`` that fire in the step, earliest first.  The
+    one event rule: a stop ``g(y)`` fires when ``g <= 0`` at the start of a
+    step and ``>= 0`` at its end; Brent's method locates it on the dense
+    output to 4 eps.  Steps and crossings equal scipy's ``solve_ivp`` with
+    the same pair and events of direction +1.  Raises ValueError at bad
+    tolerances, time span or state, and StepSizeUnderflow, with the last
+    accepted time and state, when the step falls below 10 ulp of ``t``."""
+    y = np.asarray(y, dtype=float)
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError("rtol and atol must be positive and finite")
+    if not (math.isfinite(t) and t <= t1 < math.inf and np.isfinite(y).all()):
+        raise ValueError("t_span and the state must be finite, t_span increasing")
+    if t == t1:
+        return
 
     def fun(t, y):
         return np.asarray(rhs(t, y), dtype=float)
 
-    t, y = t0, x_init
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t1, rtol, atol)
-    K = np.empty((7, y.size))
-    stages = [(s, K[:s].T, a, c) for s, a, c in _DP_STAGES]
-    K_b, K_e = K[:-1].T, K.T
-    times, states = ([t], [y]) if t_eval is None else ([], [])
-    n_eval = 0
-    log = []
-    g = None if section is None else section.value(y)
+    h_abs = _initial_step(fun, t, y, f, t1, rtol, atol, pair.order)
+    exponent = -1 / (pair.order + 1)
+    n = pair.b.size
+    K = np.empty((max(n + 1, pair.c.size), y.size))
+    stages = [(s, K[:s].T, pair.a[s, :s], pair.c[s]) for s in range(1, n)]
+    K_b, K_e = K[:n].T, K[:n + 1].T
+    g = [stop(y) for stop in stops]
     while t < t1:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -319,40 +516,76 @@ def integrate(rhs, x_init, t_span, rtol=RTOL, atol=ATOL, t_eval=None,
             K[0] = f
             for s, K_s, a, c in stages:
                 K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
-            y_new = y + h * np.dot(K_b, _DP_B)
+            y_new = y + h * np.dot(K_b, pair.b)
             f_new = fun(t_new, y_new)
-            K[-1] = f_new
+            K[n] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _rms(np.dot(K_e, _DP_E) * h / scale)
+            error = pair.error(K_e, h, scale)
             if error < 1:
                 factor = (MAX_FACTOR if error == 0 else
-                          min(MAX_FACTOR, SAFETY * error ** _ERROR_EXPONENT))
+                          min(MAX_FACTOR, SAFETY * error ** exponent))
                 h_abs *= min(1, factor) if rejected else factor
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error ** _ERROR_EXPONENT)
+            h_abs *= max(MIN_FACTOR, SAFETY * error ** exponent)
             rejected = True
 
-        sol = None
-        if section is not None:
-            g_new = section.value(y_new)
-            if g <= 0 <= g_new:
-                sol = _dense(t, h, y, K)
-                te = _brent(lambda u: section.value(sol(u)), t, t_new,
-                            4 * _EPS, 4 * _EPS)
-                log.append(SectionCrossing(time=float(te), state=sol(te),
-                                           direction=1))
-            g = g_new
+        dense = None
+
+        def sol():
+            nonlocal dense
+            dense = dense or pair.dense(fun, t, h, y, y_new, K)
+            return dense
+
+        g_new = [stop(y_new) for stop in stops]
+        fired = sorted(
+            (_brent(lambda u: stop(sol()(u)), t, t_new, 4 * _EPS, 4 * _EPS), i)
+            for i, stop in enumerate(stops) if g[i] <= 0 <= g_new[i]
+        )
+        yield t_new, y_new, sol, fired
+        t, y, f, g = t_new, y_new, f_new, g_new
+
+
+def integrate(rhs, x_init, t_span, rtol=RTOL, atol=ATOL, t_eval=None,
+              section=None):
+    """Adaptive Dormand-Prince 5(4) trajectory of ``x' = rhs(t, x)``.
+
+    The step points are the trajectory unless ``t_eval`` lists the sample
+    times; those are read off the step's quartic dense output.  A
+    ``section`` logs its positive crossings, found by the step loop's event
+    rule, into the trajectory's event log.  Steps, samples and crossings
+    equal scipy's ``solve_ivp(method="RK45")`` with ``events`` of direction
+    +1.  Raises ValueError and StepSizeUnderflow as :func:`_steps` does, and
+    ValueError for a bad ``t_eval``.
+    """
+    x_init = np.asarray(x_init, dtype=float)
+    t0, t1 = map(float, t_span)
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if t_eval.ndim != 1 or not t_eval.size or np.any(np.diff(t_eval) <= 0):
+            raise ValueError("t_eval must be 1-d, nonempty and strictly increasing")
+        if t_eval[0] < t0 or t_eval[-1] > t1:
+            raise ValueError("t_eval must lie within t_span")
+
+    if t_eval is None:
+        times, states = [t0], [x_init]
+    else:  # a sample at t0 is the initial state
+        n_eval = np.searchsorted(t_eval, t0, side="right")
+        times, states = [t_eval[:n_eval]], [x_init[None][:n_eval]]
+    log = []
+    stops = () if section is None else (section.value,)
+    for t_new, y_new, sol, fired in _steps(_DP54, rhs, t0, x_init, t1, rtol,
+                                           atol, stops):
+        log += [SectionCrossing(time=float(te), state=sol()(te), direction=1)
+                for te, _ in fired]
         if t_eval is None:
             times.append(t_new)
             states.append(y_new)
         else:
             n_next = np.searchsorted(t_eval, t_new, side="right")
             if n_next > n_eval:
-                sol = sol or _dense(t, h, y, K)
                 times.append(t_eval[n_eval:n_next])
-                states.append(sol(t_eval[n_eval:n_next]))
+                states.append(sol()(t_eval[n_eval:n_next]))
                 n_eval = n_next
-        t, y, f = t_new, y_new, f_new
 
     join = np.array if t_eval is None else np.concatenate
     return TrajectoryRecord(times=join(times), states=join(states),
@@ -372,58 +605,41 @@ class LimitCycleEstimate:
     amplitude: Optional[float] = None
 
 
+def _shoot(rhs, x, t_max, stops, rtol, atol):
+    """``(index, time, state)`` where the ``SHOOTING_METHOD`` orbit of ``x' =
+    rhs(t, x)`` from ``x`` at t = 0 ends: at the earliest of ``stops`` to
+    fire, or with index None at ``t_max`` or where the step size underflows."""
+    t, y = 0.0, x
+    with contextlib.suppress(StepSizeUnderflow):
+        for t, y, sol, fired in _steps(SHOOTING_METHOD, rhs, 0.0, x, t_max,
+                                       rtol, atol, stops):
+            if fired:
+                t, index = fired[0]
+                return index, t, sol()(t)
+    return None, t, y
+
+
 def _next_crossing(rhs, section, x_start, rtol, atol, t_max, escape_radius=None):
-    """First positive-direction section crossing after leaving x_start.
-
-    Both legs, the step off the section and the run to the crossing,
-    integrate with ``SHOOTING_METHOD``; the crossing is the root of the
-    section function on that method's dense output.  ``escape_radius``
-    installs a terminal guard on the distance from the section anchor, so
-    runaway orbits report "no crossing" quickly instead of integrating out
-    the whole horizon.
-    """
-
-    def event(t, y):
-        return section.value(y)
-
-    event.terminal = True
-    event.direction = 1
-    events = [event]
-
+    """``(time, state)`` of the first positive-direction section crossing
+    after leaving ``x_start`` (a start on the section first takes a short
+    leg off it), or None.  ``escape_radius`` adds the stop ``|x - anchor| -
+    escape_radius``, so that a runaway orbit gives None quickly, as does no
+    crossing within ``t_max`` and a step-size underflow."""
+    stops = [section.value]
     if escape_radius is not None:
-        def escape(t, y):
-            return np.linalg.norm(y - section.anchor) - escape_radius
+        stops.append(lambda y: np.linalg.norm(y - section.anchor) - escape_radius)
 
-        escape.terminal = True
-        escape.direction = 1
-        events.append(escape)
-
-    from scipy.integrate import solve_ivp
-
-    # If the start point sits on the section, step off it first.
-    f0 = np.asarray(rhs(0.0, x_start))
-    speed = np.linalg.norm(f0)
+    speed = np.linalg.norm(rhs(0.0, x_start))
     if speed == 0:
         return None
-    x = x_start
-    t_accum = 0.0
+    x, t_accum = x_start, 0.0
     if abs(section.value(x_start)) < 1e-12 * (1 + np.linalg.norm(x_start)):
         dt = 1e-3 / max(speed, 1e-6)
-        warm = solve_ivp(rhs, (0, dt), x, method=SHOOTING_METHOD, rtol=rtol,
-                         atol=atol)
-        if not warm.success:
+        _, t_accum, x = _shoot(rhs, x, dt, (), rtol, atol)
+        if t_accum < dt:  # the step size underflowed
             return None
-        x = warm.y[:, -1]
-        t_accum = dt
-    sol = solve_ivp(
-        rhs, (0, t_max), x, method=SHOOTING_METHOD, rtol=rtol, atol=atol,
-        events=events,
-    )
-    if not sol.success or not sol.t_events[0].size:
-        return None
-    if escape_radius is not None and sol.t_events[1].size:
-        return None
-    return t_accum + float(sol.t_events[0][0]), sol.y_events[0][0]
+    hit, t_hit, x_hit = _shoot(rhs, x, t_max, stops, rtol, atol)
+    return (t_accum + t_hit, x_hit) if hit == 0 else None
 
 
 def poincare_cycle_search(
@@ -436,9 +652,11 @@ def poincare_cycle_search(
     through the seed's first return, ``x_s = anchor + s d``:
     ``g(s) = |P(P(x_s))| - |P(x_s)|``, distances from the section anchor.
     It assumes that the section map contracts transversally within one
-    return (case2's transverse multipliers are 2e-5 to 0.24 on gamma =
-    0.25..0.34), so both points lie on the map's attracting curve and ``g``
-    changes sign at the cycle, stable or unstable.  The root is bracketed by
+    return, so both points lie on the map's attracting curve and ``g``
+    changes sign at the cycle, stable or unstable.  On case2 the transverse
+    multiplier ``exp(T div f) / rho`` (Liouville's formula, with the
+    constant ``div f = -sum omega_s d_i / m_i``) falls from 1.3e-4 at gamma
+    = 0.25 to 1.6e-8 at 0.33 and 5e-12 at 0.34.  The root is bracketed by
     steps of ``BRACKET_FACTOR`` outward from ``s = |P(seed)|``, then inward,
     and found by Brent's method.  A probe that leaves ``ESCAPE_FACTOR * s``
     counts as ``g = +inf``; an escaping end of the bracket is bisected until
@@ -452,12 +670,10 @@ def poincare_cycle_search(
     rho`` and ``atol / rho`` by a chord iteration, which keeps the Newton's
     last Jacobian (the tighter tolerance moves it little) and so costs one
     return per step; it takes at least one step.  ``rho`` also gives the
-    stability hint.  Section returns integrate with ``SHOOTING_METHOD``
-    (DOP853), whose steps stay long at these tolerances.  The amplitude is
-    the largest distance from ``equilibrium`` over the step points of one
-    period integrated by :func:`integrate`; it stays on that fifth-order
-    pair, because DOP853's fewer, longer steps would sample the orbit more
-    coarsely.
+    stability hint.  Section returns run with ``SHOOTING_METHOD`` (DOP853),
+    whose steps stay long at these tolerances.  The amplitude is the largest
+    distance from ``equilibrium`` over the step points of one period by
+    :func:`integrate`, whose fifth-order steps sample the orbit more finely.
 
     Raises NonTransversal when the flow is tangent to the section at the
     seed, and CycleNotFound when the defect keeps its sign, at an escape

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .hopf import DampingPath
 from .linalg import classify_spectrum, jacobian_2n, referenced_jacobian
-from .simulate import SHOOTING_METHOD
+from .simulate import _shoot
 from .stability import SecondOrderSystem, observability_symmetric
 
 __all__ = [
@@ -617,16 +617,17 @@ def locate_homoclinic(model, eq, damping_of, gamma_bracket, saddle_guess):
     ``saddle_guess``, later ones warm-started) and must have exactly one
     unstable eigenvalue, which is real.  An orbit launched at
     ``saddle +- MANIFOLD_OFFSET * v_u`` follows a branch of its unstable
-    manifold until one of two terminal events:
+    manifold until the first of two stops fires (a stop function going from
+    ``<= 0`` to ``>= 0`` within a step, the step loop's event rule):
 
-    * pole slip: some referenced angle moves more than 2 pi from the stable
-      equilibrium ``eq``;
-    * capture: the orbit enters the ball of radius
-      ``MANIFOLD_CAPTURE_RADIUS`` about ``eq``.
+    * pole slip, ``max |psi - psi_eq| - 2 pi``: some referenced angle moves
+      more than 2 pi from the stable equilibrium ``eq``;
+    * capture, ``MANIFOLD_CAPTURE_RADIUS - |x - x_eq|``: the orbit enters
+      the ball of that radius about ``eq``.
 
-    The orbits integrate with ``simulate.SHOOTING_METHOD`` (DOP853) at
-    ``MANIFOLD_RTOL`` = 1e-10: at that tolerance the eighth-order pair takes
-    far fewer steps than RK45, and the bracket is the same.
+    The orbits run with ``simulate.SHOOTING_METHOD`` (DOP853) at
+    ``MANIFOLD_RTOL`` = 1e-10, where the eighth-order pair takes far fewer
+    steps than the 5(4) one and the bracket is the same.
 
     Assumption: on the whole bracket the capture ball lies inside the basin
     of attraction of ``eq``, so an orbit that enters it converges to ``eq``.
@@ -645,11 +646,10 @@ def locate_homoclinic(model, eq, damping_of, gamma_bracket, saddle_guess):
 
     Raises PreconditionViolated when no branch changes fate across the
     bracket or ``eq`` is unstable at an end, AssumptionViolated when the
-    saddle's unstable manifold is not one-dimensional, and NoConvergence
-    when an orbit meets neither event within ``MANIFOLD_T_MAX``.
+    saddle's unstable manifold is not one-dimensional, and NoConvergence,
+    with the orbit's last state, when an orbit meets neither event within
+    ``MANIFOLD_T_MAX`` or its step size underflows.
     """
-    from scipy.integrate import solve_ivp
-
     n = model.n
     x_eq = model.referenced(eq).equilibrium_state
     guess = np.asarray(saddle_guess, dtype=float)
@@ -676,31 +676,26 @@ def locate_homoclinic(model, eq, damping_of, gamma_bracket, saddle_guess):
             v = -v
         return ref, saddle, eigs, v
 
-    def slip(t, y):
+    def slip(y):
+        # An upward crossing, although a pole slip may cross either way: the
+        # saddle is the periodic image nearest eq, so the orbit starts at
+        # most pi - 2 pi < 0 and its first crossing is upward.
         return np.abs(y[: n - 1] - x_eq[: n - 1]).max() - 2 * math.pi
 
-    def capture(t, y):
-        return np.linalg.norm(y - x_eq) - MANIFOLD_CAPTURE_RADIUS
-
-    slip.terminal = capture.terminal = True
-    capture.direction = -1
+    def capture(y):
+        return MANIFOLD_CAPTURE_RADIUS - np.linalg.norm(y - x_eq)
 
     def fate(ref, saddle, v, branch):
-        sol = solve_ivp(
-            ref.rhs, (0.0, MANIFOLD_T_MAX),
-            saddle + branch * MANIFOLD_OFFSET * v,
-            method=SHOOTING_METHOD, rtol=MANIFOLD_RTOL, atol=MANIFOLD_ATOL,
-            events=[slip, capture],
-        )
-        if sol.t_events[0].size:
-            return POLE_SLIP
-        if sol.t_events[1].size:
-            return CAPTURED
-        raise NoConvergence(
-            f"unstable-manifold orbit at damping {ref.model.damping_coeff} "
-            f"neither slipped nor was captured within t = {MANIFOLD_T_MAX}",
-            best=sol.y[:, -1],
-        )
+        hit, _, y = _shoot(ref.rhs, saddle + branch * MANIFOLD_OFFSET * v,
+                           MANIFOLD_T_MAX, (slip, capture), MANIFOLD_RTOL,
+                           MANIFOLD_ATOL)
+        if hit is None:
+            raise NoConvergence(
+                f"unstable-manifold orbit at damping {ref.model.damping_coeff} "
+                f"neither slipped nor was captured within t = {MANIFOLD_T_MAX}",
+                best=y,
+            )
+        return (POLE_SLIP, CAPTURED)[hit]
 
     lo, hi = map(float, gamma_bracket)
     ends = {}

@@ -213,6 +213,45 @@ class TestSimulate:
         )
         assert code == cli.EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--rtol", "0"],
+            ["--atol", "-1"],
+            ["--t-span", "0", "nan"],
+            ["--t-span", "10", "0"],
+            ["--kick", "nan"],
+            ["--state", "nan", "0", "0", "0", "0"],
+        ],
+        ids=["rtol_zero", "atol_negative", "end_nan", "decreasing", "kick_nan",
+             "state_nan"],
+    )
+    def test_bad_option_is_a_usage_error(self, case1_file, option, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["simulate", case1_file, "--gamma", "0.2", *option])
+        assert info.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith(f"damplab simulate: error: argument {option[0]}: ")
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--rtol", "nan"], ["--atol", "nan"],
+         ["--rtol", "nan", "--cycle-search"], ["--atol", "nan", "--cycle-search"]],
+        ids=["rtol", "atol", "rtol_cycle_search", "atol_cycle_search"],
+    )
+    def test_nan_tolerance_is_a_usage_error(self, case2_file, option, tmp_path):
+        # These once ran without end, so each runs in a fresh interpreter
+        # with a timeout.
+        out = subprocess.run(
+            [sys.executable, "-m", "damplab.cli", "simulate", case2_file,
+             "--gamma", "0.25", *option],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        )
+        assert out.returncode == 2
+        error = out.stderr.splitlines()[-1]
+        assert error.startswith(f"damplab simulate: error: argument {option[0]}: ")
+
     def test_cycle_search_locates_unstable_cycle(self, case2_file, tmp_path,
                                                  capsys):
         code = cli.main(
@@ -336,21 +375,27 @@ def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
         ["hopf-scan", "case1.json", "--gamma-range", "0:1:21"],
         ["hopf-scan", "case2.json", "--gamma-range", "0.1:0.3:21"],
         ["reduce", "case2.json", "--gamma", "0.25"],
+        ["simulate", "case1.json", "--gamma", "0", "--kick", "0.02",
+         "--t-span", "0", "200"],
+        ["simulate", "case2.json", "--gamma", "0.25", "--cycle-search"],
     ],
     ids=lambda argv: "_".join(argv[:2]),
 )
 def test_startup_bound_commands_leave_scipy_solvers_unloaded(argv, tmp_path):
     # Importing scipy.linalg alone costs about 0.3 s, most of one of these
-    # commands' 0.43 s.
+    # commands' 0.43 s.  Trajectories, section returns and the cycle search
+    # run on damplab's own step loop and root finder.
     argv = [argv[0], os.path.join(ROOT, "models", argv[1]), *argv[2:]]
     assert scipy_solvers_loaded(argv, tmp_path) == "[]"
 
 
-def test_simulate_leaves_scipy_integrators_unloaded(tmp_path):
-    # Trajectories run on damplab's own Dormand-Prince loop and root finder;
-    # only the cycle search's shooting layers load scipy's solvers.
-    argv = ["simulate", os.path.join(ROOT, "models", "case1.json"), "--gamma", "0",
-            "--kick", "0.02", "--t-span", "0", "200", "--out", str(tmp_path / "out")]
-    loaded = scipy_solvers_loaded(argv, tmp_path)
-    assert "scipy.integrate" not in loaded
-    assert "scipy.optimize" not in loaded
+def test_package_does_not_import_scipy_integrate():
+    # The CLI never reaches swing.locate_homoclinic, so only the source
+    # shows that it, too, runs without scipy's integrators.
+    package = os.path.join(ROOT, "src", "damplab")
+    pattern = re.compile(r"^\s*(from\s+scipy\.integrate\b|import\s+scipy\.integrate\b"
+                         r"|from\s+scipy\s+import\s.*\bintegrate\b)", re.M)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                assert not pattern.search(f.read()), name

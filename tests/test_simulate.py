@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +68,23 @@ def closure(rhs, cycle):
     return np.linalg.norm(sol.y[:, -1] - anchor) / np.linalg.norm(anchor)
 
 
+def raises_value_error(call):
+    """Whether ``call``, an expression over ``math``, ``simulate`` and
+    ``harmonic``, raises ValueError in a fresh interpreter; a call that runs
+    on for 60 s fails the test instead of stalling the run."""
+    code = (
+        "import math, numpy as np\nfrom damplab import simulate\n"
+        "harmonic = lambda t, z: np.array([z[1], -z[0]])\n"
+        f"try:\n    {call}\nexcept ValueError:\n    print('ValueError')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src))
+    return out.stdout.strip() == "ValueError"
+
+
 class TestIntegrate:
     def test_energy_conservation(self):
         traj = simulate.integrate(
@@ -122,6 +142,39 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             simulate.integrate(harmonic, [1.0, 0.0], (0.0, 1.0), rtol=0.0)
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(atol=math.inf),
+            dict(t_span=(0.0, math.nan)),
+            dict(t_span=(math.nan, 1.0)),
+            dict(t_span=(1.0, 0.0)),
+            dict(x_init=[math.nan, 0.0]),
+        ],
+        ids=["atol_inf", "end_nan", "start_nan", "decreasing", "state_nan"],
+    )
+    def test_rejects_bad_arguments(self, options):
+        call = dict(x_init=[1.0, 0.0], t_span=(0.0, 1.0)) | options
+        with pytest.raises(ValueError):
+            simulate.integrate(harmonic, **call)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "simulate.integrate(harmonic, [1.0, 0.0], (0.0, 1.0), rtol=math.nan)",
+            "simulate.integrate(harmonic, [1.0, 0.0], (0.0, 1.0), atol=math.nan)",
+            "simulate.integrate(harmonic, [1.0, 0.0], (0.0, 1.0), rtol=math.inf)",
+            "simulate.integrate(harmonic, [1.0, 0.0], (0.0, math.inf))",
+            "simulate.poincare_cycle_search(harmonic, simulate.PoincareSection("
+            "[0.0, 1.0], [0.0, 0.0]), [1.0, 0.0], rtol=math.nan)",
+        ],
+        ids=["rtol_nan", "atol_nan", "rtol_inf", "end_inf", "cycle_search_rtol_nan"],
+    )
+    def test_rejects_tolerances_that_never_end(self, call):
+        # Each of these once kept the step loop running without end, so
+        # each runs in a fresh interpreter with a timeout.
+        assert raises_value_error(call)
+
     def test_section_crossings_logged(self):
         section = simulate.PoincareSection(normal=[0.0, 1.0], anchor=[0.0, 0.0])
         traj = simulate.integrate(
@@ -169,38 +222,55 @@ def case1_kick():
     return ref.rhs, ref.equilibrium_state + 0.02 * kick / np.linalg.norm(kick)
 
 
-def rk45(rhs, x0, t_span, **options):
-    """scipy's RK45 at damplab's default tolerances, with its RHS calls."""
+def scipy_run(rhs, x0, t_span, method="RK45", rtol=simulate.RTOL,
+              atol=simulate.ATOL, **options):
+    """scipy's ``solve_ivp`` (RK45 at damplab's default tolerances unless
+    told otherwise), with its RHS calls."""
     from scipy.integrate import solve_ivp
 
     rhs, calls = counted(rhs)
-    sol = solve_ivp(rhs, t_span, x0, method="RK45", rtol=simulate.RTOL,
-                    atol=simulate.ATOL, **options)
+    sol = solve_ivp(rhs, t_span, x0, method=method, rtol=rtol, atol=atol,
+                    **options)
     assert sol.success
     return sol, calls
 
 
 class TestDormandPrince:
-    """integrate's own Dormand-Prince 5(4) loop against scipy's RK45."""
+    """damplab's step loop with either pair against scipy's RK45 and DOP853."""
 
     @pytest.mark.parametrize(
-        "system",
+        "method, system",
         [
-            lambda: (*case1_kick(), (0.0, 200.0)),
-            lambda: (case2_at(0.25)[0], case2_at(0.25)[3], (0.0, 200.0)),
-            lambda: (harmonic, np.array([1.0, 0.0]), (0.0, 100.0)),
-            lambda: (van_der_pol, np.array([2.0, 0.0]), (0.0, 30.0)),
+            ("RK45", lambda: (*case1_kick(), (0.0, 200.0))),
+            ("RK45", lambda: (case2_at(0.25)[0], case2_at(0.25)[3], (0.0, 200.0))),
+            ("RK45", lambda: (harmonic, np.array([1.0, 0.0]), (0.0, 100.0))),
+            ("RK45", lambda: (van_der_pol, np.array([2.0, 0.0]), (0.0, 30.0))),
+            ("DOP853", lambda: (case2_at(0.25)[0], case2_at(0.25)[3],
+                                (0.0, 200.0))),
+            ("DOP853", lambda: (van_der_pol, np.array([2.0, 0.0]), (0.0, 30.0))),
         ],
-        ids=["case1", "case2_kick", "harmonic", "van_der_pol"],
+        ids=["case1", "case2_kick", "harmonic", "van_der_pol",
+             "dop853_case2_kick", "dop853_van_der_pol"],
     )
-    def test_steps_equal_rk45(self, system):
+    def test_steps_equal_rk45(self, method, system):
+        # RK45 steps are integrate's trajectory at its default tolerances;
+        # DOP853, the shooting pair, runs at rtol 1e-10 as the manifold
+        # orbits of swing.locate_homoclinic do.
         rhs, x0, t_span = system()
-        sol, scipy_calls = rk45(rhs, x0, t_span)
+        tol = (simulate.RTOL, simulate.ATOL) if method == "RK45" else (1e-10, 1e-12)
+        sol, scipy_calls = scipy_run(rhs, x0, t_span, method, *tol)
         rhs, calls = counted(rhs)
-        traj = simulate.integrate(rhs, x0, t_span)
-        assert traj.times.size > 200
-        assert np.array_equal(traj.times, sol.t)
-        assert np.array_equal(traj.states, sol.y.T)
+        if method == "RK45":
+            traj = simulate.integrate(rhs, x0, t_span)
+            times, states = traj.times, traj.states
+        else:
+            steps = list(simulate._steps(simulate.SHOOTING_METHOD, rhs,
+                                         t_span[0], x0, t_span[1], *tol))
+            times = np.array([t_span[0]] + [t for t, *_ in steps])
+            states = np.array([x0] + [y for _, y, *_ in steps])
+        assert times.size > 200
+        assert np.array_equal(times, sol.t)
+        assert np.array_equal(states, sol.y.T)
         assert len(calls) == len(scipy_calls)
 
     def test_section_crossings_match_rk45_events(self):
@@ -210,7 +280,7 @@ class TestDormandPrince:
             return section.value(y)
 
         event.direction = 1
-        sol, _ = rk45(rhs, kick, (0.0, 200.0), events=[event])
+        sol, _ = scipy_run(rhs, kick, (0.0, 200.0), events=[event])
         traj = simulate.integrate(rhs, kick, (0.0, 200.0), section=section)
         assert len(traj.event_log) == sol.t_events[0].size > 20
         np.testing.assert_allclose([c.time for c in traj.event_log],
@@ -219,10 +289,44 @@ class TestDormandPrince:
                                    sol.y_events[0], rtol=0, atol=1e-12)
         assert all(c.direction == 1 for c in traj.event_log)
 
+    @pytest.mark.parametrize("amplitude, fired", [(0.05, 0), (0.6, 1)],
+                             ids=["return", "escape"])
+    def test_section_return_matches_dop853_events(self, amplitude, fired):
+        # A launch inside the gamma = 0.25 cycle (amplitude 0.34) returns to
+        # the section; one outside it reaches the escape guard first.  The
+        # step loop's stops give scipy's terminal events bit for bit.
+        rhs, x_eq, section, kick = case2_at(0.25)
+        x0 = x_eq + amplitude / 0.05 * (kick - x_eq)
+        radius = simulate.ESCAPE_FACTOR * amplitude
+
+        def crossing(t, y):
+            return section.value(y)
+
+        def escape(t, y):
+            return np.linalg.norm(y - section.anchor) - radius
+
+        crossing.terminal = escape.terminal = True
+        crossing.direction = escape.direction = 1
+        t_max, tol = simulate.T_MAX_PER_RETURN, (simulate.RTOL, simulate.ATOL)
+        sol, scipy_calls = scipy_run(rhs, x0, (0.0, t_max), "DOP853", *tol,
+                                     events=[crossing, escape])
+        assert [e.size for e in sol.t_events] == [fired == 0, fired == 1]
+        rhs, calls = counted(rhs)
+        stops = (section.value, lambda y: escape(0.0, y))
+        hit, t, y = simulate._shoot(rhs, x0, t_max, stops, *tol)
+        assert (hit, t) == (fired, sol.t_events[fired][0])
+        assert np.array_equal(y, sol.y_events[fired][0])
+        assert len(calls) == len(scipy_calls)
+        ret = simulate._next_crossing(rhs, section, x0, *tol, t_max, radius)
+        if fired:
+            assert ret is None
+        else:
+            assert ret[0] == t and np.array_equal(ret[1], y)
+
     def test_t_eval_samples_match_rk45(self):
         rhs, x0 = case1_kick()
         t_eval = np.linspace(0.0, 200.0, 1001)
-        sol, _ = rk45(rhs, x0, (0.0, 200.0), t_eval=t_eval)
+        sol, _ = scipy_run(rhs, x0, (0.0, 200.0), t_eval=t_eval)
         traj = simulate.integrate(rhs, x0, (0.0, 200.0), t_eval=t_eval)
         assert np.array_equal(traj.times, t_eval)
         np.testing.assert_allclose(traj.states, sol.y.T, rtol=0, atol=1e-12)

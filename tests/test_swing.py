@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from damplab import suites, swing
+from damplab import simulate, suites, swing
 from damplab.errors import (
     AssumptionViolated,
     ModelFormatError,
@@ -267,6 +267,51 @@ class TestLocateHomoclinic:
         with pytest.raises(PreconditionViolated):
             swing.locate_homoclinic(model, eq, self.damping_of, (0.30, 0.33),
                                     [1.8, -0.5, -0.5])
+
+    @pytest.mark.parametrize("gamma, fired", [(0.33, 0), (0.35, 1)])
+    def test_manifold_orbit_matches_dop853_events(self, case2, gamma, fired):
+        # The saddle's branch toward eq slips at 0.33 and is captured at
+        # 0.35.  scipy's slip event (either direction) and capture event
+        # (downward) are the step loop's upward stops slip and -capture.
+        from scipy.integrate import solve_ivp
+
+        model, eq = case2
+        ref = model.with_damping(self.damping_of(gamma)).referenced(eq)
+        x_eq = ref.equilibrium_state
+        saddle = ref.drift_equilibrium([1.8, -0.5, -0.5])
+        saddle[0] -= 2 * math.pi * round((saddle[0] - x_eq[0]) / (2 * math.pi))
+        eigs, vecs = np.linalg.eig(ref.jacobian(saddle))
+        v = np.real(vecs[:, np.argmax(eigs.real)])
+        v *= np.sign(v @ (x_eq - saddle)) / np.linalg.norm(v)
+        x0 = saddle + swing.MANIFOLD_OFFSET * v
+
+        def slip(t, y):
+            return abs(y[0] - x_eq[0]) - 2 * math.pi
+
+        def capture(t, y):
+            return np.linalg.norm(y - x_eq) - swing.MANIFOLD_CAPTURE_RADIUS
+
+        slip.terminal = capture.terminal = True
+        capture.direction = -1
+        calls = []
+
+        def rhs(t, x):
+            calls.append(t)
+            return ref.rhs(t, x)
+
+        sol = solve_ivp(rhs, (0.0, swing.MANIFOLD_T_MAX), x0, method="DOP853",
+                        rtol=swing.MANIFOLD_RTOL, atol=swing.MANIFOLD_ATOL,
+                        events=[slip, capture])
+        assert [e.size for e in sol.t_events] == [fired == 0, fired == 1]
+        scipy_calls, calls = len(calls), []
+        hit, t, y = simulate._shoot(
+            rhs, x0, swing.MANIFOLD_T_MAX,
+            (lambda y: slip(0.0, y), lambda y: -capture(0.0, y)),
+            swing.MANIFOLD_RTOL, swing.MANIFOLD_ATOL,
+        )
+        assert (hit, t) == (fired, sol.t_events[fired][0])
+        assert np.array_equal(y, sol.y_events[fired][0])
+        assert len(calls) == scipy_calls
 
     def test_case2_rhs_evaluation_count(self, case2, monkeypatch):
         # Counter gate on the case2 bracket over (0.33, 0.35): DOP853

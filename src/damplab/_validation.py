@@ -2,8 +2,8 @@
 
 All checks are relative: a tolerance ``tol`` applied to a matrix ``A`` means
 ``tol * scale(A)`` with ``scale`` the largest entry magnitude (symmetry) or
-the spectral norm (definiteness).  Every constructor-facing helper rejects
-NaN/Inf on sight.
+the largest |eigenvalue| of the symmetric part, its spectral norm
+(definiteness).  Every constructor-facing helper rejects NaN/Inf on sight.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .errors import MatrixShapeError
 #: Relative tolerance for symmetry checks.
 TOL_SYM = 1e-10
 
-#: PSD margin: min eigenvalue >= -TOL_PSD * ||A||_2 counts as PSD.
+#: PSD margin: min eigenvalue >= -TOL_PSD * max |eigenvalue| counts as PSD.
 TOL_PSD = 1e-10
 
 #: Strict positive-definiteness margin.
@@ -61,15 +61,14 @@ def sym_part(a):
 
 def is_psd(a):
     """Positive semidefiniteness of the symmetric part, with relative margin."""
-    s = sym_part(np.asarray(a, dtype=float))
-    scale = max(np.linalg.norm(s, 2), 1.0e-300)
-    return np.linalg.eigvalsh(s).min() >= -TOL_PSD * scale
+    eigs = np.linalg.eigvalsh(sym_part(np.asarray(a, dtype=float)))
+    return eigs[0] >= -TOL_PSD * max(-eigs[0], eigs[-1], 1.0e-300)
+
 
 def is_pd(a):
     """Strict positive definiteness of the symmetric part."""
-    s = sym_part(np.asarray(a, dtype=float))
-    scale = max(np.linalg.norm(s, 2), 1.0e-300)
-    return np.linalg.eigvalsh(s).min() > TOL_PD * scale
+    eigs = np.linalg.eigvalsh(sym_part(np.asarray(a, dtype=float)))
+    return eigs[0] > TOL_PD * max(-eigs[0], eigs[-1], 1.0e-300)
 
 
 def spectral_scale(eigs):

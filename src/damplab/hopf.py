@@ -34,10 +34,11 @@ from .errors import (
     AssumptionViolated,
     NormalizationFailure,
     NotAnAxisEigenvalue,
+    SingularInertia,
     TheoremViolation,
     TrackingAmbiguity,
 )
-from .linalg import jacobian_2n, numerical_rank, referenced_jacobian
+from .linalg import _block_jacobian, numerical_rank
 
 __all__ = [
     "AxisCrossing",
@@ -89,6 +90,10 @@ class DampingPath:
     ``rhs_of``/``x0`` optionally supply the frozen-parameter nonlinear
     vector field (of the same reduced dimension as the Jacobian) and its
     equilibrium, enabling Lyapunov-coefficient computation.
+
+    The blocks that do not depend on the parameter are built at
+    construction: :meth:`jacobian` fills a copy of the Jacobian with one
+    solve for ``M^-1 D(gamma)``.  Do not reassign the fields afterwards.
     """
 
     inertia: np.ndarray
@@ -115,6 +120,8 @@ class DampingPath:
                 raise AssumptionViolated(
                     "zero row sums", "referenced reduction needs a gauge mode"
                 )
+        minv_l = np.linalg.solve(self.inertia, self.stiffness)
+        self._template = _block_jacobian(minv_l, np.zeros_like(minv_l), self.referenced)
         if self.damping_derivative is not None:
             mid = 0.5 * (lo + hi)
             analytic = np.asarray(self.damping_derivative(mid), dtype=float)
@@ -141,13 +148,12 @@ class DampingPath:
         )
 
     def jacobian(self, gamma):
-        d = np.asarray(self.damping_of(gamma), dtype=float)
-        if not self.referenced:
-            return jacobian_2n(self.inertia, d, self.stiffness)
-        return referenced_jacobian(
-            np.linalg.solve(self.inertia, self.stiffness),
-            np.linalg.solve(self.inertia, d),
-        )
+        d = val.as_matrix(self.damping_of(gamma), "damping", dtype=float)
+        if d.shape != self.inertia.shape:
+            raise SingularInertia(f"blocks must all be {self.n}x{self.n}")
+        out = self._template.copy()
+        out[-self.n :, -self.n :] = -np.linalg.solve(self.inertia, d)
+        return out
 
     def jacobian_prime(self, gamma):
         """d/dgamma of the Jacobian: only the damping block moves."""

@@ -135,15 +135,18 @@ def jacobian_2n(inertia, damping, stiffness):
     m = val.as_matrix(inertia, "inertia", dtype=float)
     d = val.as_matrix(damping, "damping", dtype=float)
     l = val.as_matrix(stiffness, "stiffness", dtype=float)
+    if numerical_rank(m) < m.shape[0]:
+        raise SingularInertia("inertia matrix is numerically singular")
+    return _solved_jacobian(m, d, l)
+
+
+def _solved_jacobian(m, d, l):
+    """:func:`jacobian_2n` without the rank check, for an inertia checked before."""
     n = m.shape[0]
     if d.shape != (n, n) or l.shape != (n, n):
         raise SingularInertia(f"blocks must all be {n}x{n}")
-    if numerical_rank(m) < n:
-        raise SingularInertia("inertia matrix is numerically singular")
     sol = np.linalg.solve(m, np.hstack([l, d]))
-    top = np.hstack([np.zeros((n, n)), np.eye(n)])
-    bottom = np.hstack([-sol[:, :n], -sol[:, n:]])
-    return np.vstack([top, bottom])
+    return _block_jacobian(sol[:, :n], sol[:, n:])
 
 
 def referenced_jacobian(minv_l, minv_d):
@@ -156,12 +159,19 @@ def referenced_jacobian(minv_l, minv_d):
     referenced angles with ``delta_n = 0``.  The result has dimension
     ``2n - 1`` and the full spectrum minus the rotational zero eigenvalue.
     """
+    return _block_jacobian(minv_l, minv_d, referenced=True)
+
+
+def _block_jacobian(minv_l, minv_d, referenced=False):
+    """``[[0, T1], [-(M^-1 L)[:, :k], -M^-1 D]]`` with ``T1 = I`` and k = n,
+    or, ``referenced``, ``T1 = [I, -1]`` and k = n - 1."""
     n = minv_l.shape[0]
-    top = np.hstack(
-        [np.zeros((n - 1, n - 1)), np.eye(n - 1), -np.ones((n - 1, 1))]
-    )
-    bottom = np.hstack([-minv_l[:, : n - 1], -minv_d])
-    return np.vstack([top, bottom])
+    k = n - 1 if referenced else n
+    out = np.zeros((k + n, k + n))
+    out[:k, k:] = np.hstack([np.eye(k), -np.ones((k, n - k))])
+    out[k:, :k] = -minv_l[:, :k]
+    out[k:, k:] = -minv_d
+    return out
 
 
 @dataclass(frozen=True)

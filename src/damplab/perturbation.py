@@ -52,23 +52,15 @@ def _require_imag_psd(s, name="s"):
 def check_inverse_imag_duality(s):
     """Flags (Im(S) >= 0 ?, Im(S^-1) <= 0 ?) for nonsingular complex symmetric S.
 
-    Both flags are computed from eigenvalues of the real symmetric parts with
-    relative margin ``_validation.TOL_PSD``.  On conforming input the flags
+    Both flags are ``_validation.is_psd`` (relative margin ``TOL_PSD``), of
+    ``Im(S)`` and of ``-Im(S^-1)``.  On conforming input the flags
     agree whenever the first is definite beyond tolerance.
     """
     s = _require_complex_symmetric(s)
     n = s.shape[0]
     if numerical_rank(s) < n:
         raise SingularMatrix("duality check requires a nonsingular matrix")
-    s_inv = np.linalg.inv(s)
-
-    im_s = val.sym_part(s.imag)
-    im_inv = val.sym_part(s_inv.imag)
-    scale_s = max(np.linalg.norm(im_s, 2), 1e-300)
-    scale_inv = max(np.linalg.norm(im_inv, 2), 1e-300)
-    imag_psd = np.linalg.eigvalsh(im_s).min() >= -val.TOL_PSD * scale_s
-    inv_imag_nsd = np.linalg.eigvalsh(im_inv).max() <= val.TOL_PSD * scale_inv
-    return bool(imag_psd), bool(inv_imag_nsd)
+    return bool(val.is_psd(s.imag)), bool(val.is_psd(-np.linalg.inv(s).imag))
 
 
 def rank_one_imag_update_nonsingular(s, v):

@@ -471,17 +471,18 @@ def _brent(f, a, b, xtol, rtol):
                         best=x_cur, residual=f_cur)
 
 
-def _steps(pair, rhs, t, y, t1, rtol, atol, stops=()):
+def _steps(pair, rhs, t, y, t1, rtol, atol, stops=(), f=None):
     """The accepted steps of the adaptive ``pair`` on ``y' = rhs(t, y)`` from
-    ``(t, y)`` to ``t1``, each as ``(t_new, y_new, sol, fired)``: ``sol()``
-    builds the step's dense output once, and ``fired`` lists ``(time,
-    index)`` of the ``stops`` that fire in the step, earliest first.  The
-    one event rule: a stop ``g(y)`` fires when ``g <= 0`` at the start of a
-    step and ``>= 0`` at its end; Brent's method locates it on the dense
-    output to 4 eps.  Steps and crossings equal scipy's ``solve_ivp`` with
-    the same pair and events of direction +1.  Raises ValueError at bad
-    tolerances, time span or state, and StepSizeUnderflow, with the last
-    accepted time and state, when the step falls below 10 ulp of ``t``."""
+    ``(t, y)`` (``f = rhs(t, y)`` if known) to ``t1``, each as ``(t_new,
+    y_new, sol, fired)``: ``sol()`` builds the step's dense output once, and
+    ``fired`` lists ``(time, index)`` of the ``stops`` that fire in the
+    step, earliest first.  The one event rule: a stop ``g(y)`` fires when
+    ``g <= 0`` at the start of a step and ``>= 0`` at its end; Brent's
+    method locates it on the dense output to 4 eps.  Steps and crossings
+    equal scipy's ``solve_ivp`` with the same pair and events of direction
+    +1.  Raises ValueError at bad tolerances, time span or state, and
+    StepSizeUnderflow, with the last accepted time and state, when the step
+    falls below 10 ulp of ``t``."""
     y = np.asarray(y, dtype=float)
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("rtol and atol must be positive and finite")
@@ -493,7 +494,7 @@ def _steps(pair, rhs, t, y, t1, rtol, atol, stops=()):
     def fun(t, y):
         return np.asarray(rhs(t, y), dtype=float)
 
-    f = fun(t, y)
+    f = fun(t, y) if f is None else f
     h_abs = _initial_step(fun, t, y, f, t1, rtol, atol, pair.order)
     exponent = -1 / (pair.order + 1)
     n = pair.b.size
@@ -605,14 +606,15 @@ class LimitCycleEstimate:
     amplitude: Optional[float] = None
 
 
-def _shoot(rhs, x, t_max, stops, rtol, atol):
+def _shoot(rhs, x, t_max, stops, rtol, atol, f=None):
     """``(index, time, state)`` where the ``SHOOTING_METHOD`` orbit of ``x' =
     rhs(t, x)`` from ``x`` at t = 0 ends: at the earliest of ``stops`` to
-    fire, or with index None at ``t_max`` or where the step size underflows."""
+    fire, or with index None at ``t_max`` or where the step size underflows;
+    ``f`` is as in :func:`_steps`."""
     t, y = 0.0, x
     with contextlib.suppress(StepSizeUnderflow):
         for t, y, sol, fired in _steps(SHOOTING_METHOD, rhs, 0.0, x, t_max,
-                                       rtol, atol, stops):
+                                       rtol, atol, stops, f):
             if fired:
                 t, index = fired[0]
                 return index, t, sol()(t)
@@ -629,16 +631,18 @@ def _next_crossing(rhs, section, x_start, rtol, atol, t_max, escape_radius=None)
     if escape_radius is not None:
         stops.append(lambda y: np.linalg.norm(y - section.anchor) - escape_radius)
 
-    speed = np.linalg.norm(rhs(0.0, x_start))
+    f = np.asarray(rhs(0.0, x_start), dtype=float)  # the loop's first stage
+    speed = np.linalg.norm(f)
     if speed == 0:
         return None
     x, t_accum = x_start, 0.0
     if abs(section.value(x_start)) < 1e-12 * (1 + np.linalg.norm(x_start)):
         dt = 1e-3 / max(speed, 1e-6)
-        _, t_accum, x = _shoot(rhs, x, dt, (), rtol, atol)
+        _, t_accum, x = _shoot(rhs, x, dt, (), rtol, atol, f)
         if t_accum < dt:  # the step size underflowed
             return None
-    hit, t_hit, x_hit = _shoot(rhs, x, t_max, stops, rtol, atol)
+        f = None
+    hit, t_hit, x_hit = _shoot(rhs, x, t_max, stops, rtol, atol, f)
     return (t_accum + t_hit, x_hit) if hit == 0 else None
 
 

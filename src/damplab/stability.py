@@ -20,6 +20,7 @@ from . import _validation as val
 from .errors import AssumptionViolated, TheoremViolation
 from .linalg import (
     SpectrumReport,
+    _solved_jacobian,
     classify_spectrum,
     jacobian_2n,
     matching_distance,
@@ -83,8 +84,10 @@ class SecondOrderSystem:
         return SecondOrderSystem(self.inertia, damping, self.jac)
 
     def jacobian_at(self, x):
-        """2n-by-2n Jacobian of the first-order system at state ``(x, 0)``."""
-        return jacobian_2n(self.inertia, self.damping, self.jac(np.asarray(x, float)))
+        """2n-by-2n Jacobian of the first-order system at state ``(x, 0)``;
+        the inertia was rank-checked at construction."""
+        l = val.as_matrix(self.jac(np.asarray(x, float)), "stiffness", dtype=float)
+        return _solved_jacobian(self.inertia, self.damping, l)
 
 
 @dataclass(frozen=True)

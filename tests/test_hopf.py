@@ -9,8 +9,10 @@ from damplab.errors import (
     AssumptionViolated,
     NormalizationFailure,
     NotAnAxisEigenvalue,
+    SingularInertia,
     TrackingAmbiguity,
 )
+from damplab.linalg import jacobian_2n, referenced_jacobian
 from conftest import OMEGA_CASE1
 
 
@@ -45,6 +47,90 @@ class TestDampingPath:
         np.testing.assert_allclose(
             path.damping_prime(0.5), np.eye(2), rtol=1e-6
         )
+
+    @pytest.mark.parametrize("referenced", [False, True])
+    def test_damping_shape_checked(self, referenced):
+        path = hopf.DampingPath(
+            inertia=np.eye(2),
+            stiffness=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+            damping_of=lambda g: g * np.eye(3),
+            gamma_range=(0.0, 1.0),
+            referenced=referenced,
+        )
+        with pytest.raises(SingularInertia):
+            path.jacobian(0.5)
+
+    @staticmethod
+    def random_path(rng, referenced):
+        n = int(rng.integers(2, 7))
+        g = rng.normal(size=(n, n))
+        m = g @ g.T + 0.1 * np.eye(n)
+        if referenced:
+            w = np.abs(rng.normal(size=(n, n)))
+            stiffness = np.diag((w + w.T).sum(axis=1)) - (w + w.T)
+        else:
+            stiffness = rng.normal(size=(n, n))
+        d0, d1 = rng.normal(size=(2, n, n))
+        return hopf.DampingPath(
+            inertia=m, stiffness=stiffness, damping_of=lambda g: d0 + g * d1,
+            gamma_range=(0.0, 1.0), referenced=referenced,
+        )
+
+    @staticmethod
+    def assembled(path, gamma):
+        """``[[0, T1], [-(M^-1 L)[:, :k], -M^-1 D]]`` block by block."""
+        n = path.n
+        k = n - 1 if path.referenced else n
+        minv_l = np.linalg.solve(path.inertia, path.stiffness)
+        minv_d = np.linalg.solve(path.inertia, path.damping_of(gamma))
+        t1 = np.hstack([np.eye(k), -np.ones((k, n - k))])
+        return np.block([[np.zeros((k, k)), t1], [-minv_l[:, :k], -minv_d]])
+
+    def test_jacobian_equals_block_assembly(self):
+        # The template built at construction, filled with M^-1 D(gamma),
+        # against jacobian_2n and a block-by-block assembly.
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            path = self.random_path(rng, referenced=False)
+            for gamma in rng.uniform(0.0, 1.0, size=3):
+                got = path.jacobian(gamma)
+                want = jacobian_2n(path.inertia, path.damping_of(gamma),
+                                   path.stiffness)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+                np.testing.assert_allclose(got, self.assembled(path, gamma),
+                                           rtol=1e-13, atol=0)
+
+    def test_referenced_jacobian_equals_reduction(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            path = self.random_path(rng, referenced=True)
+            minv_l = np.linalg.solve(path.inertia, path.stiffness)
+            for gamma in rng.uniform(0.0, 1.0, size=3):
+                got = path.jacobian(gamma)
+                minv_d = np.linalg.solve(path.inertia, path.damping_of(gamma))
+                np.testing.assert_array_equal(got, referenced_jacobian(minv_l, minv_d))
+                np.testing.assert_array_equal(got, self.assembled(path, gamma))
+
+    def test_sweep_runs_no_svd(self, monkeypatch):
+        # The inertia is rank-checked once, at construction: a sweep of a
+        # suite_safe_damping_region path then needs no SVD, and one solve
+        # per Jacobian.
+        rng = np.random.default_rng(8)
+        n = 4
+        m, l, d0 = (suites._spd(rng, n, ridge=r) for r in (0.1, 0.1, 0.05))
+        g = rng.normal(size=(n, n))
+        path = hopf.DampingPath(
+            inertia=m, stiffness=l, damping_of=lambda gamma: d0 + gamma * g.T @ g,
+            gamma_range=(0.0, 2.0),
+        )
+        counts = {"svd": 0, "solve": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kw):
+                counts[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert hopf.track_axis_crossing(path, samples=9) == []
+        assert counts == {"svd": 0, "solve": 9}
 
 
 class TestTrackAxisCrossing:

@@ -317,7 +317,10 @@ class TestDormandPrince:
         assert (hit, t) == (fired, sol.t_events[fired][0])
         assert np.array_equal(y, sol.y_events[fired][0])
         assert len(calls) == len(scipy_calls)
+        # The speed check's evaluation is the step loop's first stage.
+        calls.clear()
         ret = simulate._next_crossing(rhs, section, x0, *tol, t_max, radius)
+        assert len(calls) == len(scipy_calls)
         if fired:
             assert ret is None
         else:
@@ -426,7 +429,7 @@ class TestPoincareCycleSearch:
     def test_case2_rhs_evaluation_counts(self):
         # Counter gate on the case2 searches: from the mode kick at 0.25 and
         # from the 0.25 anchor at 0.29.  DOP853 returns with the chord
-        # re-polish take 11,731 and 13,517 evaluations; RK45 returns with a
+        # re-polish take 11,695 and 13,482 evaluations; RK45 returns with a
         # Newton re-polish took 20,351 and 23,526, and return-map iteration
         # with amplitude bisection 48,912 and 120,020.
         rhs, x_eq, section, kick = case2_at(0.25)

@@ -14,6 +14,20 @@ from conftest import L_CASE1, OMEGA_CASE1
 L_REMARK = np.array([[2.0, math.sqrt(2)], [-math.sqrt(2), 0.0]])
 
 
+class TestSecondOrderSystem:
+    def test_jacobian_at_reuses_rank_check(self, monkeypatch):
+        # The inertia is rank-checked at construction only; the Jacobian
+        # equals the checked assembly bit for bit.
+        rng = np.random.default_rng(9)
+        m, d, l = (suites._spd(rng, 3) for _ in range(3))
+        system = stability.SecondOrderSystem.linear(m, d, l)
+        want = jacobian_2n(m, d, l)
+        svd = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd.append(a))
+        assert np.array_equal(system.jacobian_at(np.zeros(3)), want)
+        assert svd == []
+
+
 class TestObservability:
     def test_zero_output_pair(self):
         verdict = stability.observability_test(np.eye(2), np.zeros((2, 2)))

@@ -31,13 +31,13 @@ import tempfile
 import numpy as np
 
 from . import __version__, hopf, simulate, suites, swing
-from ._validation import TOL_AXIS
+from ._validation import TOL_AXIS, spectral_scale
 from .errors import (
     DampLabError,
     StepSizeUnderflow,
     TrackingAmbiguity,
 )
-from .linalg import classify_spectrum
+from .linalg import classify_spectrum, pair_upper
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -180,25 +180,21 @@ def cmd_hopf_scan(args):
     lo, hi, samples = args.gamma_range
     path = swing.grid_damping_path(model, eq, mfile.gamma_mask, (lo, hi))
 
-    grid = np.linspace(lo, hi, samples)
-    locus_rows = ["gamma,branch,re,im"]
-    for g in grid:
-        eigs = np.linalg.eigvals(path.jacobian(g))
-        upper = sorted(
-            (z for z in eigs if z.imag > 1e-9), key=lambda z: z.imag
-        )
-        for branch, z in enumerate(upper):
-            locus_rows.append(f"{g:.10g},{branch},{z.real:.12g},{z.imag:.12g}")
-
     try:
-        crossings = hopf.track_axis_crossing(path, samples=samples)
+        scan = hopf.sweep(path, samples=samples)
     except TrackingAmbiguity as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: increase the sample count in --gamma-range", file=sys.stderr)
         return EXIT_ERROR
 
+    locus_rows = ["gamma,branch,re,im"]
+    for g, eigs in zip(scan.gammas, scan.spectra):
+        upper = sorted(eigs[pair_upper(eigs, scan.scale)], key=lambda z: z.imag)
+        for branch, z in enumerate(upper):
+            locus_rows.append(f"{g:.10g},{branch},{z.real:.12g},{z.imag:.12g}")
+
     certificates = []
-    for crossing in crossings:
+    for crossing in scan.crossings:
         cert = hopf.hopf_conditions(
             path, crossing.gamma, omega_hint=crossing.omega,
             boundary=crossing.boundary,
@@ -260,7 +256,7 @@ def cmd_simulate(args):
                 f"referenced state needs {ref.dim} components, got {x0.size}"
             )
     else:
-        upper = np.where(eigs.imag > 1e-9)[0]
+        upper = np.flatnonzero(pair_upper(eigs, spectral_scale(eigs)))
         idx = (
             upper[np.argmax([eigs[i].real for i in upper])]
             if upper.size
@@ -419,7 +415,7 @@ def build_parser():
     add_model(p)
     p.add_argument("--gamma", type=float, default=None,
                    help="value for 'gamma' damping placeholders")
-    p.add_argument("--tol-axis", type=float, default=TOL_AXIS)
+    p.add_argument("--tol-axis", type=_positive, default=TOL_AXIS)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("hopf-scan", help="damping sweep with Hopf certificates")
@@ -444,7 +440,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the randomized verification suites")
     p.add_argument("--seed", type=int, default=suites.DEFAULT_SEED)
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--scale", type=_positive, default=1.0,
                    help="multiplier on per-suite trial counts")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -38,19 +38,22 @@ from .errors import (
     TheoremViolation,
     TrackingAmbiguity,
 )
-from .linalg import _block_jacobian, numerical_rank
+from .linalg import (QuadraticPencil, _block_jacobian, axis_band, numerical_rank,
+                     on_axis, pair_upper)
 
 __all__ = [
     "AxisCrossing",
     "DampingPath",
     "HopfCertificate",
     "SUBCRITICAL",
+    "Sweep",
     "SUPERCRITICAL",
     "DEGENERATE",
     "classify_lyapunov",
     "eigenvalue_parameter_derivative",
     "first_lyapunov_coefficient",
     "hopf_conditions",
+    "sweep",
     "track_axis_crossing",
 ]
 
@@ -91,9 +94,9 @@ class DampingPath:
     vector field (of the same reduced dimension as the Jacobian) and its
     equilibrium, enabling Lyapunov-coefficient computation.
 
-    The blocks that do not depend on the parameter are built at
-    construction: :meth:`jacobian` fills a copy of the Jacobian with one
-    solve for ``M^-1 D(gamma)``.  Do not reassign the fields afterwards.
+    The blocks that do not depend on the parameter, ``minv_l = M^-1 L`` too,
+    are built at construction: :meth:`jacobian` fills a copy of the Jacobian
+    with one solve for ``M^-1 D(gamma)``.  Do not reassign the fields.
     """
 
     inertia: np.ndarray
@@ -120,8 +123,9 @@ class DampingPath:
                 raise AssumptionViolated(
                     "zero row sums", "referenced reduction needs a gauge mode"
                 )
-        minv_l = np.linalg.solve(self.inertia, self.stiffness)
-        self._template = _block_jacobian(minv_l, np.zeros_like(minv_l), self.referenced)
+        self.minv_l = np.linalg.solve(self.inertia, self.stiffness)
+        zero = np.zeros_like(self.minv_l)
+        self._template = _block_jacobian(self.minv_l, zero, self.referenced)
         if self.damping_derivative is not None:
             mid = 0.5 * (lo + hi)
             analytic = np.asarray(self.damping_derivative(mid), dtype=float)
@@ -157,18 +161,10 @@ class DampingPath:
 
     def jacobian_prime(self, gamma):
         """d/dgamma of the Jacobian: only the damping block moves."""
+        out = np.zeros_like(self._template)
         dprime = self.damping_prime(gamma)
-        minv_dprime = np.linalg.solve(self.inertia, dprime)
-        n = self.n
-        rows = n - 1 if self.referenced else n
-        out = np.zeros((rows + n, rows + n))
-        out[rows:, rows:] = -minv_dprime
+        out[-self.n :, -self.n :] = -np.linalg.solve(self.inertia, dprime)
         return out
-
-    def pencil_sigma_min(self, lam, gamma):
-        d = np.asarray(self.damping_of(gamma), dtype=float)
-        p = (lam * lam) * self.inertia + lam * d + self.stiffness
-        return np.linalg.svd(p, compute_uv=False)[-1]
 
 
 @dataclass(frozen=True)
@@ -181,11 +177,23 @@ class AxisCrossing:
     boundary: bool = False
 
 
-def _complex_upper(eigs, scale):
-    return eigs[eigs.imag > 1e-9 * scale]
+@dataclass(frozen=True)
+class Sweep:
+    """Sampled parameters ``gammas``, the Jacobian ``spectra`` there, their
+    common ``scale = max(1, spectral radius)`` and the axis ``crossings``."""
+
+    gammas: np.ndarray
+    spectra: list
+    scale: float
+    crossings: list
 
 
 def track_axis_crossing(path, samples=41):
+    """The axis crossings of :func:`sweep` ``(path, samples)``."""
+    return sweep(path, samples).crossings
+
+
+def sweep(path, samples=41):
     """Locate all parameter values where a complex pair crosses the axis.
 
     Samples the spectrum on a uniform grid over ``path.gamma_range``, pairs
@@ -194,7 +202,8 @@ def track_axis_crossing(path, samples=41):
     on ``Re lam(gamma)`` (Dowell & Jarratt, BIT 11, 1971) inside the
     bracket, down to ``|Re| <= REFINE_TOL * |eig|`` or ``MAX_BISECT``
     steps.  An eigenvalue already inside the axis band at either end of the
-    range is reported with ``boundary=True`` and left unrefined.
+    range is reported with ``boundary=True`` and left unrefined.  Returns
+    a :class:`Sweep`, so callers reuse the sampled spectra.
 
     Raises TrackingAmbiguity when a branch's continuation step exceeds half
     the gap between its match and the match's nearest neighbour, or two
@@ -206,15 +215,10 @@ def track_axis_crossing(path, samples=41):
     grid = np.linspace(lo, hi, samples)
     spectra = [np.linalg.eigvals(path.jacobian(g)) for g in grid]
     scale = max(val.spectral_scale(s) for s in spectra)
-    band = val.TOL_AXIS * scale
+    band = axis_band(scale)
+    upper = [s[pair_upper(s, scale)] for s in spectra]
 
     crossings = []
-
-    def track_to(lam, gamma):
-        eigs = _complex_upper(np.linalg.eigvals(path.jacobian(gamma)), scale)
-        if eigs.size == 0:
-            raise TrackingAmbiguity("complex pair vanished during refinement")
-        return eigs[np.argmin(np.abs(eigs - lam))]
 
     def refine(a, b, lam_a, lam_b):
         # Illinois: an end kept twice in a row has its value halved, so the
@@ -225,7 +229,7 @@ def track_axis_crossing(path, samples=41):
             x = (a * fb - b * fa) / (fb - fa)
             if not a < x < b:
                 x = 0.5 * (a + b)
-            lam_x = track_to(lam_a if x - a <= b - x else lam_b, x)
+            lam_x = _nearest_upper(path, x, lam_a if x - a <= b - x else lam_b, scale)
             if abs(lam_x.real) <= REFINE_TOL * abs(lam_x):
                 return x, lam_x
             if np.sign(lam_x.real) == np.sign(fa):
@@ -245,22 +249,19 @@ def track_axis_crossing(path, samples=41):
     # Samples already on the axis: range endpoints are flagged as boundary
     # crossings (no bracket to refine), interior grid points are ordinary
     # crossings that happen to need no refinement.
-    for k, (g_sample, spec) in enumerate(zip(grid, spectra)):
-        at_end = k == 0 or k == samples - 1
-        for lam in _complex_upper(spec, scale):
-            if abs(lam.real) <= band:
-                crossings.append(
-                    AxisCrossing(
-                        gamma=float(g_sample),
-                        omega=float(lam.imag),
-                        eigenvalue=complex(lam),
-                        boundary=at_end,
-                    )
+    for k, (g_sample, pairs) in enumerate(zip(grid, upper)):
+        for lam in pairs[on_axis(pairs, band)]:
+            crossings.append(
+                AxisCrossing(
+                    gamma=float(g_sample),
+                    omega=float(lam.imag),
+                    eigenvalue=complex(lam),
+                    boundary=k in (0, samples - 1),
                 )
+            )
 
     for k in range(samples - 1):
-        current = _complex_upper(spectra[k], scale)
-        following = _complex_upper(spectra[k + 1], scale)
+        current, following = upper[k], upper[k + 1]
         if current.size == 0 or following.size == 0:
             continue
         # Pair collisions far from the axis (e.g. a mode going overdamped)
@@ -288,7 +289,7 @@ def track_axis_crossing(path, samples=41):
                     f"eigenvalue gap {gap:.3e} at its match"
                 )
                 raise TrackingAmbiguity(f"{what} near gamma = {grid[k]:.6g}; increase samples")
-            if abs(lam.real) <= band or abs(nearest.real) <= band:
+            if on_axis(lam, band) or on_axis(nearest, band):
                 continue  # boundary case already recorded or handled next interval
             if np.sign(lam.real) != np.sign(nearest.real):
                 g0, lam0 = refine(grid[k], grid[k + 1], lam, nearest)
@@ -311,7 +312,7 @@ def track_axis_crossing(path, samples=41):
         ):
             continue
         unique.append(c)
-    return unique
+    return Sweep(gammas=grid, spectra=spectra, scale=scale, crossings=unique)
 
 
 def eigenvalue_parameter_derivative(jac, djac, lam, right, left):
@@ -456,15 +457,13 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     jac0 = path.jacobian(gamma0)
     eigs, vecs = np.linalg.eig(jac0)
     scale = val.spectral_scale(eigs)
-    band = val.TOL_AXIS * scale
+    band = axis_band(scale)
 
-    upper = [
-        i for i in range(eigs.size) if eigs[i].imag > 1e-9 * scale
-    ]
+    upper = np.flatnonzero(pair_upper(eigs, scale))
     if omega_hint is not None:
         candidates = [i for i in upper if abs(eigs[i] - 1j * omega_hint) <= 0.05 * scale]
     else:
-        candidates = [i for i in upper if abs(eigs[i].real) <= band]
+        candidates = upper[on_axis(eigs[upper], band)].tolist()
     if not candidates:
         raise NotAnAxisEigenvalue(
             f"no axis eigenvalue at gamma = {gamma0:.6g} (band {band:.2e})"
@@ -473,10 +472,10 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     lam = eigs[idx]
     omega0 = float(lam.imag)
 
-    jac_norm = np.linalg.norm(jac0, 2)
+    jac_sing = np.linalg.svd(jac0, compute_uv=False)  # ||J||_2 and sigma_min(J)
     resid = np.linalg.svd(jac0 - 1j * omega0 * np.eye(jac0.shape[0]),
                           compute_uv=False)[-1]
-    if resid > 1e-7 * max(1.0, jac_norm):
+    if resid > 1e-7 * max(1.0, jac_sing[0]):
         raise NotAnAxisEigenvalue(
             f"sigma_min(J - i omega0 I) = {resid:.3e} too large at gamma0"
         )
@@ -514,7 +513,7 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     djac = path.jacobian_prime(gamma0)
     dlam = eigenvalue_parameter_derivative(jac0, djac, lam, r0, l0)
 
-    dlam_fd = _central(lambda g: _nearest_eig(path.jacobian(g), lam), gamma0,
+    dlam_fd = _central(lambda g: _nearest_upper(path, g, lam, scale), gamma0,
                        1e-6 * max(1.0, abs(gamma0)), 1.0)
     if abs(dlam) > 1e-10 and abs(dlam_fd - dlam) > 1e-5 * abs(dlam):
         raise TheoremViolation(
@@ -525,25 +524,15 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
         )
 
     # Resonance scan over integer harmonics of the crossing frequency.
-    minv_l = np.linalg.solve(path.inertia, path.stiffness)
-    rho = max(np.abs(np.linalg.eigvals(minv_l)))
+    rho = max(np.abs(np.linalg.eigvals(path.minv_l)))
     kmax = int(math.ceil(math.sqrt(max(rho, 0.0)) / omega0)) + 2
-    resonance_clear = True
-    jac_smin = np.linalg.svd(jac0, compute_uv=False)[-1]
-    if jac_smin <= 1e-8 * max(1.0, jac_norm):
-        resonance_clear = False  # zero eigenvalue: kappa = 0 resonance
-    inertia_norm = np.linalg.norm(path.inertia, 2)
-    damping_norm = np.linalg.norm(np.asarray(path.damping_of(gamma0)), 2)
-    stiffness_norm = np.linalg.norm(path.stiffness, 2)
+    # zero eigenvalue: kappa = 0 resonance
+    resonance_clear = jac_sing[-1] > 1e-8 * max(1.0, jac_sing[0])
+    pencil = QuadraticPencil(path.inertia, path.damping_of(gamma0), path.stiffness)
     for kappa in range(2, kmax + 1):
         lam_k = 1j * kappa * omega0
-        smin = path.pencil_sigma_min(lam_k, gamma0)
-        pencil_scale = (
-            abs(lam_k) ** 2 * inertia_norm
-            + abs(lam_k) * damping_norm
-            + stiffness_norm
-        )
-        if smin <= 1e-8 * pencil_scale:
+        smin = np.linalg.svd(pencil.evaluate(lam_k), compute_uv=False)[-1]
+        if smin <= 1e-8 * pencil.residual_scale(lam_k):
             resonance_clear = False
 
     l1 = None
@@ -574,6 +563,10 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     )
 
 
-def _nearest_eig(jac, lam):
-    eigs = np.linalg.eigvals(jac)
+def _nearest_upper(path, gamma, lam, scale):
+    """The upper pair member of ``path.jacobian(gamma)`` nearest to ``lam``."""
+    eigs = np.linalg.eigvals(path.jacobian(gamma))
+    eigs = eigs[pair_upper(eigs, scale)]
+    if eigs.size == 0:
+        raise TrackingAmbiguity("complex pair vanished during refinement")
     return eigs[np.argmin(np.abs(eigs - lam))]

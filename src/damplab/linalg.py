@@ -10,6 +10,7 @@ dynamical-systems semantics on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,12 +25,16 @@ __all__ = [
     "QuadraticPencil",
     "SpectrumReport",
     "TakagiFactorization",
+    "axis_band",
     "classify_spectrum",
     "jacobian_2n",
     "matching_distance",
     "numerical_rank",
+    "on_axis",
+    "pair_upper",
     "pencil_eigenvalues",
     "referenced_jacobian",
+    "structural_zero",
     "takagi",
 ]
 
@@ -97,14 +102,15 @@ class QuadraticPencil:
     def evaluate(self, lam):
         return (lam * lam) * self.a2 + lam * self.a1 + self.a0
 
+    @cached_property
+    def _norms(self):
+        return [np.linalg.norm(a, 2) for a in (self.a2, self.a1, self.a0)]
+
     def residual_scale(self, lam):
         """Natural backward-error scale at ``lam``."""
         r = abs(lam)
-        return (
-            r * r * np.linalg.norm(self.a2, 2)
-            + r * np.linalg.norm(self.a1, 2)
-            + np.linalg.norm(self.a0, 2)
-        )
+        n2, n1, n0 = self._norms
+        return r * r * n2 + r * n1 + n0
 
     def companion(self):
         """First companion linearization ``[[0, I], [-a2^-1 a0, -a2^-1 a1]]``."""
@@ -174,13 +180,37 @@ def _block_jacobian(minv_l, minv_d, referenced=False):
     return out
 
 
+def axis_band(scale, tol_axis=val.TOL_AXIS):
+    """Axis band half-width ``tol_axis * scale``; ``tol_axis`` must be positive
+    and finite (else ValueError), ``scale`` is ``_validation.spectral_scale``
+    of one spectrum or of a whole sweep."""
+    if not 0 < tol_axis < np.inf:
+        raise ValueError("tol_axis must be positive and finite")
+    return tol_axis * scale
+
+
+def on_axis(eigs, band):
+    """Mask of the axis eigenvalues: ``|Re| <= band``."""
+    return np.abs(eigs.real) <= band
+
+
+def structural_zero(eigs, band):
+    """Mask of the zero box ``|Re|, |Im| <= band``: a grid's gauge mode."""
+    return on_axis(eigs, band) & (np.abs(eigs.imag) <= band)
+
+
+def pair_upper(eigs, scale):
+    """Mask of the upper members of complex pairs: ``Im > 1e-9 * scale``."""
+    return eigs.imag > 1e-9 * scale
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Eigenvalues split by the sign of their real part.
 
-    ``axis_set`` collects eigenvalues with ``|Re| <= tol_axis * scale`` where
-    ``scale = max(1, spectral radius)``; the counts form the inertia triple
-    ``(left_count, axis_count, right_count)``.
+    ``axis_set`` collects the eigenvalues :func:`on_axis` for the band
+    :func:`axis_band` of ``scale = max(1, spectral radius)``; the counts
+    form the inertia triple ``(left_count, axis_count, right_count)``.
     """
 
     eigenvalues: np.ndarray
@@ -197,34 +227,24 @@ class SpectrumReport:
 
     @property
     def nonzero_axis_set(self):
-        """Axis eigenvalues beyond the structural zero: ``|Im|`` above the band.
-
-        A grid's rotational gauge mode puts one zero eigenvalue in every
-        spectrum; hyperbolicity "beyond the structural zero" asks that this
-        set be empty.
-        """
-        band = self.tol_axis * self.scale
-        return self.axis_set[np.abs(self.axis_set.imag) > band]
+        """Axis eigenvalues beyond the :func:`structural_zero`; hyperbolicity
+        "beyond the structural zero" asks that this set be empty."""
+        band = axis_band(self.scale, self.tol_axis)
+        return self.axis_set[~structural_zero(self.axis_set, band)]
 
 
 def classify_spectrum(eigs, tol_axis=val.TOL_AXIS):
-    """Partition ``eigs`` by half-plane with a relative axis band.
-
-    ``tol_axis`` must be positive; the band half-width is
-    ``tol_axis * max(1, max |eig|)``.
-    """
-    if tol_axis <= 0:
-        raise ValueError("tol_axis must be positive")
+    """Partition ``eigs`` by half-plane with the :func:`axis_band` of ``tol_axis``."""
     eigs = np.atleast_1d(np.asarray(eigs, dtype=complex))
     scale = val.spectral_scale(eigs)
-    band = tol_axis * scale
+    band = axis_band(scale, tol_axis)
     re = eigs.real
-    on_axis = np.abs(re) <= band
+    axis = on_axis(eigs, band)
     return SpectrumReport(
         eigenvalues=eigs,
-        axis_set=eigs[on_axis],
+        axis_set=eigs[axis],
         left_count=int(np.count_nonzero(re < -band)),
-        axis_count=int(np.count_nonzero(on_axis)),
+        axis_count=int(np.count_nonzero(axis)),
         right_count=int(np.count_nonzero(re > band)),
         tol_axis=tol_axis,
         scale=scale,

@@ -134,6 +134,20 @@ def _eigenvalue_clusters(eigs, scale):
     return clusters
 
 
+def _pbh_scale(a, b):
+    """The cluster scale ``max(1, ||A||_2, ||B||_2)`` and the PBH threshold."""
+    scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
+    return scale, val.TOL_OBS * scale
+
+
+def _witnesses(lam, sing, vh, b, threshold, basis=None):
+    """One witness per singular value at or below ``threshold``: the right
+    singular vector ``vh[-1 - j]``, mapped through ``basis`` when given."""
+    count = int(np.count_nonzero(sing <= threshold))
+    vecs = [row.conj() if basis is None else basis @ row for row in vh[::-1][:count]]
+    return [ObservabilityWitness(lam, v, float(np.linalg.norm(b @ v))) for v in vecs]
+
+
 def observability_test(a, b):
     """PBH-style observability of the pair ``(A, B)``.
 
@@ -155,36 +169,19 @@ def observability_test(a, b):
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[1] != a.shape[0]:
         raise AssumptionViolated("shape", "b must have as many columns as a")
-    m = a.shape[0]
     eigs = np.linalg.eigvals(a)
-    scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
-    threshold = val.TOL_OBS * scale
-
+    scale, threshold = _pbh_scale(a, b)
     witnesses = []
     margins = []
-    eye = np.eye(m)
+    eye = np.eye(a.shape[0])
     for lam, _ in _eigenvalue_clusters(eigs, scale):
-        stacked = np.vstack([a - lam * eye, b])
-        _, sing, vh = np.linalg.svd(stacked)
-        vec = vh[-1].conj()
-        margins.append((lam, float(np.linalg.norm(b @ vec))))
+        _, sing, vh = np.linalg.svd(np.vstack([a - lam * eye, b]))
+        margins.append((lam, float(np.linalg.norm(b @ vh[-1].conj()))))
         # One witness per deficiency dimension: the unobservable subspace of
         # a repeated eigenvalue can be multidimensional, and downstream
         # damping repair needs a basis of it.
-        deficiency = int(np.count_nonzero(sing <= threshold))
-        for j in range(deficiency):
-            wvec = vh[-1 - j].conj()
-            witnesses.append(
-                ObservabilityWitness(
-                    eigenvalue=lam,
-                    vector=wvec,
-                    residual=float(np.linalg.norm(b @ wvec)),
-                )
-            )
-    return ObservabilityVerdict(
-        witnesses=tuple(witnesses),
-        margins=tuple(margins),
-    )
+        witnesses += _witnesses(lam, sing, vh, b, threshold)
+    return ObservabilityVerdict(witnesses=tuple(witnesses), margins=tuple(margins))
 
 
 def observability_symmetric(m, l, d):
@@ -223,9 +220,7 @@ def observability_symmetric(m, l, d):
     vecs = np.linalg.solve(c.T, u)
     vecs /= np.linalg.norm(vecs, axis=0)
     b = np.linalg.solve(m, d)
-    a = np.linalg.solve(c.T, half)  # M^-1 L, for the PBH scale
-    scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
-    threshold = val.TOL_OBS * scale
+    scale, threshold = _pbh_scale(np.linalg.solve(c.T, half), b)  # M^-1 L
 
     residuals = np.linalg.norm(b @ vecs, axis=0).tolist()
     witnesses = []
@@ -241,11 +236,7 @@ def observability_symmetric(m, l, d):
         basis, _ = np.linalg.qr(vecs[:, idx])
         _, sing, vh = np.linalg.svd(b @ basis)
         margins.append((lam, float(sing[-1])))
-        for j in range(int(np.count_nonzero(sing <= threshold))):
-            wvec = basis @ vh[-1 - j]
-            witnesses.append(
-                ObservabilityWitness(lam, wvec, float(np.linalg.norm(b @ wvec)))
-            )
+        witnesses += _witnesses(lam, sing, vh, b, threshold, basis)
     return ObservabilityVerdict(witnesses=tuple(witnesses), margins=tuple(margins))
 
 
@@ -318,7 +309,7 @@ def imaginary_pair_sufficient_unsymmetric(inertia, damping, stiffness):
     l = val.as_matrix(stiffness, "stiffness", dtype=float)
     a = np.linalg.solve(m, l)
     b = np.linalg.solve(m, d)
-    scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
+    scale, _ = _pbh_scale(a, b)
 
     positive = [
         w.eigenvalue.real
@@ -433,5 +424,4 @@ def asymptotic_stability_full_damping(inertia, damping, stiffness):
     if not val.is_pd(d):
         raise AssumptionViolated("damping symmetric positive definite")
     eigs = np.linalg.eigvals(jacobian_2n(m, d, l))
-    band = val.TOL_AXIS * val.spectral_scale(eigs)
-    return bool(np.all(eigs.real < -band))
+    return classify_spectrum(eigs).left_count == eigs.size

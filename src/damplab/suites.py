@@ -17,10 +17,12 @@ import numpy as np
 from . import _validation as val
 from . import hopf, stability, swing
 from .linalg import (
+    axis_band,
     classify_spectrum,
     jacobian_2n,
     matching_distance,
     pencil_eigenvalues,
+    structural_zero,
 )
 from .perturbation import (
     PsdPerturbationInstance,
@@ -211,18 +213,17 @@ def suite_referenced_spectrum(seed=DEFAULT_SEED, trials=200):
             model.to_second_order().jacobian_at(eq.delta0)
         )
         reduced = np.linalg.eigvals(model.referenced(eq).jacobian())
-        scale = val.spectral_scale(full)
-        band = 1e-7 * scale
-        full_nonzero = full[np.abs(full) > band]
-        dist = matching_distance(full_nonzero, reduced[np.abs(reduced) > band])
         full_report = classify_spectrum(full)
         red_report = classify_spectrum(reduced)
+        band = axis_band(full_report.scale)
+        dist = matching_distance(full[~structural_zero(full, band)],
+                                 reduced[~structural_zero(reduced, band)])
         inertia_ok = (
             full_report.left_count == red_report.left_count
             and full_report.axis_count == red_report.axis_count + 1
             and full_report.right_count == red_report.right_count
         )
-        if dist > 1e-7 * scale or not inertia_ok:
+        if dist > 1e-7 * full_report.scale or not inertia_ok:
             result.record(
                 trial=k, n=n, distance=dist,
                 full_inertia=list(full_report.inertia),
@@ -497,7 +498,7 @@ def suite_fold_exclusion(seed=DEFAULT_SEED, trials=200):
             l = _spd(rng, n)
         d = _psd(rng, n, rank=int(rng.integers(0, n + 1)))
         eigs = np.linalg.eigvals(jacobian_2n(m, d, l))
-        has_zero = np.abs(eigs).min() <= 1e-7 * val.spectral_scale(eigs)
+        has_zero = structural_zero(eigs, axis_band(val.spectral_scale(eigs))).any()
         if has_zero != singular:
             result.record(trial=k, m=m, d=d, l=l, has_zero=bool(has_zero),
                           singular=singular)

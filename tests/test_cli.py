@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from damplab import cli, suites, swing
+from damplab import cli, hopf, suites, swing
 
 
 CASE1 = {
@@ -126,8 +126,28 @@ class TestSpectrum:
         assert re.search(message, err)
         assert err.count(path) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_tol_axis_is_a_usage_error(self, case1_file, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["spectrum", case1_file, "--gamma", "0", "--tol-axis", value])
+        assert info.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("damplab spectrum: error: argument --tol-axis: ")
+
 
 class TestHopfScan:
+    def test_each_grid_gamma_is_solved_once(self, case2_file, tmp_path,
+                                            monkeypatch, capsys):
+        # locus.csv reuses the sweep's spectra instead of solving again
+        gammas = []
+        jacobian = hopf.DampingPath.jacobian
+        monkeypatch.setattr(hopf.DampingPath, "jacobian",
+                            lambda path, g: gammas.append(g) or jacobian(path, g))
+        code = cli.main(["hopf-scan", case2_file, "--gamma-range", "0.1:0.3:21",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert [gammas.count(g) for g in np.linspace(0.1, 0.3, 21)] == [1] * 21
+
     def test_case2_certificate(self, case2_file, tmp_path, capsys):
         code = cli.main(
             ["hopf-scan", case2_file, "--gamma-range", "0.1:0.3:21",
@@ -276,6 +296,14 @@ class TestVerify:
         assert code1 == code2 == cli.EXIT_OK
         assert out1 == out2
         assert "all suites passed" in out1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_scale_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--scale", value])
+        assert info.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("damplab verify: error: argument --scale: ")
 
     def test_injected_bug_trips_suite_and_dumps(self, tmp_path, monkeypatch,
                                                 capsys):

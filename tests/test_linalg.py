@@ -142,6 +142,17 @@ class TestClassifySpectrum:
         with pytest.raises(ValueError):
             linalg.classify_spectrum([1.0], tol_axis=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            linalg.classify_spectrum([1.0], tol_axis=tol)
+
+    def test_nonzero_axis_set_drops_the_zero_box(self):
+        band = 1e-7
+        report = linalg.classify_spectrum([0.9 * band * (1 + 1j), 2j, -2j, -1.0])
+        assert report.inertia == (1, 3, 0)
+        np.testing.assert_array_equal(report.nonzero_axis_set, [2j, -2j])
+
     def test_conjugate_closure_real_input(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -149,6 +160,48 @@ class TestClassifySpectrum:
             eigs = np.linalg.eigvals(a)
             dist = linalg.matching_distance(eigs, np.conj(eigs))
             assert dist < 1e-8 * max(1.0, np.abs(eigs).max())
+
+
+class TestSpectralRules:
+    BAND = linalg.axis_band(1.0)
+
+    def test_axis_band_is_relative(self):
+        assert linalg.axis_band(5.0, tol_axis=1e-3) == 5e-3
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_axis_band_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            linalg.axis_band(1.0, tol)
+
+    def test_on_axis_includes_the_band_edge(self):
+        eigs = np.array([self.BAND, -self.BAND + 3j, 1.1 * self.BAND])
+        np.testing.assert_array_equal(linalg.on_axis(eigs, self.BAND),
+                                      [True, True, False])
+
+    def test_structural_zero_is_a_box(self):
+        b = self.BAND
+        eigs = np.array([0.9 * b * (1 + 1j), -0.9 * b * (1 + 1j), 1.1 * b,
+                         1.1j * b, 0.5 * b + 2j])
+        np.testing.assert_array_equal(linalg.structural_zero(eigs, b),
+                                      [True, True, False, False, False])
+
+    def test_pair_upper_is_strict_and_relative(self):
+        eigs = np.array([1e-9j, 1.1e-9j, 3e-9j, -1j, 1.0])
+        np.testing.assert_array_equal(linalg.pair_upper(eigs, 1.0),
+                                      [False, True, True, False, False])
+        np.testing.assert_array_equal(linalg.pair_upper(eigs, 2.0),
+                                      [False, False, True, False, False])
+
+
+def test_pencil_residual_scale_computes_norms_once(monkeypatch):
+    pencil = linalg.QuadraticPencil(2 * np.eye(2), 3 * np.eye(2), 5 * np.eye(2))
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm",
+                        lambda *a, **k: calls.append(1) or norm(*a, **k))
+    assert [pencil.residual_scale(lam) for lam in (1j, 2.0, -3j)] == [
+        10.0, 19.0, 32.0]
+    assert len(calls) == 3
 
 
 class TestNumericalRank:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -148,8 +149,14 @@ _Pair = collections.namedtuple("_Pair", "c a b error order dense")
 _EPS = np.finfo(float).eps
 
 
+def _norm(x):
+    """``np.linalg.norm`` of a 1-d float array, bit for bit, without its
+    dispatch: the step loop's error norms and stops call it every step."""
+    return math.sqrt(x.dot(x))
+
+
 def _rms(x):
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
+    return _norm(x) / x.size ** 0.5
 
 
 #: The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
@@ -369,8 +376,8 @@ def _dop853_error(K, h, scale):
     """DOP853's error norm ``|h| e5^2 / sqrt((e5^2 + 0.01 e3^2) n)`` from the
     scaled fifth- and third-order estimates.  The squares are of rounded
     norms, as scipy takes them, so that the steps stay equal bit for bit."""
-    e5, e3 = (math.sqrt(e.dot(e)) ** 2
-              for e in (np.dot(K, _DOP_E5) / scale, np.dot(K, _DOP_E3) / scale))
+    e5 = _norm(np.dot(K, _DOP_E5) / scale) ** 2
+    e3 = _norm(np.dot(K, _DOP_E3) / scale) ** 2
     if e5 == 0 and e3 == 0:
         return 0.0
     return h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
@@ -499,7 +506,7 @@ def _steps(pair, rhs, t, y, t1, rtol, atol, stops=(), f=None):
     exponent = -1 / (pair.order + 1)
     n = pair.b.size
     K = np.empty((max(n + 1, pair.c.size), y.size))
-    stages = [(s, K[:s].T, pair.a[s, :s], pair.c[s]) for s in range(1, n)]
+    stages = [(K[s], K[:s].T, pair.a[s, :s], float(pair.c[s])) for s in range(1, n)]
     K_b, K_e = K[:n].T, K[:n + 1].T
     g = [stop(y) for stop in stops]
     while t < t1:
@@ -515,9 +522,9 @@ def _steps(pair, rhs, t, y, t1, rtol, atol, stops=(), f=None):
             t_new = min(t + h_abs, t1)
             h_abs = h = t_new - t
             K[0] = f
-            for s, K_s, a, c in stages:
-                K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
-            y_new = y + h * np.dot(K_b, pair.b)
+            for row, K_s, a, c in stages:  # the float row converts as fun does
+                row[...] = rhs(t + c * h, y + K_s.dot(a) * h)
+            y_new = y + h * K_b.dot(pair.b)
             f_new = fun(t_new, y_new)
             K[n] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -538,10 +545,10 @@ def _steps(pair, rhs, t, y, t1, rtol, atol, stops=(), f=None):
             return dense
 
         g_new = [stop(y_new) for stop in stops]
-        fired = sorted(
-            (_brent(lambda u: stop(sol()(u)), t, t_new, 4 * _EPS, 4 * _EPS), i)
-            for i, stop in enumerate(stops) if g[i] <= 0 <= g_new[i]
-        )
+        fired = [i for i in range(len(stops)) if g[i] <= 0 <= g_new[i]]
+        if fired:
+            fired = sorted((_brent(lambda u: stops[i](sol()(u)), t, t_new,
+                                   4 * _EPS, 4 * _EPS), i) for i in fired)
         yield t_new, y_new, sol, fired
         t, y, f, g = t_new, y_new, f_new, g_new
 
@@ -629,7 +636,7 @@ def _next_crossing(rhs, section, x_start, rtol, atol, t_max, escape_radius=None)
     crossing within ``t_max`` and a step-size underflow."""
     stops = [section.value]
     if escape_radius is not None:
-        stops.append(lambda y: np.linalg.norm(y - section.anchor) - escape_radius)
+        stops.append(lambda y: _norm(y - section.anchor) - escape_radius)
 
     f = np.asarray(rhs(0.0, x_start), dtype=float)  # the loop's first stage
     speed = np.linalg.norm(f)
@@ -662,7 +669,9 @@ def poincare_cycle_search(
     constant ``div f = -sum omega_s d_i / m_i``) falls from 1.3e-4 at gamma
     = 0.25 to 1.6e-8 at 0.33 and 5e-12 at 0.34.  The root is bracketed by
     steps of ``BRACKET_FACTOR`` outward from ``s = |P(seed)|``, then inward,
-    and found by Brent's method.  A probe that leaves ``ESCAPE_FACTOR * s``
+    and found by Brent's method.  Each launch amplitude is integrated once:
+    the defect is memoized by ``s``, so Brent's first two evaluations, the
+    bracket ends, cost no return.  A probe that leaves ``ESCAPE_FACTOR * s``
     counts as ``g = +inf``; an escaping end of the bracket is bisected until
     it comes back finite, and when it has not within ``RETURN_TOL`` its edge
     is an escape boundary (a saddle's stable manifold, as on case2 at
@@ -708,6 +717,7 @@ def poincare_cycle_search(
     ray = (first[1] - section.anchor) / s_first
     first_returns = {}
 
+    @functools.cache
     def defect(s):
         """|P(P(x_s))| - |P(x_s)|, or +inf when the orbit escapes."""
         x = section.anchor + s * ray

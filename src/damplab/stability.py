@@ -111,10 +111,13 @@ class ObservabilityVerdict:
     ``||stack(A - lam I, B) x||``.  :func:`observability_symmetric`
     (``A = M^-1 L`` with M symmetric positive definite and L symmetric)
     records ``min ||B x||`` over unit x in the cluster's eigenspace.
+    ``scale`` is the cluster scale ``max(1, ||A||_2, ||B||_2)`` the
+    threshold ``TOL_OBS * scale`` was written with.
     """
 
     witnesses: tuple
     margins: tuple
+    scale: float
 
     @property
     def observable(self):
@@ -181,7 +184,7 @@ def observability_test(a, b):
         # a repeated eigenvalue can be multidimensional, and downstream
         # damping repair needs a basis of it.
         witnesses += _witnesses(lam, sing, vh, b, threshold)
-    return ObservabilityVerdict(witnesses=tuple(witnesses), margins=tuple(margins))
+    return ObservabilityVerdict(tuple(witnesses), tuple(margins), scale)
 
 
 def observability_symmetric(m, l, d):
@@ -237,7 +240,7 @@ def observability_symmetric(m, l, d):
         _, sing, vh = np.linalg.svd(b @ basis)
         margins.append((lam, float(sing[-1])))
         witnesses += _witnesses(lam, sing, vh, b, threshold, basis)
-    return ObservabilityVerdict(witnesses=tuple(witnesses), margins=tuple(margins))
+    return ObservabilityVerdict(tuple(witnesses), tuple(margins), scale)
 
 
 @dataclass(frozen=True)
@@ -309,13 +312,13 @@ def imaginary_pair_sufficient_unsymmetric(inertia, damping, stiffness):
     l = val.as_matrix(stiffness, "stiffness", dtype=float)
     a = np.linalg.solve(m, l)
     b = np.linalg.solve(m, d)
-    scale, _ = _pbh_scale(a, b)
+    verdict = observability_test(a, b)
 
     positive = [
         w.eigenvalue.real
-        for w in observability_test(a, b).witnesses
-        if abs(w.eigenvalue.imag) <= 1e-9 * scale
-        and w.eigenvalue.real > 1e-12 * scale
+        for w in verdict.witnesses
+        if abs(w.eigenvalue.imag) <= 1e-9 * verdict.scale
+        and w.eigenvalue.real > 1e-12 * verdict.scale
     ]
     if not positive:
         return None

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .hopf import DampingPath
 from .linalg import classify_spectrum, jacobian_2n, referenced_jacobian
-from .simulate import _shoot
+from .simulate import _norm, _shoot
 from .stability import SecondOrderSystem, observability_symmetric
 
 __all__ = [
@@ -320,6 +320,10 @@ class ReferencedGridSystem:
         self.delta0 = eq.delta0
         self._minv = model.omega_s / model.inertia_const
         self._d = model.damping_coeff
+        # Bound once for rhs, the inner loop of every integration.
+        self._n = model.n
+        self._p_mech = model.p_mech
+        self._minv_d = self._minv * self._d
 
     @property
     def dim(self):
@@ -333,13 +337,18 @@ class ReferencedGridSystem:
         return np.concatenate([psi, [0.0]])
 
     def rhs(self, t, u):
-        n = self.model.n
-        psi, omega = u[: n - 1], u[n - 1 :]
-        dpsi = omega[:-1] - omega[-1]
-        domega = self._minv * (
-            self.model.p_mech - self.model.flow(self._delta(psi))
-        ) - self._minv * self._d * omega
-        return np.concatenate([dpsi, domega])
+        """``(omega_j - omega_n, M^-1 (P_m - P_e(psi, 0)) - M^-1 D omega)``,
+        with the flow of :meth:`PowerGridModel.flow` written out, bit for bit:
+        ``z = exp(i (psi, 0))``, ``P_e = Re(conj(z) o (G z))``."""
+        n = self._n
+        z = np.exp(np.multiply(u[:n], 1j))  # psi and omega_1, reset to exp(0)
+        z[-1] = 1.0
+        out = np.empty(2 * n - 1)
+        np.subtract(u[n - 1 : -1], u[-1], out=out[: n - 1])
+        out[n - 1 :] = self._minv * (
+            self._p_mech - (z.conj() * self.model._coupling.dot(z)).real
+        ) - self._minv_d * u[n - 1 :]
+        return out
 
     def drift_equilibrium(self, guess):
         """Frequency-drift equilibrium from a referenced-state ``guess``.
@@ -638,17 +647,20 @@ def locate_homoclinic(model, eq, damping_of, gamma_bracket, saddle_guess):
 
     The branch whose fate differs at the two ends of ``gamma_bracket`` is
     bisected on ``gamma`` until the bracket is narrower than
-    ``HOMOCLINIC_TOL``.  A branch changes fate only where it lies on the
-    basin boundary of ``eq``: below the switch it stays on the far side of
-    the saddle cycle's stable manifold and slips; at the switch the cycle has
-    grown into a loop through the saddle, and above it the cycle is gone and
-    the branch falls into ``eq`` (or vice versa).
+    ``HOMOCLINIC_TOL``.  Branch +1 is tried first; branch -1 is integrated
+    only when branch +1 does not switch (on case2 it does).  A branch
+    changes fate only where it lies on the basin boundary of ``eq``: below
+    the switch it stays on the far side of the saddle cycle's stable
+    manifold and slips; at the switch the cycle has grown into a loop
+    through the saddle, and above it the cycle is gone and the branch falls
+    into ``eq`` (or vice versa).
 
-    Raises PreconditionViolated when no branch changes fate across the
-    bracket or ``eq`` is unstable at an end, AssumptionViolated when the
-    saddle's unstable manifold is not one-dimensional, and NoConvergence,
-    with the orbit's last state, when an orbit meets neither event within
-    ``MANIFOLD_T_MAX`` or its step size underflows.
+    Raises PreconditionViolated when ``eq`` is unstable at an end or no
+    branch changes fate across the bracket (listing the fates of both
+    branches at both ends), AssumptionViolated when the saddle's unstable
+    manifold is not one-dimensional, and NoConvergence, with the orbit's
+    last state, when an orbit meets neither event within ``MANIFOLD_T_MAX``
+    or its step size underflows.
     """
     n = model.n
     x_eq = model.referenced(eq).equilibrium_state
@@ -683,7 +695,7 @@ def locate_homoclinic(model, eq, damping_of, gamma_bracket, saddle_guess):
         return np.abs(y[: n - 1] - x_eq[: n - 1]).max() - 2 * math.pi
 
     def capture(y):
-        return MANIFOLD_CAPTURE_RADIUS - np.linalg.norm(y - x_eq)
+        return MANIFOLD_CAPTURE_RADIUS - _norm(y - x_eq)
 
     def fate(ref, saddle, v, branch):
         hit, _, y = _shoot(ref.rhs, saddle + branch * MANIFOLD_OFFSET * v,
@@ -705,15 +717,19 @@ def locate_homoclinic(model, eq, damping_of, gamma_bracket, saddle_guess):
             raise PreconditionViolated(
                 f"equilibrium is not linearly stable at gamma = {gamma}"
             )
-        ends[gamma] = {b: fate(ref, saddle, v, b) for b in (1, -1)}
-    switching = [b for b in (1, -1) if ends[lo][b] != ends[hi][b]]
-    if not switching:
-        raise PreconditionViolated(
-            "no unstable-manifold branch changes fate across the bracket "
-            f"[{lo}, {hi}]: {ends}"
-        )
-    branch = switching[0]
-    fate_lo, fate_hi = ends[lo][branch], ends[hi][branch]
+        ends[gamma] = ref, saddle, v
+    fates = {gamma: {1: fate(*ends[gamma], 1)} for gamma in (lo, hi)}
+    branch = 1
+    if fates[lo][1] == fates[hi][1]:
+        branch = -1
+        for gamma in (lo, hi):
+            fates[gamma][-1] = fate(*ends[gamma], -1)
+        if fates[lo][-1] == fates[hi][-1]:
+            raise PreconditionViolated(
+                "no unstable-manifold branch changes fate across the bracket "
+                f"[{lo}, {hi}]: {fates}"
+            )
+    fate_lo, fate_hi = fates[lo][branch], fates[hi][branch]
     while hi - lo > HOMOCLINIC_TOL:
         mid = 0.5 * (lo + hi)
         ref, saddle, _, v = saddle_at(mid)

@@ -429,19 +429,21 @@ class TestPoincareCycleSearch:
     def test_case2_rhs_evaluation_counts(self):
         # Counter gate on the case2 searches: from the mode kick at 0.25 and
         # from the 0.25 anchor at 0.29.  DOP853 returns with the chord
-        # re-polish take 11,695 and 13,482 evaluations; RK45 returns with a
-        # Newton re-polish took 20,351 and 23,526, and return-map iteration
-        # with amplitude bisection 48,912 and 120,020.
+        # re-polish, each launch amplitude's defect integrated once, take
+        # 10,335 and 12,038 evaluations (11,695 and 13,482 when Brent re-ran
+        # the bracket ends); RK45 returns with a Newton re-polish took 20,351
+        # and 23,526, and return-map iteration with amplitude bisection
+        # 48,912 and 120,020.
         rhs, x_eq, section, kick = case2_at(0.25)
         rhs, calls = counted(rhs)
         cycle = simulate.poincare_cycle_search(rhs, section, kick, equilibrium=x_eq)
-        assert len(calls) <= 16_000
+        assert len(calls) <= 10_900
         rhs, x_eq, section, _ = case2_at(0.29)
         rhs, calls = counted(rhs)
         simulate.poincare_cycle_search(
             rhs, section, cycle.anchor_state, equilibrium=x_eq
         )
-        assert len(calls) <= 16_000
+        assert len(calls) <= 12_700
 
     def test_case2_branch_continues_to_gamma_034(self):
         # Below the homoclinic end gamma_h = 0.34258 the cycle exists; its

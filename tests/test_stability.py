@@ -234,6 +234,23 @@ class TestSufficientUnsymmetric:
         assert pair is not None
         assert abs(pair[0] - 1j * OMEGA_CASE1) < 1e-10
 
+    def test_scale_norms_taken_once(self, monkeypatch):
+        # The witness filter reads the scale of the verdict it filters: one
+        # pair of 2-norms (||M^-1 L||, ||M^-1 D||) per call, not two.
+        norm = np.linalg.norm
+        two_norms = []
+
+        def counted(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                two_norms.append(x.shape)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        stability.imaginary_pair_sufficient_unsymmetric(
+            np.eye(3), np.diag([0.0, 0.0, 1.5]), L_CASE1
+        )
+        assert two_norms == [(3, 3), (3, 3)]
+
     def test_no_positive_real_eigenvalue(self):
         assert (
             stability.imaginary_pair_sufficient_unsymmetric(

@@ -3,10 +3,11 @@
 Subpackages
 -----------
 ``linalg``
-    Quadratic-pencil eigenanalysis, numerical rank, Takagi factorization,
-    spectrum classification.
+    Quadratic-pencil eigenanalysis, numerical rank, spectrum
+    classification.
 ``perturbation``
-    Complex-symmetric rank perturbation checks.
+    Complex-symmetric rank perturbation checks: inverse duality, imaginary
+    updates, rank monotonicity.
 ``stability``
     Observability, hyperbolicity and damping-monotonicity analysis.
 ``hopf``

@@ -25,16 +25,8 @@ class SingularMatrix(DampLabError):
     """A matrix required to be nonsingular is numerically rank deficient."""
 
 
-class NotSymmetric(DampLabError):
-    """A matrix required to be (complex) symmetric fails the symmetry check."""
-
-
 class PreconditionViolated(DampLabError):
     """An operation's stated precondition does not hold for the given input."""
-
-
-class RankPrincipalNotFound(DampLabError):
-    """No nonsingular principal submatrix of the requested size exists."""
 
 
 class AssumptionViolated(DampLabError):

@@ -1,8 +1,7 @@
 """Dense-matrix numerical kernel.
 
 Quadratic-pencil eigenanalysis via companion linearization, numerical rank,
-the Autonne-Takagi factorization of complex symmetric matrices, and
-classification of eigenvalues relative to the imaginary axis.  Everything
+and classification of eigenvalues relative to the imaginary axis.  Everything
 here is a pure function of small dense arrays; higher modules build the
 dynamical-systems semantics on top.
 """
@@ -15,16 +14,11 @@ from functools import cached_property
 import numpy as np
 
 from . import _validation as val
-from .errors import (
-    NotSymmetric,
-    SingularInertia,
-    SingularLeadingCoefficient,
-)
+from .errors import SingularInertia, SingularLeadingCoefficient
 
 __all__ = [
     "QuadraticPencil",
     "SpectrumReport",
-    "TakagiFactorization",
     "axis_band",
     "classify_spectrum",
     "jacobian_2n",
@@ -35,7 +29,6 @@ __all__ = [
     "pencil_eigenvalues",
     "referenced_jacobian",
     "structural_zero",
-    "takagi",
 ]
 
 
@@ -280,57 +273,3 @@ def subset_distance(sub, full):
     cost = np.abs(sub[:, None] - full[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
-
-
-@dataclass(frozen=True)
-class TakagiFactorization:
-    """Autonne-Takagi factorization ``S = U diag(sigma) U^T`` with unitary U."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-
-    def reconstruct(self):
-        return (self.u * self.sigma) @ self.u.T
-
-    def unitarity_defect(self):
-        n = self.u.shape[0]
-        return float(np.linalg.norm(self.u.conj().T @ self.u - np.eye(n), 2))
-
-
-def takagi(s):
-    """Takagi factorization of a complex symmetric matrix via its SVD.
-
-    Computes ``S = U Sigma U^T`` with ``U`` unitary and ``Sigma`` the singular
-    values in descending order.  Repeated singular values are handled by a
-    blockwise phase correction: within each singular-value cluster the
-    correction ``Q = sqrtm(V^T W)`` rotates the left singular basis so the
-    reconstruction is symmetric-consistent.
-
-    Raises NotSymmetric when ``max|S - S^T| > TOL_SYM * max|S|``
-    (``_validation.TOL_SYM``).
-    """
-    s = val.as_matrix(s, "s", dtype=complex)
-    if not val.is_symmetric(s):
-        raise NotSymmetric("takagi requires a complex symmetric matrix")
-
-    v, sig, wh = np.linalg.svd(s)
-    w = wh.conj().T
-
-    # Cluster near-equal singular values so the phase correction stays
-    # block-unitary when the SVD basis mixes within a multiplet.
-    groups = []
-    start = 0
-    for i in range(1, len(sig) + 1):
-        if i == len(sig) or abs(sig[i] - sig[start]) > 1e-8 * max(sig[0], 1e-300):
-            groups.append(list(range(start, i)))
-            start = i
-
-    import scipy.linalg
-
-    blocks = []
-    for g in groups:
-        z = v[:, g].T @ w[:, g]
-        blocks.append(scipy.linalg.sqrtm(z))
-    q = scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0))
-    u = v @ q.conj()
-    return TakagiFactorization(u=u, sigma=sig)

@@ -2,39 +2,29 @@
 
 Numerically exercises the duality between the imaginary parts of a complex
 symmetric matrix and its inverse, the nonsingularity of rank-one and PSD
-imaginary updates, the rank-principal submatrix search, and the rank
-monotonicity inequality rank(A + iD) <= rank(A + iD + iE) for symmetric A
-and PSD D, E.  The predicates return what they compute; the accompanying
-test suites assert the theorems' conclusions on conforming input.
+imaginary updates, and the rank monotonicity inequality
+rank(A + iD) <= rank(A + iD + iE) for symmetric A and PSD D, E.  The
+predicates return what they compute; the accompanying test suites assert
+the theorems' conclusions on conforming input.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _validation as val
-from .errors import (
-    PreconditionViolated,
-    RankPrincipalNotFound,
-    SingularMatrix,
-)
+from .errors import PreconditionViolated, SingularMatrix
 from .linalg import numerical_rank
 
 __all__ = [
     "PsdPerturbationInstance",
     "check_inverse_imag_duality",
-    "find_rank_principal_submatrix",
     "psd_imag_update_nonsingular",
     "rank_monotonicity_holds",
     "rank_one_imag_update_nonsingular",
 ]
-
-# Exhaustive principal-submatrix search is capped here; C(12, 6) = 924
-# determinants is trivial cost.
-_EXHAUSTIVE_N_MAX = 12
 
 
 def _require_complex_symmetric(s, name="s"):
@@ -90,50 +80,6 @@ def psd_imag_update_nonsingular(s, e):
     if not val.is_psd(e):
         raise PreconditionViolated("e must be positive semidefinite")
     return numerical_rank(s + 1j * e) == s.shape[0]
-
-
-def find_rank_principal_submatrix(s, r=None):
-    """Index set ``alpha`` with ``S[alpha, alpha]`` nonsingular of size ``r = rank(S)``.
-
-    Candidates are tried in descending order of the diagonal pivot magnitudes
-    of a rank-revealing QR factorization, falling back to exhaustive search
-    for n <= 12.  Returns a sorted tuple of 0-based indices.
-
-    Raises RankPrincipalNotFound when the search exhausts; this happens for
-    matrices that are not rank principal (e.g. nilpotent ones), outside the
-    hypothesis of the underlying lemma.
-    """
-    s = val.as_matrix(s, "s", dtype=complex)
-    n = s.shape[0]
-    rank = numerical_rank(s)
-    if r is None:
-        r = rank
-    elif r != rank:
-        raise PreconditionViolated(f"requested size {r} != numerical rank {rank}")
-    if r == 0:
-        return ()
-    if r == n:
-        return tuple(range(n))
-
-    def nonsingular(alpha):
-        sub = s[np.ix_(alpha, alpha)]
-        return numerical_rank(sub) == len(alpha)
-
-    import scipy.linalg
-
-    # Pivoted-QR column order ranks indices by how much mass they carry.
-    _, _, piv = scipy.linalg.qr(s, pivoting=True)
-    candidate = tuple(sorted(piv[:r]))
-    if nonsingular(candidate):
-        return candidate
-
-    if n <= _EXHAUSTIVE_N_MAX:
-        for alpha in itertools.combinations(range(n), r):
-            if nonsingular(alpha):
-                return tuple(alpha)
-    raise RankPrincipalNotFound(
-        f"no nonsingular {r}x{r} principal submatrix found (n={n})"
-    )
 
 
 @dataclass(frozen=True)

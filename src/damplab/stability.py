@@ -351,9 +351,10 @@ def monotonicity_compare(first, second, x0, check=True):
     vector-field Jacobian at ``x0`` (entrywise to ``1e-10 * max(1, max|L|)``);
     in the symmetric setting, ``D_second >= D_first`` (PSD order) forces
     the second axis set to be contained in the first, each second-set
-    eigenvalue matched within ``MATCH_TOL``.  ``check=False`` bypasses the
-    hypothesis validation and recomputes anyway, which is how the
-    unsymmetric counterexample is demonstrated.
+    eigenvalue matched within ``MATCH_TOL``.  A nonsingular inertia is not
+    checked again: :class:`SecondOrderSystem` enforces it on construction.
+    ``check=False`` bypasses the hypothesis validation and recomputes
+    anyway, which is how the unsymmetric counterexample is demonstrated.
     """
     x0 = np.asarray(x0, dtype=float)
     l1 = first.jac(x0)
@@ -367,8 +368,6 @@ def monotonicity_compare(first, second, x0, check=True):
             raise AssumptionViolated("identical vector-field jacobian")
         if not (val.is_symmetric(first.inertia)):
             raise AssumptionViolated("inertia symmetric")
-        if numerical_rank(first.inertia) < first.n:
-            raise AssumptionViolated("inertia nonsingular")
         for name, dmat in (("first", first.damping), ("second", second.damping)):
             if not (val.is_symmetric(dmat) and val.is_psd(dmat)):
                 raise AssumptionViolated(f"{name} damping symmetric PSD")

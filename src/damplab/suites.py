@@ -17,6 +17,7 @@ import numpy as np
 from . import _validation as val
 from . import hopf, stability, swing
 from .linalg import (
+    QuadraticPencil,
     axis_band,
     classify_spectrum,
     jacobian_2n,
@@ -389,7 +390,14 @@ def suite_small_grid_hyperbolicity(seed=DEFAULT_SEED, trials=500):
 
 
 def suite_undamped_pair_family(seed=DEFAULT_SEED, peers=range(2, 7)):
-    """The two-undamped-generator family always carries its imaginary pair."""
+    """The two-undamped-generator family always carries its imaginary pair.
+
+    The builder checks the pair on the Jacobian spectrum; the suite checks
+    it apart from that, as a root of the pencil: the smallest singular
+    value of ``P(i beta)`` relative to ``residual_scale(i beta)`` must stay
+    within ``1e-8``; ``P(-i beta)`` is its conjugate, with the same singular
+    values.
+    """
     rng = np.random.default_rng(seed)
     peers = list(peers)
     result = SuiteResult("undamped_pair_family", len(peers))
@@ -400,11 +408,10 @@ def suite_undamped_pair_family(seed=DEFAULT_SEED, peers=range(2, 7)):
         except Exception as exc:
             result.record(n=n, error=str(exc))
             continue
-        beta = math.sqrt(1.0 + 1.0 / n)
-        eigs = np.linalg.eigvals(jacobian_2n(m, d, l))
-        err = max(
-            np.abs(eigs - 1j * beta).min(), np.abs(eigs + 1j * beta).min()
-        )
+        lam = 1j * math.sqrt(1.0 + 1.0 / n)
+        pencil = QuadraticPencil(m, d, l)
+        smin = np.linalg.svd(pencil.evaluate(lam), compute_uv=False)[-1]
+        err = smin / pencil.residual_scale(lam)
         if err > 1e-8:
             result.record(n=n, error=float(err))
     return result

@@ -480,11 +480,17 @@ def lossless_imaginary_criterion(model, eq, tol_axis=val.TOL_AXIS):
 
 
 def damping_repair_suggestion(model, eq, witnesses):
-    """Generator indices whose damping, once raised from zero, removes the witnesses.
+    """One generator index per witness: the first undamped generator with a
+    nonzero component (above ``TOL_OBS`` times the largest) in the witness
+    vector.
 
-    For each unobservable mode the first undamped generator with a nonzero
-    component in the witness vector is suggested.  Raises NoRepairIndex when
-    a witness has no such component (every nonzero entry already damped).
+    Damping that generator makes this witness vector observable.  It does
+    not always remove the imaginary pair: when the unobservable eigenspace
+    has dimension k >= 2, other vectors of it can still lie in the kernel
+    of the new damping, and several witnesses can name the same generator
+    (a cluster-wise choice is ROADMAP item 9).  The result is not checked.
+    Raises NoRepairIndex when a witness has no such component (every
+    nonzero entry already damped).
     """
     suggestions = []
     for witness in witnesses:

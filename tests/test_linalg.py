@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from damplab import linalg
 from damplab.errors import (
     MatrixShapeError,
-    NotSymmetric,
     SingularInertia,
     SingularLeadingCoefficient,
 )
@@ -231,48 +230,6 @@ class TestNumericalRank:
         idx = rng.permutation(n)[:k]
         sub = a[np.ix_(idx, idx)]
         assert linalg.numerical_rank(sub) <= linalg.numerical_rank(a)
-
-
-class TestTakagi:
-    def test_diagonal(self):
-        fac = linalg.takagi(np.diag([2.0, 1.0]).astype(complex))
-        np.testing.assert_allclose(fac.sigma, [2.0, 1.0])
-        np.testing.assert_allclose(np.abs(fac.u), np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(fac.reconstruct(), np.diag([2.0, 1.0]),
-                                   atol=1e-12)
-
-    def test_antidiagonal_unitary_multiple(self):
-        s = np.array([[0.0, 1j], [1j, 0.0]])
-        fac = linalg.takagi(s)
-        np.testing.assert_allclose(fac.sigma, [1.0, 1.0])
-        np.testing.assert_allclose(fac.reconstruct(), s, atol=1e-12)
-        assert fac.unitarity_defect() < 1e-12
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip_random_symmetric(self, seed):
-        rng = np.random.default_rng(seed)
-        s = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        s = 0.5 * (s + s.T)
-        fac = linalg.takagi(s)
-        norm = np.linalg.norm(s, 2)
-        assert np.linalg.norm(fac.reconstruct() - s, 2) <= 1e-10 * max(norm, 1e-10)
-        assert fac.unitarity_defect() <= 1e-10
-        np.testing.assert_allclose(
-            fac.sigma, np.linalg.svd(s, compute_uv=False), atol=1e-10 * max(norm, 1)
-        )
-
-    def test_rank_deficient(self):
-        rng = np.random.default_rng(5)
-        g = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
-        s = g.T @ g  # complex symmetric, rank 2
-        fac = linalg.takagi(s)
-        assert np.linalg.norm(fac.reconstruct() - s, 2) <= 1e-10 * np.linalg.norm(s, 2)
-        assert fac.unitarity_defect() <= 1e-10
-
-    def test_rejects_unsymmetric(self):
-        with pytest.raises(NotSymmetric):
-            linalg.takagi(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_pencil_jacobian_correspondence():

@@ -306,6 +306,22 @@ class TestMonotonicityCompare:
         assert len(report.axis_set_first) == 0
         assert matching_distance(report.axis_set_second, [1j, -1j]) < 1e-9
 
+    def test_inertia_rank_not_rechecked(self, monkeypatch):
+        # SecondOrderSystem rank-checks the inertia on construction; the
+        # hypothesis check does not decide it again.
+        first = stability.SecondOrderSystem.linear(
+            np.eye(3), np.diag([0.0, 0.0, 1.5]), L_CASE1
+        )
+        second = first.with_damping(np.diag([0.1, 0.1, 1.5]))
+        rank = stability.numerical_rank
+        calls = []
+        monkeypatch.setattr(stability, "numerical_rank",
+                            lambda a: calls.append(a) or rank(a))
+        report = stability.monotonicity_compare(first, second, np.zeros(3),
+                                                check=True)
+        assert report.subset_holds
+        assert calls == []
+
     def test_permuted_jacobian_entries_rejected(self):
         # Same multiset of entries, different matrices: the hypothesis
         # "identical vector-field Jacobian" fails.

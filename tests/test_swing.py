@@ -450,6 +450,22 @@ class TestNonhyperbolicFamily:
         with pytest.raises(AssumptionViolated):
             swing.build_nonhyperbolic_family(1, [])
 
+    def test_suite_records_a_lost_pair(self, monkeypatch):
+        # The suite checks the pair as a pencil root, apart from the
+        # builder's spectral check: damping generator 0 moves the pair off
+        # the axis, and every peer count is recorded.
+        build = swing.build_nonhyperbolic_family
+
+        def damped(n_peers, d_tail):
+            m, d, l = build(n_peers, d_tail)
+            d[0, 0] = 1e-3
+            return m, d, l
+
+        monkeypatch.setattr(swing, "build_nonhyperbolic_family", damped)
+        result = suites.suite_undamped_pair_family()
+        assert [f["n"] for f in result.failures] == [2, 3, 4, 5, 6]
+        assert all(1e-5 < f["error"] < 1e-3 for f in result.failures)
+
 
 class TestSmallGridHyperbolicity:
     def test_case2_with_one_undamped(self):

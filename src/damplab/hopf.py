@@ -32,9 +32,9 @@ import numpy as np
 from . import _validation as val
 from .errors import (
     AssumptionViolated,
+    MatrixShapeError,
     NormalizationFailure,
     NotAnAxisEigenvalue,
-    SingularInertia,
     TheoremViolation,
     TrackingAmbiguity,
 )
@@ -154,7 +154,7 @@ class DampingPath:
     def jacobian(self, gamma):
         d = val.as_matrix(self.damping_of(gamma), "damping", dtype=float)
         if d.shape != self.inertia.shape:
-            raise SingularInertia(f"blocks must all be {self.n}x{self.n}")
+            raise MatrixShapeError(f"blocks must all be {self.n}x{self.n}")
         out = self._template.copy()
         out[-self.n :, -self.n :] = -np.linalg.solve(self.inertia, d)
         return out
@@ -502,13 +502,12 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     r0 = r0 * scale_factor
     v = v * scale_factor
 
-    eigs_t, vecs_t = np.linalg.eig(jac0.T)
-    jdx = np.argmin(np.abs(eigs_t - np.conj(lam)))
-    l0 = vecs_t[:, jdx]
-    inner = np.vdot(l0, r0)
-    if abs(inner) < 1e-12:
-        raise NormalizationFailure("defective crossing eigenvalue: l* r ~ 0")
-    l0 = l0 / np.conj(inner)
+    # l0* is row idx of the inverse eigenvector matrix over the r0 rescaling.
+    try:
+        row = np.linalg.solve(vecs.T, np.eye(vecs.shape[0])[idx])
+    except np.linalg.LinAlgError:
+        raise NormalizationFailure("defective Jacobian: singular eigenvector matrix")
+    l0 = np.conj(row / scale_factor)
 
     djac = path.jacobian_prime(gamma0)
     dlam = eigenvalue_parameter_derivative(jac0, djac, lam, r0, l0)

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _validation as val
-from .errors import SingularInertia, SingularLeadingCoefficient
+from .errors import MatrixShapeError, SingularInertia, SingularLeadingCoefficient
 
 __all__ = [
     "QuadraticPencil",
@@ -75,7 +75,7 @@ class QuadraticPencil:
         a1 = val.as_matrix(self.a1, "a1")
         a0 = val.as_matrix(self.a0, "a0")
         if not (a2.shape == a1.shape == a0.shape):
-            raise SingularLeadingCoefficient(
+            raise MatrixShapeError(
                 f"pencil blocks must share one dimension, got "
                 f"{a2.shape}, {a1.shape}, {a0.shape}"
             )
@@ -143,7 +143,7 @@ def _solved_jacobian(m, d, l):
     """:func:`jacobian_2n` without the rank check, for an inertia checked before."""
     n = m.shape[0]
     if d.shape != (n, n) or l.shape != (n, n):
-        raise SingularInertia(f"blocks must all be {n}x{n}")
+        raise MatrixShapeError(f"blocks must all be {n}x{n}")
     sol = np.linalg.solve(m, np.hstack([l, d]))
     return _block_jacobian(sol[:, :n], sol[:, n:])
 

@@ -13,8 +13,8 @@ Norsett & Wanner, *Solving ODEs I*, II.5, II.6 and II.10): they run at rtol
 steps of scipy's ``solve_ivp`` bit for bit, without ``scipy.integrate``.
 The Poincare machinery locates periodic orbits, stable or unstable, as
 fixed points of the section return map: a scalar root of a two-return
-defect along a section ray brackets the cycle, and Newton's method on the
-return map refines it.
+defect along a section ray (both returns off one orbit) brackets the
+cycle, and Newton's method on the return map refines it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -478,12 +479,12 @@ def _brent(f, a, b, xtol, rtol):
                         best=x_cur, residual=f_cur)
 
 
-def _steps(pair, rhs, t, y, t1, rtol, atol, stops=(), f=None):
+def _steps(pair, rhs, t, y, t1, rtol, atol, stops=()):
     """The accepted steps of the adaptive ``pair`` on ``y' = rhs(t, y)`` from
-    ``(t, y)`` (``f = rhs(t, y)`` if known) to ``t1``, each as ``(t_new,
-    y_new, sol, fired)``: ``sol()`` builds the step's dense output once, and
-    ``fired`` lists ``(time, index)`` of the ``stops`` that fire in the
-    step, earliest first.  The one event rule: a stop ``g(y)`` fires when
+    ``(t, y)`` to ``t1`` (``inf``: until the consumer stops), each as
+    ``(t_new, y_new, sol, fired)``: ``sol()`` builds the step's dense output
+    once, and ``fired`` lists ``(time, index)`` of the ``stops`` that fire in
+    the step, earliest first.  The one event rule: a stop ``g(y)`` fires when
     ``g <= 0`` at the start of a step and ``>= 0`` at its end; Brent's
     method locates it on the dense output to 4 eps.  Steps and crossings
     equal scipy's ``solve_ivp`` with the same pair and events of direction
@@ -493,7 +494,7 @@ def _steps(pair, rhs, t, y, t1, rtol, atol, stops=(), f=None):
     y = np.asarray(y, dtype=float)
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("rtol and atol must be positive and finite")
-    if not (math.isfinite(t) and t <= t1 < math.inf and np.isfinite(y).all()):
+    if not (math.isfinite(t) and t <= t1 and np.isfinite(y).all()):
         raise ValueError("t_span and the state must be finite, t_span increasing")
     if t == t1:
         return
@@ -501,7 +502,7 @@ def _steps(pair, rhs, t, y, t1, rtol, atol, stops=(), f=None):
     def fun(t, y):
         return np.asarray(rhs(t, y), dtype=float)
 
-    f = fun(t, y) if f is None else f
+    f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t1, rtol, atol, pair.order)
     exponent = -1 / (pair.order + 1)
     n = pair.b.size
@@ -563,10 +564,12 @@ def integrate(rhs, x_init, t_span, rtol=RTOL, atol=ATOL, t_eval=None,
     rule, into the trajectory's event log.  Steps, samples and crossings
     equal scipy's ``solve_ivp(method="RK45")`` with ``events`` of direction
     +1.  Raises ValueError and StepSizeUnderflow as :func:`_steps` does, and
-    ValueError for a bad ``t_eval``.
+    ValueError for an infinite end or a bad ``t_eval``.
     """
     x_init = np.asarray(x_init, dtype=float)
     t0, t1 = map(float, t_span)
+    if t1 == math.inf:
+        raise ValueError("t_span must be finite")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.ndim != 1 or not t_eval.size or np.any(np.diff(t_eval) <= 0):
@@ -613,44 +616,44 @@ class LimitCycleEstimate:
     amplitude: Optional[float] = None
 
 
-def _shoot(rhs, x, t_max, stops, rtol, atol, f=None):
+def _shoot(rhs, x, t_max, stops, rtol, atol):
     """``(index, time, state)`` where the ``SHOOTING_METHOD`` orbit of ``x' =
     rhs(t, x)`` from ``x`` at t = 0 ends: at the earliest of ``stops`` to
-    fire, or with index None at ``t_max`` or where the step size underflows;
-    ``f`` is as in :func:`_steps`."""
+    fire, or with index None at ``t_max`` or where the step size underflows."""
     t, y = 0.0, x
     with contextlib.suppress(StepSizeUnderflow):
         for t, y, sol, fired in _steps(SHOOTING_METHOD, rhs, 0.0, x, t_max,
-                                       rtol, atol, stops, f):
+                                       rtol, atol, stops):
             if fired:
                 t, index = fired[0]
                 return index, t, sol()(t)
     return None, t, y
 
 
-def _next_crossing(rhs, section, x_start, rtol, atol, t_max, escape_radius=None):
-    """``(time, state)`` of the first positive-direction section crossing
-    after leaving ``x_start`` (a start on the section first takes a short
-    leg off it), or None.  ``escape_radius`` adds the stop ``|x - anchor| -
-    escape_radius``, so that a runaway orbit gives None quickly, as does no
-    crossing within ``t_max`` and a step-size underflow."""
+def _crossings(rhs, section, x, rtol, atol, escape_radius=None):
+    """The successive positive section crossings ``(time, state)`` of the
+    ``SHOOTING_METHOD`` orbit of ``x' = rhs(t, x)`` from ``x`` at t = 0, a
+    start on the section not being one (the first step's event from there
+    is dropped: a step is far shorter than a return).  The orbit ends
+    outside ``escape_radius`` of the section anchor, where the step size
+    underflows, or with no crossing within ``T_MAX_PER_RETURN`` of the last."""
     stops = [section.value]
     if escape_radius is not None:
         stops.append(lambda y: _norm(y - section.anchor) - escape_radius)
-
-    f = np.asarray(rhs(0.0, x_start), dtype=float)  # the loop's first stage
-    speed = np.linalg.norm(f)
-    if speed == 0:
-        return None
-    x, t_accum = x_start, 0.0
-    if abs(section.value(x_start)) < 1e-12 * (1 + np.linalg.norm(x_start)):
-        dt = 1e-3 / max(speed, 1e-6)
-        _, t_accum, x = _shoot(rhs, x, dt, (), rtol, atol, f)
-        if t_accum < dt:  # the step size underflowed
-            return None
-        f = None
-    hit, t_hit, x_hit = _shoot(rhs, x, t_max, stops, rtol, atol, f)
-    return (t_accum + t_hit, x_hit) if hit == 0 else None
+    on_section = abs(section.value(x)) < 1e-12 * (1 + np.linalg.norm(x))
+    t_last = 0.0
+    with contextlib.suppress(StepSizeUnderflow):
+        for t, _, sol, fired in _steps(SHOOTING_METHOD, rhs, 0.0, x, math.inf,
+                                       rtol, atol, stops):
+            for te, index in fired:
+                if index or te > t_last + T_MAX_PER_RETURN:
+                    return
+                if not on_section:
+                    t_last = te
+                    yield te, sol()(te)
+            if t > t_last + T_MAX_PER_RETURN:
+                return
+            on_section = False
 
 
 def poincare_cycle_search(
@@ -670,14 +673,15 @@ def poincare_cycle_search(
     = 0.25 to 1.6e-8 at 0.33 and 5e-12 at 0.34.  The root is bracketed by
     steps of ``BRACKET_FACTOR`` outward from ``s = |P(seed)|``, then inward,
     and found by Brent's method.  Each launch amplitude is integrated once:
-    the defect is memoized by ``s``, so Brent's first two evaluations, the
-    bracket ends, cost no return.  A probe that leaves ``ESCAPE_FACTOR * s``
-    counts as ``g = +inf``; an escaping end of the bracket is bisected until
-    it comes back finite, and when it has not within ``RETURN_TOL`` its edge
-    is an escape boundary (a saddle's stable manifold, as on case2 at
-    gamma = 0.35), not a cycle.  Step two is Newton on ``P(u) - u`` in
-    section coordinates with a finite-difference Jacobian until ``|P(x) -
-    x| <= RETURN_TOL`` (relative to ``1 + |x|``).  An unstable cycle's
+    P and P^2 are the first two section crossings of one orbit, memoized by
+    ``s``, so Brent's first two evaluations, the bracket ends, cost no
+    return.  A probe that leaves ``ESCAPE_FACTOR * s`` counts as ``g =
+    +inf``; an escaping end of the bracket is bisected until it comes back
+    finite, and when it has not within ``RETURN_TOL`` its edge is an escape
+    boundary (a saddle's stable manifold, as on case2 at gamma = 0.35), not
+    a cycle.  Step two is Newton on ``P(u) - u`` in section coordinates
+    with a finite-difference Jacobian until ``|P(x) - x| <= RETURN_TOL``
+    (relative to ``1 + |x|``).  An unstable cycle's
     spectral radius ``rho > 1`` of that Jacobian amplifies the integration
     error over one period, so the fixed point is re-polished at ``rtol /
     rho`` and ``atol / rho`` by a chord iteration, which keeps the Newton's
@@ -708,29 +712,28 @@ def poincare_cycle_search(
     # A fixed point closer to the section anchor than the capture floor is
     # the equilibrium itself, not a cycle.
     capture_floor = 1e-3 * (1.0 + np.linalg.norm(section.anchor))
-    first = _next_crossing(rhs, section, seed, rtol, atol, T_MAX_PER_RETURN)
+    first = next(_crossings(rhs, section, seed, rtol, atol), None)
     if first is None:
         raise CycleNotFound("the seed's orbit does not return to the section")
     s_first = np.linalg.norm(first[1] - section.anchor)
     if s_first < capture_floor:
         raise CycleNotFound("the seed's first return lies on the equilibrium")
     ray = (first[1] - section.anchor) / s_first
-    first_returns = {}
 
     @functools.cache
+    def launch(s):
+        """``(P(x_s), |P(P(x_s))| - |P(x_s)|)``, both returns off one orbit;
+        the defect is +inf when the orbit escapes first."""
+        returns = [x for _, x in itertools.islice(_crossings(
+            rhs, section, section.anchor + s * ray, rtol, atol,
+            escape_radius=ESCAPE_FACTOR * s), 2)]
+        if len(returns) < 2:
+            return None, np.inf
+        r1, r2 = (np.linalg.norm(x - section.anchor) for x in returns)
+        return returns[0], r2 - r1
+
     def defect(s):
-        """|P(P(x_s))| - |P(x_s)|, or +inf when the orbit escapes."""
-        x = section.anchor + s * ray
-        radii = []
-        for _ in range(2):
-            nxt = _next_crossing(rhs, section, x, rtol, atol, T_MAX_PER_RETURN,
-                                 escape_radius=ESCAPE_FACTOR * s)
-            if nxt is None:
-                return np.inf
-            x = nxt[1]
-            first_returns.setdefault(s, x)
-            radii.append(np.linalg.norm(x - section.anchor))
-        return radii[1] - radii[0]
+        return launch(s)[1]
 
     def bracket():
         """Two launch amplitudes at which the defect has opposite signs.  The
@@ -772,12 +775,9 @@ def poincare_cycle_search(
     m = basis.shape[1]
 
     def return_map(u, tol):
-        x = section.anchor + basis @ u
-        nxt = _next_crossing(rhs, section, x, *tol, T_MAX_PER_RETURN)
-        if nxt is None:
-            raise CycleNotFound("trajectory left the section during refinement")
-        t_ret, x_ret = nxt
-        return basis.T @ (x_ret - section.anchor), t_ret, x_ret
+        for t_ret, x_ret in _crossings(rhs, section, section.anchor + basis @ u, *tol):
+            return basis.T @ (x_ret - section.anchor), t_ret, x_ret
+        raise CycleNotFound("trajectory left the section during refinement")
 
     def newton(u, tol, chord=None):
         """Newton on P(u) - u = 0 in section coordinates from ``u`` until
@@ -806,7 +806,7 @@ def poincare_cycle_search(
         raise CycleNotFound(f"Newton refinement stalled at |P(x)-x| = {err:.2e}")
 
     u, period, err, jac = newton(
-        basis.T @ (first_returns[root] - section.anchor), (rtol, atol)
+        basis.T @ (launch(root)[0] - section.anchor), (rtol, atol)
     )
     rho = float(np.abs(np.linalg.eigvals(jac)).max())
     if rho > 1.0:

@@ -422,8 +422,8 @@ def asymptotic_stability_full_damping(inertia, damping, stiffness):
     m = val.as_matrix(inertia, "inertia", dtype=float)
     d = val.as_matrix(damping, "damping", dtype=float)
     l = val.as_matrix(stiffness, "stiffness", dtype=float)
-    _check_symmetric_setting(m, d, l)
+    _check_symmetric_setting(m, d, l)  # proves M positive definite
     if not val.is_pd(d):
         raise AssumptionViolated("damping symmetric positive definite")
-    eigs = np.linalg.eigvals(jacobian_2n(m, d, l))
+    eigs = np.linalg.eigvals(_solved_jacobian(m, d, l))
     return classify_spectrum(eigs).left_count == eigs.size

@@ -7,9 +7,9 @@ import pytest
 from damplab import hopf, suites, swing
 from damplab.errors import (
     AssumptionViolated,
+    MatrixShapeError,
     NormalizationFailure,
     NotAnAxisEigenvalue,
-    SingularInertia,
     TrackingAmbiguity,
 )
 from damplab.linalg import QuadraticPencil, jacobian_2n, referenced_jacobian
@@ -57,7 +57,7 @@ class TestDampingPath:
             gamma_range=(0.0, 1.0),
             referenced=referenced,
         )
-        with pytest.raises(SingularInertia):
+        with pytest.raises(MatrixShapeError):
             path.jacobian(0.5)
 
     @staticmethod

@@ -77,7 +77,7 @@ class TestPencilEigenvalues:
             assert smin <= 1e-10 * pencil.residual_scale(lam)
 
     def test_mismatched_blocks(self):
-        with pytest.raises(SingularLeadingCoefficient):
+        with pytest.raises(MatrixShapeError):
             linalg.QuadraticPencil(np.eye(2), np.eye(3), np.eye(2))
 
     def test_nan_rejected(self):

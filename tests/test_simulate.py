@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -317,14 +318,32 @@ class TestDormandPrince:
         assert (hit, t) == (fired, sol.t_events[fired][0])
         assert np.array_equal(y, sol.y_events[fired][0])
         assert len(calls) == len(scipy_calls)
-        # The speed check's evaluation is the step loop's first stage.
+        # The crossings of one orbit begin with the same first crossing, at
+        # the same cost; an escape ends the orbit without one.
         calls.clear()
-        ret = simulate._next_crossing(rhs, section, x0, *tol, t_max, radius)
+        ret = next(simulate._crossings(rhs, section, x0, *tol, radius), None)
         assert len(calls) == len(scipy_calls)
         if fired:
             assert ret is None
         else:
             assert ret[0] == t and np.array_equal(ret[1], y)
+
+    def test_crossings_of_one_orbit(self):
+        # From a start on the section each crossing is a whole return of the
+        # harmonic oscillator; a start just off it crosses at once; an orbit
+        # that drifts away from it ends T_MAX_PER_RETURN after its start.
+        section = simulate.PoincareSection(normal=[1.0, 0.0], anchor=[0.0, 0.0])
+        tol = (1e-10, 1e-12)
+        times = [t for t, _ in itertools.islice(
+            simulate._crossings(harmonic, section, [0.0, 1.0], *tol), 3)]
+        np.testing.assert_allclose(times, [2 * math.pi, 4 * math.pi, 6 * math.pi],
+                                   rtol=1e-8)
+        t, x = next(simulate._crossings(harmonic, section, [-1e-3, 1.0], *tol))
+        assert t == pytest.approx(math.atan(1e-3), rel=1e-8)
+        assert abs(x[0]) <= 1e-15
+        drift = simulate._crossings(lambda t, z: np.array([-1.0, 0.0]), section,
+                                    [-1.0, 0.0], *tol)
+        assert list(drift) == []
 
     def test_t_eval_samples_match_rk45(self):
         rhs, x0 = case1_kick()
@@ -429,21 +448,47 @@ class TestPoincareCycleSearch:
     def test_case2_rhs_evaluation_counts(self):
         # Counter gate on the case2 searches: from the mode kick at 0.25 and
         # from the 0.25 anchor at 0.29.  DOP853 returns with the chord
-        # re-polish, each launch amplitude's defect integrated once, take
-        # 10,335 and 12,038 evaluations (11,695 and 13,482 when Brent re-ran
-        # the bracket ends); RK45 returns with a Newton re-polish took 20,351
-        # and 23,526, and return-map iteration with amplitude bisection
-        # 48,912 and 120,020.
+        # re-polish, both returns of each launch amplitude off one orbit,
+        # take 9,832 and 11,408 evaluations (10,335 and 12,038 with a start
+        # leg before each return and a restart at P; 11,695 and 13,482 when
+        # Brent re-ran the bracket ends); RK45 returns with a Newton
+        # re-polish took 20,351 and 23,526, and return-map iteration with
+        # amplitude bisection 48,912 and 120,020.
         rhs, x_eq, section, kick = case2_at(0.25)
         rhs, calls = counted(rhs)
         cycle = simulate.poincare_cycle_search(rhs, section, kick, equilibrium=x_eq)
-        assert len(calls) <= 10_900
+        assert len(calls) <= 10_350
         rhs, x_eq, section, _ = case2_at(0.29)
         rhs, calls = counted(rhs)
         simulate.poincare_cycle_search(
             rhs, section, cycle.anchor_state, equilibrium=x_eq
         )
-        assert len(calls) <= 12_700
+        assert len(calls) <= 12_000
+
+    def test_one_step_size_start_per_launch_amplitude(self, monkeypatch):
+        # Each launch amplitude's defect reads P and P^2 off one orbit, so it
+        # starts the step-size control once; a start leg before each of the
+        # two returns and a restart at P made 4 starts.
+        starts, orbits = [], []
+        crossings, initial_step = simulate._crossings, simulate._initial_step
+
+        def orbit(*args, escape_radius=None):
+            orbits.append((escape_radius, len(starts)))
+            return crossings(*args, escape_radius=escape_radius)
+
+        def start(*args):
+            starts.append(args)
+            return initial_step(*args)
+
+        monkeypatch.setattr(simulate, "_crossings", orbit)
+        monkeypatch.setattr(simulate, "_initial_step", start)
+        rhs, x_eq, section, kick = case2_at(0.25)
+        simulate.poincare_cycle_search(rhs, section, kick, equilibrium=x_eq)
+        # Orbits run one after another; the amplitude orbit starts last.
+        ends = [first for _, first in orbits[1:]] + [len(starts) - 1]
+        per_defect = [end - first for (radius, first), end in zip(orbits, ends)
+                      if radius is not None]
+        assert len(per_defect) > 10 and set(per_defect) == {1}
 
     def test_case2_branch_continues_to_gamma_034(self):
         # Below the homoclinic end gamma_h = 0.34258 the cycle exists; its

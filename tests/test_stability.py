@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from damplab import stability, suites
+from damplab import linalg, stability, suites
 from damplab.errors import AssumptionViolated
 from damplab.linalg import jacobian_2n, matching_distance
 from conftest import L_CASE1, OMEGA_CASE1
@@ -371,6 +371,19 @@ class TestAsymptoticStability:
             stability.asymptotic_stability_full_damping(
                 np.eye(2), np.diag([1.0, 0.0]), np.eye(2)
             )
+
+    def test_inertia_rank_not_rechecked(self, monkeypatch):
+        # The symmetric setting proves M positive definite, so the Jacobian
+        # is built without a second rank decision by SVD.
+        calls = []
+        for module in (linalg, stability):
+            rank = module.numerical_rank
+            monkeypatch.setattr(module, "numerical_rank",
+                                lambda a, rank=rank: calls.append(a) or rank(a))
+        assert stability.asymptotic_stability_full_damping(
+            np.diag([1.0, 2.0]), np.eye(2), np.array([[2.0, -1.0], [-1.0, 2.0]])
+        )
+        assert calls == []
 
     def test_random_spd_triples(self):
         result = suites.suite_full_damping_stability(seed=23, trials=150)

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+#: Machine epsilon of float64.
+_EPS = np.finfo(float).eps
+
+
 def numerical_rank(a):
     """Numerical rank of ``a`` by the standard SVD rule.
 
@@ -40,21 +44,19 @@ def numerical_rank(a):
     Parameters
     ----------
     a : array_like
-        Real or complex matrix.
+        Real or complex matrix, or a stack ``(..., m, n)`` of them.
 
     Returns
     -------
-    int
-        Rank estimate; 0 for the zero matrix.
+    int or ndarray
+        Rank estimate, 0 for a zero or empty matrix; for a stack, one rank
+        per matrix over the leading axes.
     """
-    a = val.as_matrix(a, "a", square=False)
-    if a.size == 0:
-        return 0
+    a = val.as_stack(a, "a", square=False)
     s = np.linalg.svd(a, compute_uv=False)
-    smax = s[0]
-    if smax == 0.0:
-        return 0
-    return int(np.count_nonzero(s > max(a.shape) * np.finfo(float).eps * smax))
+    above = s > max(a.shape[-2:]) * _EPS * s[..., :1]
+    # One matrix counts over all of ``above``: numpy's fast path, an int.
+    return np.count_nonzero(above, axis=-1 if above.ndim > 1 else None)
 
 
 @dataclass(frozen=True)
@@ -140,12 +142,13 @@ def jacobian_2n(inertia, damping, stiffness):
 
 
 def _solved_jacobian(m, d, l):
-    """:func:`jacobian_2n` without the rank check, for an inertia checked before."""
-    n = m.shape[0]
-    if d.shape != (n, n) or l.shape != (n, n):
+    """:func:`jacobian_2n` without the rank check, for an inertia checked
+    before; ``m``, ``d``, ``l`` may be stacks of one shape."""
+    n = m.shape[-1]
+    if d.shape != m.shape or l.shape != m.shape:
         raise MatrixShapeError(f"blocks must all be {n}x{n}")
-    sol = np.linalg.solve(m, np.hstack([l, d]))
-    return _block_jacobian(sol[:, :n], sol[:, n:])
+    sol = np.linalg.solve(m, np.concatenate([l, d], axis=-1))
+    return _block_jacobian(sol[..., :n], sol[..., n:])
 
 
 def referenced_jacobian(minv_l, minv_d):
@@ -163,13 +166,14 @@ def referenced_jacobian(minv_l, minv_d):
 
 def _block_jacobian(minv_l, minv_d, referenced=False):
     """``[[0, T1], [-(M^-1 L)[:, :k], -M^-1 D]]`` with ``T1 = I`` and k = n,
-    or, ``referenced``, ``T1 = [I, -1]`` and k = n - 1."""
-    n = minv_l.shape[0]
+    or, ``referenced``, ``T1 = [I, -1]`` and k = n - 1; one per matrix of
+    stacked blocks."""
+    n = minv_l.shape[-1]
     k = n - 1 if referenced else n
-    out = np.zeros((k + n, k + n))
-    out[:k, k:] = np.hstack([np.eye(k), -np.ones((k, n - k))])
-    out[k:, :k] = -minv_l[:, :k]
-    out[k:, k:] = -minv_d
+    out = np.zeros(minv_l.shape[:-2] + (k + n, k + n))
+    out[..., :k, k:] = np.hstack([np.eye(k), -np.ones((k, n - k))])
+    out[..., k:, :k] = -minv_l[..., :k]
+    out[..., k:, k:] = -minv_d
     return out
 
 

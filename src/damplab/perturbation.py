@@ -6,6 +6,10 @@ imaginary updates, and the rank monotonicity inequality
 rank(A + iD) <= rank(A + iD + iE) for symmetric A and PSD D, E.  The
 predicates return what they compute; the accompanying test suites assert
 the theorems' conclusions on conforming input.
+
+Every predicate takes one matrix or a stack ``(..., n, n)`` of them (with
+the vectors and partners stacked alike) and returns one verdict per
+instance; a failed precondition anywhere in a stack raises.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _validation as val
-from .errors import PreconditionViolated, SingularMatrix
+from .errors import MatrixShapeError, PreconditionViolated, SingularMatrix
 from .linalg import numerical_rank
 
 __all__ = [
@@ -28,15 +32,20 @@ __all__ = [
 
 
 def _require_complex_symmetric(s, name="s"):
-    s = val.as_matrix(s, name, dtype=complex)
-    if not val.is_symmetric(s):
+    s = val.as_stack(s, name, dtype=complex)
+    if not val.every(val.is_symmetric(s)):
         raise PreconditionViolated(f"{name} must be complex symmetric")
     return s
 
 
 def _require_imag_psd(s, name="s"):
-    if not val.is_psd(s.imag):
+    if not val.every(val.is_psd(s.imag)):
         raise PreconditionViolated(f"Im({name}) must be positive semidefinite")
+
+
+def _require_nonsingular(s):
+    if not val.every(numerical_rank(s) == s.shape[-1]):
+        raise PreconditionViolated("s must be nonsingular")
 
 
 def check_inverse_imag_duality(s):
@@ -47,58 +56,61 @@ def check_inverse_imag_duality(s):
     agree whenever the first is definite beyond tolerance.
     """
     s = _require_complex_symmetric(s)
-    n = s.shape[0]
-    if numerical_rank(s) < n:
+    if not val.every(numerical_rank(s) == s.shape[-1]):
         raise SingularMatrix("duality check requires a nonsingular matrix")
-    return bool(val.is_psd(s.imag)), bool(val.is_psd(-np.linalg.inv(s).imag))
+    return val.is_psd(s.imag), val.is_psd(-np.linalg.inv(s).imag)
 
 
 def rank_one_imag_update_nonsingular(s, v):
     """Whether ``S + i v v^T`` is nonsingular (true on conforming input).
 
     Requires S nonsingular complex symmetric with PSD imaginary part and a
-    real vector v.
+    real vector v (one per matrix of a stack).
     """
     s = _require_complex_symmetric(s)
     _require_imag_psd(s)
-    if numerical_rank(s) < s.shape[0]:
-        raise PreconditionViolated("s must be nonsingular")
-    v = val.as_vector(v, "v")
-    updated = s + 1j * np.outer(v, v)
-    return numerical_rank(updated) == s.shape[0]
+    _require_nonsingular(s)
+    v = np.asarray(v, dtype=float)
+    if v.shape != s.shape[:-1] or np.count_nonzero(np.isfinite(v)) != v.size:
+        raise MatrixShapeError(f"v must be finite with shape {s.shape[:-1]}")
+    updated = s + 1j * (v[..., :, None] * v[..., None, :])
+    return numerical_rank(updated) == s.shape[-1]
 
 
 def psd_imag_update_nonsingular(s, e):
     """Whether ``S + iE`` is nonsingular for real PSD ``E`` (true on conforming input)."""
     s = _require_complex_symmetric(s)
     _require_imag_psd(s)
-    if numerical_rank(s) < s.shape[0]:
-        raise PreconditionViolated("s must be nonsingular")
-    e = val.as_matrix(e, "e", dtype=float)
-    if not val.is_symmetric(e):
+    _require_nonsingular(s)
+    e = val.as_stack(e, "e", dtype=float)
+    if e.shape != s.shape:
+        raise MatrixShapeError(f"e must have the shape {s.shape} of s")
+    if not val.every(val.is_symmetric(e)):
         raise PreconditionViolated("e must be real symmetric")
-    if not val.is_psd(e):
+    if not val.every(val.is_psd(e)):
         raise PreconditionViolated("e must be positive semidefinite")
-    return numerical_rank(s + 1j * e) == s.shape[0]
+    return numerical_rank(s + 1j * e) == s.shape[-1]
 
 
 @dataclass(frozen=True)
 class PsdPerturbationInstance:
-    """Triple (A symmetric, D PSD, E PSD) for the rank-monotonicity inequality."""
+    """Triple (A symmetric, D PSD, E PSD) for the rank-monotonicity inequality,
+    or three stacks of one shape holding such triples."""
 
     a: np.ndarray
     d: np.ndarray
     e: np.ndarray
 
     def validate(self):
+        mats = {}
         for name in ("a", "d", "e"):
-            mat = val.as_matrix(getattr(self, name), name, dtype=float)
-            if not val.is_symmetric(mat):
+            mats[name] = val.as_stack(getattr(self, name), name, dtype=float)
+            if not val.every(val.is_symmetric(mats[name])):
                 raise PreconditionViolated(f"{name} must be real symmetric")
-        if self.a.shape != self.d.shape or self.a.shape != self.e.shape:
+        if not mats["a"].shape == mats["d"].shape == mats["e"].shape:
             raise PreconditionViolated("a, d, e must share one dimension")
         for name in ("d", "e"):
-            if not val.is_psd(getattr(self, name)):
+            if not val.every(val.is_psd(mats[name])):
                 raise PreconditionViolated(f"{name} must be positive semidefinite")
         return self
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import _validation as val
-from .errors import AssumptionViolated, TheoremViolation
+from .errors import AssumptionViolated, MatrixShapeError, TheoremViolation
 from .linalg import (
     SpectrumReport,
     _solved_jacobian,
@@ -67,7 +67,8 @@ class SecondOrderSystem:
         self.damping = val.as_matrix(self.damping, "damping", dtype=float)
         n = self.inertia.shape[0]
         if self.damping.shape != (n, n):
-            raise AssumptionViolated("shape", "inertia and damping must match")
+            raise MatrixShapeError(f"damping must be {n}x{n} like the inertia, "
+                                   f"got shape {self.damping.shape}")
         if numerical_rank(self.inertia) < n:
             raise AssumptionViolated("inertia nonsingular")
 
@@ -253,11 +254,13 @@ class HyperbolicityVerdict:
 
 
 def _check_symmetric_setting(m, d, l):
-    if not (val.is_symmetric(m) and val.is_pd(m)):
+    """Raise AssumptionViolated unless M and L are symmetric positive definite
+    and D symmetric PSD, for every matrix of a stack."""
+    if not (val.every(val.is_symmetric(m)) and val.every(val.is_pd(m))):
         raise AssumptionViolated("inertia symmetric positive definite")
-    if not (val.is_symmetric(d) and val.is_psd(d)):
+    if not (val.every(val.is_symmetric(d)) and val.every(val.is_psd(d))):
         raise AssumptionViolated("damping symmetric positive semidefinite")
-    if not (val.is_symmetric(l) and val.is_pd(l)):
+    if not (val.every(val.is_symmetric(l)) and val.every(val.is_pd(l))):
         raise AssumptionViolated("jacobian symmetric positive definite")
 
 
@@ -417,13 +420,17 @@ def asymptotic_stability_full_damping(inertia, damping, stiffness):
     """True iff every Jacobian eigenvalue lies strictly left of the axis.
 
     Requires M, D, L all symmetric positive definite; under those hypotheses
-    the result is always true.
+    the result is always true.  Stacks ``(..., n, n)`` of one shape give one
+    verdict per triple, each spectrum split by :func:`classify_spectrum`.
     """
-    m = val.as_matrix(inertia, "inertia", dtype=float)
-    d = val.as_matrix(damping, "damping", dtype=float)
-    l = val.as_matrix(stiffness, "stiffness", dtype=float)
+    m = val.as_stack(inertia, "inertia", dtype=float)
+    d = val.as_stack(damping, "damping", dtype=float)
+    l = val.as_stack(stiffness, "stiffness", dtype=float)
     _check_symmetric_setting(m, d, l)  # proves M positive definite
-    if not val.is_pd(d):
+    if not val.every(val.is_pd(d)):
         raise AssumptionViolated("damping symmetric positive definite")
     eigs = np.linalg.eigvals(_solved_jacobian(m, d, l))
-    return classify_spectrum(eigs).left_count == eigs.size
+    left = np.empty(eigs.shape[:-1], dtype=bool)
+    for idx in np.ndindex(left.shape):
+        left[idx] = classify_spectrum(eigs[idx]).left_count == eigs.shape[-1]
+    return left[()]

@@ -233,11 +233,31 @@ def suite_referenced_spectrum(seed=DEFAULT_SEED, trials=200):
     return result
 
 
+def _by_size(instances, decide):
+    """Verdicts of ``decide`` on ``instances``, in order, with one call per
+    matrix size.
+
+    Each instance is a tuple of arrays whose first is an n-by-n matrix; the
+    instances of one n are stacked member by member, and ``decide`` returns
+    one verdict per stacked instance.
+    """
+    groups = {}
+    for i, inst in enumerate(instances):
+        groups.setdefault(inst[0].shape[-1], []).append(i)
+    verdicts = [None] * len(instances)
+    for idx in groups.values():
+        stacks = [np.stack(members) for members in zip(*(instances[i] for i in idx))]
+        for i, verdict in zip(idx, decide(*stacks)):
+            verdicts[i] = verdict
+    return verdicts
+
+
 def suite_rank_monotonicity(seed=DEFAULT_SEED, trials=2000):
     """PSD imaginary perturbations never lower the rank of A + iD."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("rank_monotonicity", trials)
-    for k in range(trials):
+    instances = []
+    for _ in range(trials):
         n = int(rng.integers(1, 9))
         style = rng.integers(0, 4)
         if style == 0:
@@ -259,26 +279,38 @@ def suite_rank_monotonicity(seed=DEFAULT_SEED, trials=2000):
             a = np.zeros((n, n))
             d = _psd(rng, n, rank=int(rng.integers(0, n + 1)))
         e = _psd(rng, n, rank=int(rng.integers(0, n + 1)))
-        inst = PsdPerturbationInstance(a=a, d=d, e=e)
-        if not rank_monotonicity_holds(inst):
+        instances.append((a, d, e))
+    holds = _by_size(instances, lambda a, d, e: rank_monotonicity_holds(
+        PsdPerturbationInstance(a=a, d=d, e=e)))
+    for k, ((a, d, e), ok) in enumerate(zip(instances, holds)):
+        if not ok:
             result.record(trial=k, a=a, d=d, e=e)
     return result
+
+
+def _nonsingular_draws(rng, trials, draw_rest):
+    """``trials`` tuples ``(S, *draw_rest(rng, n))`` with S complex symmetric
+    of PSD imaginary part; a candidate S with ``sigma_min(S) < 1e-8`` is
+    dropped before ``draw_rest`` runs."""
+    draws = []
+    while len(draws) < trials:
+        n = int(rng.integers(1, 9))
+        s = _sym(rng, n) + 1j * _psd(rng, n)
+        if np.linalg.svd(s, compute_uv=False)[-1] < 1e-8:
+            continue
+        draws.append((s, *draw_rest(rng, n)))
+    return draws
 
 
 def suite_imag_duality(seed=DEFAULT_SEED, trials=1000):
     """Im(S) PSD iff Im(S^-1) NSD for nonsingular complex symmetric S."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("imag_duality", trials)
-    done = 0
-    while done < trials:
-        n = int(rng.integers(1, 9))
-        s = _sym(rng, n) + 1j * _psd(rng, n)
-        if np.linalg.svd(s, compute_uv=False)[-1] < 1e-8:
-            continue
-        done += 1
-        flags = check_inverse_imag_duality(s)
-        if flags != (True, True):
-            result.record(trial=done, s=s, flags=list(flags))
+    draws = _nonsingular_draws(rng, trials, lambda rng, n: ())
+    flags = _by_size(draws, lambda s: np.stack(check_inverse_imag_duality(s), axis=-1))
+    for k, ((s,), pair) in enumerate(zip(draws, flags), start=1):
+        if not pair.all():
+            result.record(trial=k, s=s, flags=[bool(f) for f in pair])
     return result
 
 
@@ -286,20 +318,15 @@ def suite_imag_updates(seed=DEFAULT_SEED, trials=1000):
     """Rank-one and PSD imaginary updates keep S nonsingular."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("imag_updates", trials)
-    done = 0
-    while done < trials:
-        n = int(rng.integers(1, 9))
-        s = _sym(rng, n) + 1j * _psd(rng, n)
-        if np.linalg.svd(s, compute_uv=False)[-1] < 1e-8:
-            continue
-        done += 1
-        v = rng.normal(size=n)
-        e = _psd(rng, n, rank=int(rng.integers(0, n + 1)))
-        ok_rank_one = rank_one_imag_update_nonsingular(s, v)
-        ok_psd = psd_imag_update_nonsingular(s, e)
+    draws = _nonsingular_draws(rng, trials, lambda rng, n: (
+        rng.normal(size=n), _psd(rng, n, rank=int(rng.integers(0, n + 1)))))
+    oks = _by_size(draws, lambda s, v, e: np.stack(
+        [rank_one_imag_update_nonsingular(s, v), psd_imag_update_nonsingular(s, e)],
+        axis=-1))
+    for k, ((s, v, e), (ok_rank_one, ok_psd)) in enumerate(zip(draws, oks), start=1):
         if not (ok_rank_one and ok_psd):
-            result.record(trial=done, s=s, v=v, e=e,
-                          rank_one=ok_rank_one, psd=ok_psd)
+            result.record(trial=k, s=s, v=v, e=e,
+                          rank_one=bool(ok_rank_one), psd=bool(ok_psd))
     return result
 
 
@@ -355,12 +382,13 @@ def suite_full_damping_stability(seed=DEFAULT_SEED, trials=500):
     """SPD inertia, damping and stiffness force a strictly stable spectrum."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("full_damping_stability", trials)
-    for k in range(trials):
+    instances = []
+    for _ in range(trials):
         n = int(rng.integers(1, 9))
-        m = _spd(rng, n)
-        d = _spd(rng, n, ridge=0.05)
-        l = _spd(rng, n)
-        if not stability.asymptotic_stability_full_damping(m, d, l):
+        instances.append((_spd(rng, n), _spd(rng, n, ridge=0.05), _spd(rng, n)))
+    stable = _by_size(instances, stability.asymptotic_stability_full_damping)
+    for k, ((m, d, l), ok) in enumerate(zip(instances, stable)):
+        if not ok:
             result.record(trial=k, m=m, d=d, l=l)
     return result
 

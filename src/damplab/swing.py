@@ -72,6 +72,13 @@ DRIFT_MAX_ITER = 50
 LOSSLESS_TOL = 1e-9
 
 
+def _edge_mask(y_mag):
+    """Mask of the off-diagonal entries with a nonzero admittance: the lines."""
+    mask = y_mag > 0
+    np.fill_diagonal(mask, False)
+    return mask
+
+
 @dataclass(frozen=True)
 class PowerGridModel:
     """Reduced network data for an n-generator swing-equation model.
@@ -133,7 +140,7 @@ class PowerGridModel:
         n = y.shape[0]
         if n == 1:
             return True
-        adj = (y > 0) & ~np.eye(n, dtype=bool)
+        adj = _edge_mask(y)
         seen = {0}
         frontier = [0]
         while frontier:
@@ -149,14 +156,9 @@ class PowerGridModel:
         return self.y_mag.shape[0]
 
     def edges(self):
-        """Ordered pairs (j, k), j != k, with a nonzero admittance entry."""
-        n = self.n
-        return [
-            (j, k)
-            for j in range(n)
-            for k in range(n)
-            if j != k and self.y_mag[j, k] > 0
-        ]
+        """Ordered pairs (j, k), j != k, with a nonzero admittance entry, in
+        row-major order."""
+        return list(zip(*(idx.tolist() for idx in np.nonzero(_edge_mask(self.y_mag)))))
 
     def with_damping(self, damping_coeff):
         return replace(self, damping_coeff=np.asarray(damping_coeff, dtype=float))
@@ -204,22 +206,15 @@ class PowerGridModel:
 
         Entries with zero admittance magnitude are ignored.
         """
-        for j in range(self.n):
-            if (self.y_mag[j, j] > 0
-                    and abs(self.theta[j, j] + math.pi / 2) > LOSSLESS_TOL):
-                return False
-        for j, k in self.edges():
-            if abs(self.theta[j, k] - math.pi / 2) > LOSSLESS_TOL:
-                return False
-        return True
+        target = np.full(self.theta.shape, math.pi / 2)
+        np.fill_diagonal(target, -math.pi / 2)
+        off = np.abs(self.theta - target) > LOSSLESS_TOL
+        return not (off & (self.y_mag > 0)).any()
 
     def in_omega(self, delta):
         """Whether every edge angle theta_jk - delta_j + delta_k lies in (0, pi)."""
-        phase = self._phase(delta)
-        return all(
-            OMEGA_MARGIN < phase[j, k] < math.pi - OMEGA_MARGIN
-            for j, k in self.edges()
-        )
+        phase = self._phase(delta)[_edge_mask(self.y_mag)]
+        return bool(((OMEGA_MARGIN < phase) & (phase < math.pi - OMEGA_MARGIN)).all())
 
     # -- conversions ------------------------------------------------------
 

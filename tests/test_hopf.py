@@ -336,6 +336,21 @@ class TestHopfConditions:
         with pytest.raises(NotAnAxisEigenvalue):
             hopf.hopf_conditions(case1_path, 0.4)
 
+    def test_off_axis_hinted_eigenvalue_rejected(self, case1_path):
+        # The hint finds the pair, but at gamma = 0.01 its real part, about
+        # -0.005, lies far outside the band.
+        with pytest.raises(NotAnAxisEigenvalue, match="outside the axis band"):
+            hopf.hopf_conditions(case1_path, 0.01, omega_hint=OMEGA_CASE1)
+
+    def test_decided_from_its_own_spectrum(self, case1_path, monkeypatch):
+        # The axis and resonance checks read the eigenvalues of the one
+        # eig(J0): no SVD of J, of J - i omega0 I or of a pencil.
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
+        cert = hopf.hopf_conditions(case1_path, 0.0, omega_hint=OMEGA_CASE1)
+        assert cert.resonance_clear and cert.resonance_kmax >= 2
+        assert calls == []
+
 
 class TestEigenvalueParameterDerivative:
     @pytest.fixture()

@@ -52,19 +52,25 @@ class TestRankOneUpdate:
         assert result.passed, result.failures[:1]
 
     def test_suite_svds_per_trial(self, monkeypatch):
-        # Per accepted trial: the sampling filter, numerical_rank(S) in each
-        # update predicate, and the rank of each updated matrix.
+        # One SVD per accepted trial, the sampling filter; then, per matrix
+        # size, one stacked SVD for numerical_rank(S) in each update
+        # predicate and one for each updated stack.
         svd = np.linalg.svd
         calls = []
 
         def counted(*args, **kw):
-            calls.append(args)
+            calls.append(args[0])
             return svd(*args, **kw)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         result = suites.suite_imag_updates(seed=17, trials=40)
         assert result.passed
-        assert len(calls) == 5 * 40
+        single = [a for a in calls if a.ndim == 2]
+        stacked = [a for a in calls if a.ndim == 3]
+        assert len(single) == 40
+        sizes = {a.shape[-1] for a in single}
+        assert len(stacked) == 4 * len(sizes)
+        assert sum(a.shape[0] for a in stacked) == 4 * 40
 
 
 class TestPsdUpdate:

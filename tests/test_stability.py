@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from damplab import linalg, stability, suites
-from damplab.errors import AssumptionViolated
+from damplab.errors import AssumptionViolated, MatrixShapeError
 from damplab.linalg import jacobian_2n, matching_distance
 from conftest import L_CASE1, OMEGA_CASE1
 
@@ -26,6 +26,13 @@ class TestSecondOrderSystem:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd.append(a))
         assert np.array_equal(system.jacobian_at(np.zeros(3)), want)
         assert svd == []
+
+    def test_mismatched_damping_is_a_shape_error(self):
+        # The fourth shape fault raises MatrixShapeError like the other three.
+        with pytest.raises(MatrixShapeError, match="damping must be 2x2"):
+            stability.SecondOrderSystem(np.eye(2), np.eye(3), lambda x: np.eye(2))
+        with pytest.raises(MatrixShapeError):
+            stability.SecondOrderSystem.linear(np.eye(2), np.ones((2, 3)), np.eye(2))
 
 
 class TestObservability:

@@ -169,6 +169,50 @@ class TestLosslessDetection:
         assert not replace(model, theta=theta).is_lossless()
 
 
+def _loop_predicates(model, delta):
+    """``edges``, ``is_lossless`` and ``in_omega`` as loops over all index pairs."""
+    n = model.n
+    edges = [(j, k) for j in range(n) for k in range(n)
+             if j != k and model.y_mag[j, k] > 0]
+    lossless = all(
+        abs(model.theta[j, j] + math.pi / 2) <= swing.LOSSLESS_TOL
+        for j in range(n) if model.y_mag[j, j] > 0
+    ) and all(abs(model.theta[j, k] - math.pi / 2) <= swing.LOSSLESS_TOL
+              for j, k in edges)
+    phase = model.theta - delta[:, None] + delta[None, :]
+    in_omega = all(swing.OMEGA_MARGIN < phase[j, k] < math.pi - swing.OMEGA_MARGIN
+                   for j, k in edges)
+    return edges, lossless, in_omega
+
+
+class TestStructuralMasks:
+    def test_masks_equal_pair_loops(self):
+        # Random lossless and lossy grids, their zero-admittance entries
+        # (absent lines, absent shunts) carrying arbitrary angles, one line
+        # angle nudged off pi/2 and angles spread across the admissible set.
+        rng = np.random.default_rng(61)
+        seen = set()
+        for trial in range(60):
+            n = int(rng.integers(2, 7))
+            model, eq = (suites.random_lossless_grid(rng, n) if trial % 2
+                         else suites.random_lossy_grid(rng, min(n, 4)))
+            theta = model.theta.copy()
+            zero = model.y_mag == 0
+            theta[zero] = rng.uniform(-3.0, 3.0, size=int(zero.sum()))
+            if trial % 3 == 0:
+                j, k = model.edges()[0]
+                theta[j, k] += rng.choice([-1.0, 1.0]) * 2e-9
+            model = replace(model, theta=theta)
+            delta = eq.delta0 + rng.uniform(-1.0, 1.0, size=model.n) * (trial % 4 < 2)
+            edges, lossless, in_omega = _loop_predicates(model, delta)
+            assert model.edges() == edges
+            assert all(type(j) is int and type(k) is int for j, k in model.edges())
+            assert model.is_lossless() is lossless
+            assert model.in_omega(delta) is in_omega
+            seen.add((lossless, in_omega))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 class TestSolveEquilibrium:
     def test_case1_from_generic_guess(self, case1):
         model, _ = case1

@@ -21,12 +21,12 @@ class SingularInertia(DampLabError):
     """The inertia matrix is numerically singular."""
 
 
-class SingularMatrix(DampLabError):
-    """A matrix required to be nonsingular is numerically rank deficient."""
-
-
 class PreconditionViolated(DampLabError):
     """An operation's stated precondition does not hold for the given input."""
+
+
+class SingularMatrix(PreconditionViolated):
+    """A matrix required to be nonsingular is numerically rank deficient."""
 
 
 class AssumptionViolated(DampLabError):

@@ -7,6 +7,13 @@ checks the crossing conditions (axis eigenvalue, simplicity, transversal
 drift, no resonant eigenvalue at 0 or at a harmonic) and computes the first
 Lyapunov coefficient that decides whether the born cycle is stable.
 
+A path may be a stack of paths of one size, which :func:`sweep` samples
+with one eigen-solve per parameter value for all members; each member's
+sweep is bit for bit the sweep of that path alone.  A sweep pairs
+eigenvalues only on the intervals that may hide a crossing: an interval
+whose upper pair members all lie more than ten axis bands from the axis,
+on one side at both ends, is skipped.
+
 The Lyapunov coefficient follows the standard center-manifold projection
 method: with ``A q = i w0 q``, ``A^T p = -i w0 p``, ``<q,q> = <p,q> = 1``
 and B, C the second/third derivative forms of the vector field (mixed
@@ -22,6 +29,7 @@ Negative l1 means a stable (supercritical) cycle, positive an unstable
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -90,13 +98,20 @@ class DampingPath:
     Jacobian) and all spectra are taken on the reference-bus reduction of
     dimension 2n - 1, which removes the rotational zero eigenvalue.
 
+    A path may also be a stack of paths on one parameter range: inertia and
+    stiffness of one shape ``(..., n, n)`` and a ``damping_of`` that returns
+    that shape.  The stack is validated once, with the checks of one path
+    applied to every member; a member that fails one fails the stack with
+    the error of a single path.
+
     ``rhs_of``/``x0`` optionally supply the frozen-parameter nonlinear
     vector field (of the same reduced dimension as the Jacobian) and its
-    equilibrium, enabling Lyapunov-coefficient computation.
+    equilibrium, enabling Lyapunov-coefficient computation on one path.
 
     The blocks that do not depend on the parameter, ``minv_l = M^-1 L`` too,
     are built at construction: :meth:`jacobian` fills a copy of the Jacobian
-    with one solve for ``M^-1 D(gamma)``.  Do not reassign the fields.
+    (one per member) with one solve for ``M^-1 D(gamma)``.  Do not reassign
+    the fields.
     """
 
     inertia: np.ndarray
@@ -109,17 +124,20 @@ class DampingPath:
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.inertia = val.as_matrix(self.inertia, "inertia", dtype=float)
-        self.stiffness = val.as_matrix(self.stiffness, "stiffness", dtype=float)
-        n = self.inertia.shape[0]
-        if numerical_rank(self.inertia) < n:
+        self.inertia = val.as_stack(self.inertia, "inertia", dtype=float)
+        self.stiffness = val.as_stack(self.stiffness, "stiffness", dtype=float)
+        if self.stiffness.shape != self.inertia.shape:
+            raise MatrixShapeError(f"stiffness must have the shape {self.inertia.shape} "
+                                   f"of the inertia, got {self.stiffness.shape}")
+        if not val.every(numerical_rank(self.inertia) == self.n):
             raise AssumptionViolated("inertia nonsingular")
         lo, hi = self.gamma_range
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise AssumptionViolated("finite nonempty gamma range")
         if self.referenced:
-            rowsum = np.abs(self.stiffness.sum(axis=1)).max()
-            if rowsum > 1e-8 * max(1.0, np.abs(self.stiffness).max()):
+            rowsum = np.abs(self.stiffness.sum(axis=-1)).max(axis=-1)
+            scale = np.maximum(1.0, np.abs(self.stiffness).max(axis=(-2, -1)))
+            if not val.every(rowsum <= 1e-8 * scale):
                 raise AssumptionViolated(
                     "zero row sums", "referenced reduction needs a gauge mode"
                 )
@@ -130,8 +148,8 @@ class DampingPath:
             mid = 0.5 * (lo + hi)
             analytic = np.asarray(self.damping_derivative(mid), dtype=float)
             fd = self._damping_prime_fd(mid)
-            scale = max(np.linalg.norm(analytic, 2), 1e-300)
-            if np.linalg.norm(fd - analytic, 2) > 1e-6 * scale:
+            scale = np.maximum(np.linalg.norm(analytic, 2, axis=(-2, -1)), 1e-300)
+            if not val.every(np.linalg.norm(fd - analytic, 2, axis=(-2, -1)) <= 1e-6 * scale):
                 raise AssumptionViolated(
                     "damping derivative consistency",
                     "analytic derivative disagrees with finite differences",
@@ -139,7 +157,7 @@ class DampingPath:
 
     @property
     def n(self):
-        return self.inertia.shape[0]
+        return self.inertia.shape[-1]
 
     def damping_prime(self, gamma):
         if self.damping_derivative is not None:
@@ -152,19 +170,33 @@ class DampingPath:
         )
 
     def jacobian(self, gamma):
-        d = val.as_matrix(self.damping_of(gamma), "damping", dtype=float)
+        d = val.as_stack(self.damping_of(gamma), "damping", dtype=float)
         if d.shape != self.inertia.shape:
             raise MatrixShapeError(f"blocks must all be {self.n}x{self.n}")
         out = self._template.copy()
-        out[-self.n :, -self.n :] = -np.linalg.solve(self.inertia, d)
+        out[..., -self.n :, -self.n :] = -np.linalg.solve(self.inertia, d)
         return out
 
     def jacobian_prime(self, gamma):
         """d/dgamma of the Jacobian: only the damping block moves."""
         out = np.zeros_like(self._template)
         dprime = self.damping_prime(gamma)
-        out[-self.n :, -self.n :] = -np.linalg.solve(self.inertia, dprime)
+        out[..., -self.n :, -self.n :] = -np.linalg.solve(self.inertia, dprime)
         return out
+
+    def _member(self, index):
+        """Member ``index`` (a tuple over the leading axes) of a stacked path,
+        on the blocks the stack checked and solved."""
+        part = copy.copy(self)
+        part.inertia = self.inertia[index]
+        part.stiffness = self.stiffness[index]
+        part.minv_l = self.minv_l[index]
+        part._template = self._template[index]
+        part.damping_of = lambda g: np.asarray(self.damping_of(g), float)[index]
+        if self.damping_derivative is not None:
+            part.damping_derivative = (
+                lambda g: np.asarray(self.damping_derivative(g), float)[index])
+        return part
 
 
 @dataclass(frozen=True)
@@ -189,8 +221,10 @@ class Sweep:
 
 
 def track_axis_crossing(path, samples=41):
-    """The axis crossings of :func:`sweep` ``(path, samples)``."""
-    return sweep(path, samples).crossings
+    """The axis crossings of :func:`sweep` ``(path, samples)``: one list, or
+    for a stacked path one list per member."""
+    found = sweep(path, samples)
+    return found.crossings if isinstance(found, Sweep) else [s.crossings for s in found]
 
 
 def sweep(path, samples=41):
@@ -205,6 +239,20 @@ def sweep(path, samples=41):
     range is reported with ``boundary=True`` and left unrefined.  Returns
     a :class:`Sweep`, so callers reuse the sampled spectra.
 
+    An interval is skipped before pairing when no crossing can hide in it:
+    when one of its samples has no upper pair member, or when at both
+    samples every upper pair member lies more than ``10 * band`` from the
+    axis on one side (left at both, or right at both).
+
+    A stacked path (see :class:`DampingPath`) is swept with one ``eigvals``
+    call per sample for all members and gives a list of :class:`Sweep`, one
+    per member in C order over the leading axes, each bit for bit the sweep
+    of that member alone (a member's spectrum at a sample is real when all
+    its eigenvalues are, as ``eigvals`` returns it for one matrix).  Scale,
+    pairing, refinement and errors are per member; the first member that
+    raises stops the stack.  One path keeps one 2-d ``eigvals`` call per
+    sample, so a large Jacobian is never held once per sample.
+
     Raises TrackingAmbiguity when a branch's continuation step exceeds half
     the gap between its match and the match's nearest neighbour, or two
     branches share one match, i.e. the grid is too coarse to pair branches.
@@ -214,63 +262,69 @@ def sweep(path, samples=41):
     lo, hi = path.gamma_range
     grid = np.linspace(lo, hi, samples)
     spectra = [np.linalg.eigvals(path.jacobian(g)) for g in grid]
-    scale = max(val.spectral_scale(s) for s in spectra)
+    lead = path.inertia.shape[:-2]
+    table = np.stack(spectra).reshape(samples, -1, spectra[0].shape[-1])
+
+    # Per member: the common scale of all samples, its band, the upper pair
+    # members, and the intervals that cannot hide a crossing.  Pair
+    # collisions far from the axis (e.g. a mode going overdamped) break
+    # nearest-neighbour continuity without any axis activity, so those
+    # intervals are neither paired nor reported as ambiguous.
+    scales = np.maximum(1.0, np.abs(table).max(axis=(0, 2)))
+    bands = axis_band(scales)
+    upper = pair_upper(table, scales[:, None])
+    margin = 10 * bands[:, None]
+    left = np.where(upper, table.real < -margin, True).all(axis=2)
+    right = np.where(upper, table.real > margin, True).all(axis=2)
+    empty = ~upper.any(axis=2)
+    quiet = ((left[:-1] & left[1:]) | (right[:-1] & right[1:])
+             | empty[:-1] | empty[1:])
+    touching = (upper & on_axis(table, bands[:, None])).any(axis=(0, 2))
+    real = ~table.imag.any(axis=2)
+
+    sweeps = []
+    for b in range(table.shape[1]):
+        if lead:
+            member = [table.real[k, b] if real[k, b] else table[k, b]
+                      for k in range(samples)]
+        else:
+            member = spectra
+        crossings = []
+        if touching[b] or not quiet[:, b].all():
+            path_b = path._member(np.unravel_index(b, lead)) if lead else path
+            crossings = _crossings(path_b, grid, table[:, b], upper[:, b],
+                                   float(scales[b]), np.flatnonzero(~quiet[:, b]))
+        sweeps.append(Sweep(gammas=grid, spectra=member, scale=float(scales[b]),
+                            crossings=crossings))
+    return sweeps if lead else sweeps[0]
+
+
+def _crossings(path, grid, table, upper, scale, intervals):
+    """The deduplicated axis crossings of one path from its sampled spectra
+    ``table`` (samples by 2n) with the upper pair mask ``upper``, pairing
+    and refining only on the grid ``intervals`` that may hide one."""
+    hi = path.gamma_range[1]
     band = axis_band(scale)
-    upper = [s[pair_upper(s, scale)] for s in spectra]
-
+    samples = grid.size
     crossings = []
-
-    def refine(a, b, lam_a, lam_b):
-        # Illinois: an end kept twice in a row has its value halved, so the
-        # secant point cannot stall at one end of the bracket.
-        fa, fb = lam_a.real, lam_b.real
-        kept = 0
-        for _ in range(MAX_BISECT):
-            x = (a * fb - b * fa) / (fb - fa)
-            if not a < x < b:
-                x = 0.5 * (a + b)
-            lam_x = _nearest_upper(path, x, lam_a if x - a <= b - x else lam_b, scale)
-            if abs(lam_x.real) <= REFINE_TOL * abs(lam_x):
-                return x, lam_x
-            if np.sign(lam_x.real) == np.sign(fa):
-                a, fa, lam_a = x, lam_x.real, lam_x
-                if kept == 1:
-                    fb *= 0.5
-                kept = 1
-            else:
-                b, fb, lam_b = x, lam_x.real, lam_x
-                if kept == -1:
-                    fa *= 0.5
-                kept = -1
-            if b - a < 1e-15 * max(1.0, abs(hi)):
-                break
-        return x, lam_x
 
     # Samples already on the axis: range endpoints are flagged as boundary
     # crossings (no bracket to refine), interior grid points are ordinary
     # crossings that happen to need no refinement.
-    for k, (g_sample, pairs) in enumerate(zip(grid, upper)):
+    for k in range(samples):
+        pairs = table[k][upper[k]]
         for lam in pairs[on_axis(pairs, band)]:
             crossings.append(
                 AxisCrossing(
-                    gamma=float(g_sample),
+                    gamma=float(grid[k]),
                     omega=float(lam.imag),
                     eigenvalue=complex(lam),
                     boundary=k in (0, samples - 1),
                 )
             )
 
-    for k in range(samples - 1):
-        current, following = upper[k], upper[k + 1]
-        if current.size == 0 or following.size == 0:
-            continue
-        # Pair collisions far from the axis (e.g. a mode going overdamped)
-        # break nearest-neighbour continuity without any axis activity; only
-        # treat ambiguity as fatal when a crossing could hide in it.
-        margin = 10 * band
-        interval_safe = (
-            current.real.max() < -margin and following.real.max() < -margin
-        ) or (current.real.min() > margin and following.real.min() > margin)
+    for k in intervals:
+        current, following = table[k][upper[k]], table[k + 1][upper[k + 1]]
         distance = np.abs(current[:, None] - following[None, :])
         match = np.argmin(distance, axis=1)
         steps = distance[np.arange(current.size), match]
@@ -281,8 +335,6 @@ def sweep(path, samples=41):
         for lam, j, step, gap, twice in zip(current, match, steps, gaps, shared):
             nearest = following[j]
             if (twice or step > 0.5 * gap) and step > band:
-                if interval_safe:
-                    continue
                 what = (
                     "two branches share one continuation match" if twice
                     else f"continuation step {step:.3e} exceeds half the "
@@ -292,7 +344,7 @@ def sweep(path, samples=41):
             if on_axis(lam, band) or on_axis(nearest, band):
                 continue  # boundary case already recorded or handled next interval
             if np.sign(lam.real) != np.sign(nearest.real):
-                g0, lam0 = refine(grid[k], grid[k + 1], lam, nearest)
+                g0, lam0 = _refine(path, grid[k], grid[k + 1], lam, nearest, scale)
                 crossings.append(
                     AxisCrossing(
                         gamma=float(g0),
@@ -312,7 +364,36 @@ def sweep(path, samples=41):
         ):
             continue
         unique.append(c)
-    return Sweep(gammas=grid, spectra=spectra, scale=scale, crossings=unique)
+    return unique
+
+
+def _refine(path, a, b, lam_a, lam_b, scale):
+    """Illinois regula falsi for the crossing of ``Re lam`` in ``(a, b)``;
+    an end kept twice in a row has its value halved, so the secant point
+    cannot stall at one end of the bracket."""
+    hi = path.gamma_range[1]
+    fa, fb = lam_a.real, lam_b.real
+    kept = 0
+    for _ in range(MAX_BISECT):
+        x = (a * fb - b * fa) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        lam_x = _nearest_upper(path, x, lam_a if x - a <= b - x else lam_b, scale)
+        if abs(lam_x.real) <= REFINE_TOL * abs(lam_x):
+            return x, lam_x
+        if np.sign(lam_x.real) == np.sign(fa):
+            a, fa, lam_a = x, lam_x.real, lam_x
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, fb, lam_b = x, lam_x.real, lam_x
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+        if b - a < 1e-15 * max(1.0, abs(hi)):
+            break
+    return x, lam_x
 
 
 def eigenvalue_parameter_derivative(jac, djac, lam, right, left):

@@ -45,7 +45,7 @@ def _require_imag_psd(s, name="s"):
 
 def _require_nonsingular(s):
     if not val.every(numerical_rank(s) == s.shape[-1]):
-        raise PreconditionViolated("s must be nonsingular")
+        raise SingularMatrix("s must be nonsingular")
 
 
 def check_inverse_imag_duality(s):
@@ -56,8 +56,7 @@ def check_inverse_imag_duality(s):
     agree whenever the first is definite beyond tolerance.
     """
     s = _require_complex_symmetric(s)
-    if not val.every(numerical_rank(s) == s.shape[-1]):
-        raise SingularMatrix("duality check requires a nonsingular matrix")
+    _require_nonsingular(s)
     return val.is_psd(s.imag), val.is_psd(-np.linalg.inv(s).imag)
 
 

@@ -11,6 +11,7 @@ diagnostic error instead of a silent wrong answer.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,13 +65,16 @@ class SecondOrderSystem:
 
     def __post_init__(self):
         self.inertia = val.as_matrix(self.inertia, "inertia", dtype=float)
-        self.damping = val.as_matrix(self.damping, "damping", dtype=float)
-        n = self.inertia.shape[0]
-        if self.damping.shape != (n, n):
-            raise MatrixShapeError(f"damping must be {n}x{n} like the inertia, "
-                                   f"got shape {self.damping.shape}")
-        if numerical_rank(self.inertia) < n:
+        self.damping = self._checked_damping(self.damping)
+        if numerical_rank(self.inertia) < self.n:
             raise AssumptionViolated("inertia nonsingular")
+
+    def _checked_damping(self, damping):
+        damping = val.as_matrix(damping, "damping", dtype=float)
+        if damping.shape != self.inertia.shape:
+            raise MatrixShapeError(f"damping must be {self.n}x{self.n} like the inertia, "
+                                   f"got shape {damping.shape}")
+        return damping
 
     @classmethod
     def linear(cls, inertia, damping, stiffness):
@@ -82,7 +86,11 @@ class SecondOrderSystem:
         return self.inertia.shape[0]
 
     def with_damping(self, damping):
-        return SecondOrderSystem(self.inertia, damping, self.jac)
+        """The system with another damping: only the damping is checked, the
+        inertia was checked when this system was built."""
+        system = copy.copy(self)
+        system.damping = self._checked_damping(damping)
+        return system
 
     def jacobian_at(self, x):
         """2n-by-2n Jacobian of the first-order system at state ``(x, 0)``;

@@ -10,7 +10,7 @@ payloads for replay, and are shared between the test suite and the CLI
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from . import _validation as val
 from . import hopf, stability, swing
 from .linalg import (
     QuadraticPencil,
+    _solved_jacobian,
     axis_band,
     classify_spectrum,
     jacobian_2n,
@@ -86,6 +87,24 @@ def _spd(rng, n, ridge=0.1):
     return _psd(rng, n) + ridge * np.eye(n)
 
 
+def _grid_at(rng, y, theta, d, delta):
+    """The model with mechanical powers equal to the flow at ``delta``, and
+    its equilibrium there; voltages and inertia constants are drawn here,
+    in that order."""
+    voltage = rng.uniform(0.95, 1.05, size=y.shape[0])
+    inertia = rng.uniform(0.5, 2.0, size=y.shape[0])
+    model = swing.PowerGridModel(
+        y_mag=y,
+        theta=theta,
+        voltage=voltage,
+        p_mech=swing._flow(swing._coupling_matrix(voltage, y, theta), delta),
+        inertia_const=inertia,
+        damping_coeff=d,
+        omega_s=1.0,
+    )
+    return model, model.equilibrium_at(delta)
+
+
 def random_lossless_grid(rng, n, gamma_profile="positive"):
     """Connected lossless model with an equilibrium in the admissible set.
 
@@ -113,18 +132,7 @@ def random_lossless_grid(rng, n, gamma_profile="positive"):
         d[rng.integers(0, n)] = 0.0
     else:
         d = np.zeros(n)
-    model = swing.PowerGridModel(
-        y_mag=y,
-        theta=theta,
-        voltage=rng.uniform(0.95, 1.05, size=n),
-        p_mech=np.zeros(n),
-        inertia_const=rng.uniform(0.5, 2.0, size=n),
-        damping_coeff=d,
-        omega_s=1.0,
-    )
-    model = replace(model, p_mech=model.flow(delta))
-    eq = model.equilibrium_at(delta)
-    return model, eq
+    return _grid_at(rng, y, theta, d, delta)
 
 
 def random_lossy_grid(rng, n):
@@ -150,18 +158,7 @@ def random_lossy_grid(rng, n):
         theta[j, j] = rng.uniform(-math.pi / 2 + 1e-3, -0.8)
     d = rng.uniform(0.1, 2.0, size=n)
     d[rng.integers(0, n)] = 0.0
-    model = swing.PowerGridModel(
-        y_mag=y,
-        theta=theta,
-        voltage=rng.uniform(0.95, 1.05, size=n),
-        p_mech=np.zeros(n),
-        inertia_const=rng.uniform(0.5, 2.0, size=n),
-        damping_coeff=d,
-        omega_s=1.0,
-    )
-    model = replace(model, p_mech=model.flow(delta))
-    eq = model.equilibrium_at(delta)
-    return model, eq
+    return _grid_at(rng, y, theta, d, delta)
 
 
 # -- suites -----------------------------------------------------------------
@@ -177,8 +174,8 @@ def suite_pencil_vs_jacobian(seed=DEFAULT_SEED, trials=200):
         m = _spd(rng, n)
         d = rng.normal(size=(n, n))
         l = rng.normal(size=(n, n))
-        pencil = pencil_eigenvalues(m, d, l)
-        direct = np.linalg.eigvals(jacobian_2n(m, d, l))
+        pencil = pencil_eigenvalues(m, d, l)  # checks the rank of M once
+        direct = np.linalg.eigvals(_solved_jacobian(m, d, l))
         dist = matching_distance(pencil, direct)
         scale = val.spectral_scale(direct)
         conj_dist = matching_distance(direct, np.conj(direct))
@@ -369,7 +366,7 @@ def suite_damping_monotonicity(seed=DEFAULT_SEED, trials=500):
         d1 = _psd(rng, n, rank=int(rng.integers(0, n + 1)))
         d2 = d1 + _psd(rng, n, rank=int(rng.integers(0, n + 1)))
         first = stability.SecondOrderSystem.linear(m, d1, l)
-        second = stability.SecondOrderSystem.linear(m, d2, l)
+        second = first.with_damping(d2)
         report = stability.monotonicity_compare(first, second, np.zeros(n))
         if not (report.damping_increase_psd and report.subset_holds):
             result.record(trial=k, m=m, l=l, d1=d1, d2=d2,
@@ -464,28 +461,34 @@ def suite_lossless_criterion(seed=DEFAULT_SEED, trials=300):
 
 
 def suite_safe_damping_region(seed=DEFAULT_SEED, trials=500):
-    """PSD-increasing damping paths from a hyperbolic point never cross."""
+    """PSD-increasing damping paths from a hyperbolic point never cross.
+
+    Every path is drawn first; the paths of one n are swept as one stacked
+    :class:`hopf.DampingPath`.
+    """
     rng = np.random.default_rng(seed)
     result = SuiteResult("safe_damping_region", trials)
-    for k in range(trials):
+    instances = []
+    for _ in range(trials):
         n = int(rng.integers(2, 5))
         m = _spd(rng, n)
         l = _spd(rng, n)
         d0 = _spd(rng, n, ridge=0.05)  # SPD start: hyperbolic by stability
         g = rng.normal(size=(n, n))
-        growth = g.T @ g
+        instances.append((m, l, d0, g.T @ g))
 
-        def damping_of(gamma, d0=d0, growth=growth):
-            return d0 + gamma * growth
-
+    def crossings(m, l, d0, growth):
         path = hopf.DampingPath(
-            inertia=m, stiffness=l, damping_of=damping_of,
+            inertia=m, stiffness=l, damping_of=lambda gamma: d0 + gamma * growth,
             gamma_range=(0.0, 2.0),
         )
-        crossings = hopf.track_axis_crossing(path, samples=9)
-        if crossings:
+        return hopf.track_axis_crossing(path, samples=9)
+
+    found = _by_size(instances, crossings)
+    for k, ((m, l, d0, growth), trial_crossings) in enumerate(zip(instances, found)):
+        if trial_crossings:
             result.record(trial=k, m=m, l=l, d0=d0, growth=growth,
-                          gammas=[c.gamma for c in crossings])
+                          gammas=[c.gamma for c in trial_crossings])
     return result
 
 

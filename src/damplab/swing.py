@@ -79,6 +79,22 @@ def _edge_mask(y_mag):
     return mask
 
 
+def _coupling_matrix(voltage, y_mag, theta):
+    """Complex coupling ``G = (V V^T o Y_mag) o exp(i theta)``.
+
+    ``P_e`` and the coupling weights are ``Re`` and ``Im`` of
+    ``conj(z_j) G_jk z_k`` with ``z = exp(i delta)``, so the flow needs n
+    trigonometric calls instead of n^2.
+    """
+    return np.outer(voltage, voltage) * y_mag * np.exp(1j * theta)
+
+
+def _flow(coupling, delta):
+    """Electrical power vector ``Re(conj(z) o G z)`` of the coupling ``G``."""
+    z = np.exp(1j * np.asarray(delta, dtype=float))
+    return (z.conj() * (coupling @ z)).real
+
+
 @dataclass(frozen=True)
 class PowerGridModel:
     """Reduced network data for an n-generator swing-equation model.
@@ -171,19 +187,13 @@ class PowerGridModel:
 
     @functools.cached_property
     def _coupling(self):
-        """Complex coupling ``G = (V V^T o Y_mag) o exp(i theta)``.
-
-        ``P_e`` and the weights are ``Re`` and ``Im`` of
-        ``conj(z_j) G_jk z_k`` with ``z = exp(i delta)``, so the flow needs
-        n trigonometric calls instead of n^2.  Built on first use: most
-        small models of the suites never evaluate a flow.
-        """
-        return np.outer(self.voltage, self.voltage) * self.y_mag * np.exp(1j * self.theta)
+        """:func:`_coupling_matrix` of the model, built on first use: most
+        small models of the suites never evaluate a flow."""
+        return _coupling_matrix(self.voltage, self.y_mag, self.theta)
 
     def flow(self, delta):
         """Electrical power vector P_e(delta), diagonal term included."""
-        z = np.exp(1j * np.asarray(delta, dtype=float))
-        return (z.conj() * (self._coupling @ z)).real
+        return _flow(self._coupling, delta)
 
     def weights(self, delta):
         """Coupling weights w[j,k] = V_j V_k Y_jk sin(theta_jk - delta_j + delta_k)."""

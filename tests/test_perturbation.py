@@ -118,3 +118,16 @@ class TestRankMonotonicity:
     def test_random_conforming_instances(self):
         result = suites.suite_rank_monotonicity(seed=3, trials=400)
         assert result.passed, result.failures[:1]
+
+
+def test_singular_s_raises_one_type_from_every_predicate():
+    s = np.diag([1.0 + 1j, 0.0])
+    for check in (
+        lambda: perturbation.check_inverse_imag_duality(s),
+        lambda: perturbation.rank_one_imag_update_nonsingular(s, np.ones(2)),
+        lambda: perturbation.psd_imag_update_nonsingular(s, np.eye(2)),
+    ):
+        with pytest.raises(SingularMatrix, match="s must be nonsingular"):
+            check()
+        with pytest.raises(PreconditionViolated):
+            check()

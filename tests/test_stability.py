@@ -34,6 +34,48 @@ class TestSecondOrderSystem:
         with pytest.raises(MatrixShapeError):
             stability.SecondOrderSystem.linear(np.eye(2), np.ones((2, 3)), np.eye(2))
 
+    def test_with_damping_checks_only_the_damping(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        m, d1, d2, l = (suites._spd(rng, 3) for _ in range(4))
+        first = stability.SecondOrderSystem.linear(m, d1, l)
+        ranks = []
+        monkeypatch.setattr(stability, "numerical_rank",
+                            lambda a: ranks.append(a) or linalg.numerical_rank(a))
+        second = first.with_damping(d2)
+        assert ranks == []
+        assert second.inertia is first.inertia and second.jac is first.jac
+        assert first.damping is d1 and second.damping is d2
+        assert np.array_equal(second.jacobian_at(np.zeros(3)), jacobian_2n(m, d2, l))
+        with pytest.raises(MatrixShapeError, match="damping must be 3x3"):
+            first.with_damping(np.eye(2))
+        with pytest.raises(MatrixShapeError, match="NaN"):
+            first.with_damping(np.full((3, 3), np.nan))
+
+
+def count_inertia_ranks(monkeypatch):
+    """Record the argument of every ``numerical_rank`` call made through
+    ``linalg`` (pencils, ``jacobian_2n``) or ``stability`` (systems)."""
+    calls = []
+    rank = linalg.numerical_rank
+
+    def counted(a):
+        calls.append(np.asarray(a).tobytes())
+        return rank(a)
+
+    monkeypatch.setattr(linalg, "numerical_rank", counted)
+    monkeypatch.setattr(stability, "numerical_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, trials", [("pencil_vs_jacobian", 200),
+                                          ("damping_monotonicity", 500)])
+def test_suites_check_each_inertia_once(monkeypatch, name, trials):
+    # Both suites used to decide the rank of their one M twice per trial.
+    calls = count_inertia_ranks(monkeypatch)
+    assert suites.SUITES[name]().passed
+    assert len(calls) == trials
+    assert len(set(calls)) == trials
+
 
 class TestObservability:
     def test_zero_output_pair(self):

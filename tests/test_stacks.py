@@ -1,6 +1,7 @@
-"""Predicates on stacks of matrices: one verdict per matrix, bit for bit the
-verdict of one call per matrix, and one LAPACK call per matrix size in the
-perturbation and full-damping suites."""
+"""Predicates and damping sweeps on stacks of matrices: one verdict per
+matrix, bit for bit the verdict of one call per matrix, and one LAPACK call
+per matrix size (per sample, for sweeps) in the perturbation, full-damping
+and safe-damping suites."""
 
 import json
 
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 from damplab import _validation as val
-from damplab import linalg, perturbation, stability, suites
+from damplab import hopf, linalg, perturbation, stability, suites
 from damplab.errors import (AssumptionViolated, MatrixShapeError,
-                            PreconditionViolated, SingularMatrix)
+                            PreconditionViolated, SingularMatrix, TrackingAmbiguity)
 
 SIZES = range(1, 9)
 
@@ -317,3 +318,214 @@ def test_injected_failures_recorded_as_the_per_trial_loop(monkeypatch):
     got = suites.suite_imag_duality(seed=11, trials=300)
     assert 3 <= len(want.failures) < 300
     assert json.dumps(got.failures) == json.dumps(want.failures)
+
+
+# -- damping sweeps on stacks of paths --------------------------------------
+
+
+def sweep_members(rng, n, referenced, count=9):
+    """Inertia, stiffness, start damping and growth of ``count`` paths on
+    (0, 2): every third starts undamped (boundary crossings), every third
+    loses damping along an NSD growth (refined interior crossings), the
+    rest gain it (no crossing)."""
+    out = []
+    for i in range(count):
+        m = suites._spd(rng, n)
+        if referenced:
+            w = np.abs(rng.normal(size=(n, n)))
+            w = w + w.T
+            l = np.diag(w.sum(axis=1)) - w
+        else:
+            l = suites._spd(rng, n)
+        g = rng.normal(size=(n, n))
+        growth = 0.1 * (g.T @ g)
+        if i % 3 == 0:
+            d0 = np.zeros((n, n))
+        elif i % 3 == 1:
+            d0 = 0.1 * suites._spd(rng, n, ridge=0.05)
+            growth = -growth
+        else:
+            d0 = suites._spd(rng, n, ridge=0.05)
+        out.append((m, l, d0, growth))
+    return [np.stack(x) for x in zip(*out)]
+
+
+def stacked_path(m, l, d0, growth, referenced=False):
+    return hopf.DampingPath(inertia=m, stiffness=l,
+                            damping_of=lambda g: d0 + g * growth,
+                            gamma_range=(0.0, 2.0), referenced=referenced)
+
+
+def crossing_bits(crossings):
+    return [(c.gamma.hex(), c.omega.hex(), c.eigenvalue.real.hex(),
+             c.eigenvalue.imag.hex(), c.boundary) for c in crossings]
+
+
+def assert_same_sweep(stacked, alone):
+    assert_same_bits(stacked.gammas, alone.gammas)
+    assert len(stacked.spectra) == len(alone.spectra)
+    for got, want in zip(stacked.spectra, alone.spectra):
+        assert_same_bits(got, want)
+    assert stacked.scale.hex() == float(alone.scale).hex()
+    assert crossing_bits(stacked.crossings) == crossing_bits(alone.crossings)
+
+
+@pytest.mark.parametrize("referenced", [False, True])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_sweep_equals_each_member_alone(n, referenced):
+    rng = np.random.default_rng(10 * n + referenced)
+    m, l, d0, growth = sweep_members(rng, n, referenced)
+    alone, ambiguous = [], []
+    for i in range(len(m)):
+        try:
+            alone.append(hopf.sweep(stacked_path(m[i], l[i], d0[i], growth[i],
+                                                 referenced), samples=41))
+        except TrackingAmbiguity:
+            ambiguous.append(i)
+    keep = [i for i in range(len(m)) if i not in ambiguous]
+    stacked = hopf.sweep(stacked_path(m[keep], l[keep], d0[keep], growth[keep],
+                                      referenced), samples=41)
+    assert len(stacked) == len(keep)
+    for got, want in zip(stacked, alone):
+        assert_same_sweep(got, want)
+    assert hopf.track_axis_crossing(
+        stacked_path(m[keep], l[keep], d0[keep], growth[keep], referenced),
+        samples=41) == [s.crossings for s in alone]
+    if ambiguous:
+        # A member whose own sweep raises makes the stack raise.
+        with pytest.raises(TrackingAmbiguity):
+            hopf.sweep(stacked_path(m, l, d0, growth, referenced), samples=41)
+    if n > 1 + referenced:
+        kinds = {c.boundary for s in alone for c in s.crossings}
+        assert kinds == {True, False}
+
+
+def test_stacked_sweep_over_two_leading_axes():
+    rng = np.random.default_rng(3)
+    m, l, d0, growth = (x.reshape((2, 2) + x.shape[1:])
+                        for x in sweep_members(rng, 2, False, count=4))
+    stacked = hopf.sweep(stacked_path(m, l, d0, growth), samples=41)
+    assert len(stacked) == 4
+    for got, idx in zip(stacked, np.ndindex(2, 2)):
+        assert_same_sweep(got, hopf.sweep(
+            stacked_path(m[idx], l[idx], d0[idx], growth[idx]), samples=41))
+
+
+def test_stacked_path_bad_member_raises_the_single_path_error():
+    rng = np.random.default_rng(4)
+    m, l, d0, growth = sweep_members(rng, 3, False, count=3)
+    singular = m.copy()
+    singular[1] = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(AssumptionViolated, match="inertia"):
+        stacked_path(singular, l, d0, growth)
+    with pytest.raises(MatrixShapeError):
+        stacked_path(m, l[:2], d0, growth)
+    path = stacked_path(m, l, d0, growth)
+    path.damping_of = lambda g: np.zeros((2, 3, 3))
+    with pytest.raises(MatrixShapeError, match="3x3"):
+        hopf.sweep(path, samples=9)
+    nan = d0.copy()
+    nan[2, 0, 1] = np.nan
+    with pytest.raises(MatrixShapeError, match="NaN"):
+        hopf.sweep(stacked_path(m, l, nan, growth), samples=9)
+    laplacian = np.stack([np.array([[1.0, -1.0], [-1.0, 1.0]])] * 2)
+    laplacian[1, 0, 0] = 2.0
+    with pytest.raises(AssumptionViolated, match="gauge mode"):
+        stacked_path(np.stack([np.eye(2)] * 2), laplacian, 0 * laplacian,
+                     0 * laplacian, referenced=True)
+
+
+def test_ambiguous_member_makes_the_stack_raise():
+    # The coarse two-sample path of tests/test_hopf.py next to a path that
+    # sweeps cleanly.
+    clean = (np.eye(2), np.diag([16.0, 16.0]), np.eye(2), np.zeros((2, 2)))
+    coarse = (np.eye(2), np.diag([16.0, 16.0]), np.diag([-2.0, 1.6]),
+              np.diag([4.0, 0.0]))
+    assert hopf.track_axis_crossing(stacked_path(*clean), samples=2) == []
+    for order in ((clean, coarse), (coarse, clean)):
+        with pytest.raises(TrackingAmbiguity):
+            hopf.sweep(stacked_path(*(np.stack(x) for x in zip(*order))), samples=2)
+
+
+def per_trial_safe_damping(seed, trials):
+    """The suite as a per-trial loop: one path and one sweep per trial."""
+    rng = np.random.default_rng(seed)
+    result = suites.SuiteResult("safe_damping_region", trials)
+    for k in range(trials):
+        n = int(rng.integers(2, 5))
+        m = suites._spd(rng, n)
+        l = suites._spd(rng, n)
+        d0 = suites._spd(rng, n, ridge=0.05)
+        g = rng.normal(size=(n, n))
+        growth = g.T @ g
+        path = hopf.DampingPath(inertia=m, stiffness=l,
+                                damping_of=lambda gamma: d0 + gamma * growth,
+                                gamma_range=(0.0, 2.0))
+        crossings = hopf.track_axis_crossing(path, samples=9)
+        if crossings:
+            result.record(trial=k, m=m, l=l, d0=d0, growth=growth,
+                          gammas=[c.gamma for c in crossings])
+    return result
+
+
+def inject_crossings(monkeypatch):
+    """Bend the paths of n < 4 whose inertia has a leading entry above 3 to
+    ``D(gamma) = -0.2 D0 + 0.05 gamma G``: they start anti-damped, gain
+    damping slowly and cross the axis on most draws."""
+    path_class = hopf.DampingPath
+
+    def injected(inertia, stiffness, damping_of, gamma_range):
+        hit = (inertia[..., 0, 0] > 3.0) & (inertia.shape[-1] < 4)
+
+        def bent(gamma):
+            return np.where(hit[..., None, None],
+                            damping_of(0.05 * gamma) - 1.2 * damping_of(0.0),
+                            damping_of(gamma))
+
+        return path_class(inertia=inertia, stiffness=stiffness, damping_of=bent,
+                          gamma_range=gamma_range)
+
+    monkeypatch.setattr(hopf, "DampingPath", injected)
+
+
+def test_safe_damping_failures_recorded_as_the_per_trial_loop(monkeypatch):
+    inject_crossings(monkeypatch)
+    want = per_trial_safe_damping(seed=11, trials=150)
+    got = suites.suite_safe_damping_region(seed=11, trials=150)
+    assert 10 <= len(want.failures) < 150
+    assert any(len(f["gammas"]) > 1 for f in want.failures)
+    assert json.dumps(got.failures) == json.dumps(want.failures)
+
+
+def test_safe_damping_suite_lets_tracking_ambiguity_propagate(monkeypatch):
+    inject_crossings(monkeypatch)
+
+    def vanished(*args):
+        raise TrackingAmbiguity("complex pair vanished during refinement")
+
+    monkeypatch.setattr(hopf, "_nearest_upper", vanished)
+    with pytest.raises(TrackingAmbiguity):
+        per_trial_safe_damping(seed=11, trials=150)
+    with pytest.raises(TrackingAmbiguity):
+        suites.suite_safe_damping_region(seed=11, trials=150)
+
+
+def test_safe_damping_calls_per_size(monkeypatch):
+    # The per-trial loop made 9 eigvals and 10 solves per trial: 4,500 and
+    # 5,000 calls; 3 SVDs check the 500 inertias.
+    calls = count_lapack(monkeypatch)
+    assert suites.suite_safe_damping_region().passed
+    assert tally(calls) == {"eigvals": 27, "solve": 30, "svd": 3}
+    assert tally(calls, ndim=3) == tally(calls)
+
+
+def test_single_path_sweep_solves_one_jacobian_per_call(monkeypatch):
+    # One path keeps one 2-d eigvals call per sample: a stack of all its
+    # samples would hold every Jacobian at once.
+    rng = np.random.default_rng(12)
+    m, l, d0, growth = (x[2] for x in sweep_members(rng, 5, True, count=3))
+    path = stacked_path(m, l, d0, growth, referenced=True)
+    calls = count_lapack(monkeypatch)
+    assert hopf.track_axis_crossing(path, samples=31) == []
+    assert tally(calls, ndim=2)["eigvals"] == 31
+    assert tally(calls, ndim=3) == {}

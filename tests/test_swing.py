@@ -620,3 +620,42 @@ class TestModelFiles:
     def test_absorbed_offsets_recorded(self, case2):
         offsets = case2[0].metadata["absorbed_power_offsets"]
         assert all(abs(c - 1.0) < 1e-3 for c in offsets)
+
+
+def _grid_built_twice(rng, y, theta, d, delta):
+    """The random grids' construction before the flow was computed first: a
+    model with zero powers, then a second one with the flow at ``delta``."""
+    n = y.shape[0]
+    model = swing.PowerGridModel(
+        y_mag=y, theta=theta, voltage=rng.uniform(0.95, 1.05, size=n),
+        p_mech=np.zeros(n), inertia_const=rng.uniform(0.5, 2.0, size=n),
+        damping_coeff=d, omega_s=1.0,
+    )
+    model = replace(model, p_mech=model.flow(delta))
+    return model, model.equilibrium_at(delta)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, n: suites.random_lossless_grid(rng, n, "positive"),
+    lambda rng, n: suites.random_lossless_grid(rng, n, "one_undamped"),
+    lambda rng, n: suites.random_lossy_grid(rng, n),
+])
+def test_random_grid_is_built_once_with_the_same_bits(monkeypatch, draw):
+    built = []
+    post_init = swing.PowerGridModel.__post_init__
+    monkeypatch.setattr(swing.PowerGridModel, "__post_init__",
+                        lambda model: built.append(model) or post_init(model))
+    draws = [draw(np.random.default_rng(seed), n)
+             for seed in range(8) for n in (2, 3, 5)]
+    assert len(built) == len(draws)
+    monkeypatch.setattr(suites, "_grid_at", _grid_built_twice)
+    twice = [draw(np.random.default_rng(seed), n)
+             for seed in range(8) for n in (2, 3, 5)]
+    assert len(built) == 3 * len(draws)
+    for (model, eq), (want, want_eq) in zip(draws, twice):
+        for name in ("y_mag", "theta", "voltage", "p_mech", "inertia_const",
+                     "damping_coeff"):
+            assert getattr(model, name).tobytes() == getattr(want, name).tobytes()
+        assert eq.delta0.tobytes() == want_eq.delta0.tobytes()
+        assert eq.residual.hex() == want_eq.residual.hex()
+        assert eq.in_omega == want_eq.in_omega

@@ -24,6 +24,7 @@ from .linalg import numerical_rank
 
 __all__ = [
     "PsdPerturbationInstance",
+    "UpdateBase",
     "check_inverse_imag_duality",
     "psd_imag_update_nonsingular",
     "rank_monotonicity_holds",
@@ -36,11 +37,6 @@ def _require_complex_symmetric(s, name="s"):
     if not val.every(val.is_symmetric(s)):
         raise PreconditionViolated(f"{name} must be complex symmetric")
     return s
-
-
-def _require_imag_psd(s, name="s"):
-    if not val.every(val.is_psd(s.imag)):
-        raise PreconditionViolated(f"Im({name}) must be positive semidefinite")
 
 
 def _require_nonsingular(s):
@@ -60,15 +56,34 @@ def check_inverse_imag_duality(s):
     return val.is_psd(s.imag), val.is_psd(-np.linalg.inv(s).imag)
 
 
+@dataclass(frozen=True)
+class UpdateBase:
+    """A nonsingular complex symmetric ``S`` with PSD imaginary part (or a
+    stack), as both update predicates require: checked once, on construction,
+    when one ``UpdateBase`` is passed to both instead of ``S``."""
+
+    s: np.ndarray
+
+    def __post_init__(self):
+        s = _require_complex_symmetric(self.s)
+        if not val.every(val.is_psd(s.imag)):
+            raise PreconditionViolated("Im(s) must be positive semidefinite")
+        _require_nonsingular(s)
+        object.__setattr__(self, "s", s)
+
+
+def _update_base(s):
+    """The checked ``S`` of an :class:`UpdateBase` or of a raw matrix (stack)."""
+    return (s if isinstance(s, UpdateBase) else UpdateBase(s)).s
+
+
 def rank_one_imag_update_nonsingular(s, v):
     """Whether ``S + i v v^T`` is nonsingular (true on conforming input).
 
-    Requires S nonsingular complex symmetric with PSD imaginary part and a
-    real vector v (one per matrix of a stack).
+    Requires S nonsingular complex symmetric with PSD imaginary part (or an
+    :class:`UpdateBase`) and a real vector v (one per matrix of a stack).
     """
-    s = _require_complex_symmetric(s)
-    _require_imag_psd(s)
-    _require_nonsingular(s)
+    s = _update_base(s)
     v = np.asarray(v, dtype=float)
     if v.shape != s.shape[:-1] or np.count_nonzero(np.isfinite(v)) != v.size:
         raise MatrixShapeError(f"v must be finite with shape {s.shape[:-1]}")
@@ -78,9 +93,7 @@ def rank_one_imag_update_nonsingular(s, v):
 
 def psd_imag_update_nonsingular(s, e):
     """Whether ``S + iE`` is nonsingular for real PSD ``E`` (true on conforming input)."""
-    s = _require_complex_symmetric(s)
-    _require_imag_psd(s)
-    _require_nonsingular(s)
+    s = _update_base(s)
     e = val.as_stack(e, "e", dtype=float)
     if e.shape != s.shape:
         raise MatrixShapeError(f"e must have the shape {s.shape} of s")

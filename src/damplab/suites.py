@@ -5,6 +5,14 @@ and checks the claim's conclusion on every draw.  Suites are deterministic
 given a seed, return a :class:`SuiteResult` with serializable failure
 payloads for replay, and are shared between the test suite and the CLI
 ``verify`` command.
+
+A random suite states only its draw and its check; :func:`_suite` runs
+them.  Every instance is drawn first, with the rng calls in trial order;
+the check then runs once per instance, or once per matrix size on stacks
+(:func:`_by_size`); failure payloads are recorded in trial order under a
+0-based ``trial`` index.  ``suite_undamped_pair_family`` keeps its own
+loop: it checks a fixed family of peer counts, not random trials, and
+records the peer count ``n``.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .linalg import (
 )
 from .perturbation import (
     PsdPerturbationInstance,
+    UpdateBase,
     check_inverse_imag_duality,
     psd_imag_update_nonsingular,
     rank_monotonicity_holds,
@@ -93,15 +102,17 @@ def _grid_at(rng, y, theta, d, delta):
     in that order."""
     voltage = rng.uniform(0.95, 1.05, size=y.shape[0])
     inertia = rng.uniform(0.5, 2.0, size=y.shape[0])
+    coupling = swing._coupling_matrix(voltage, y, theta)
     model = swing.PowerGridModel(
         y_mag=y,
         theta=theta,
         voltage=voltage,
-        p_mech=swing._flow(swing._coupling_matrix(voltage, y, theta), delta),
+        p_mech=swing._flow(coupling, delta),
         inertia_const=inertia,
         damping_coeff=d,
         omega_s=1.0,
     )
+    vars(model)["_coupling"] = coupling  # fills the cached property: one build per draw
     return model, model.equilibrium_at(delta)
 
 
@@ -164,69 +175,23 @@ def random_lossy_grid(rng, n):
 # -- suites -----------------------------------------------------------------
 
 
-def suite_pencil_vs_jacobian(seed=DEFAULT_SEED, trials=200):
-    """Pencil roots equal the eigenvalues of the companion Jacobian (and the
-    spectrum is closed under conjugation)."""
+def _suite(name, seed, trials, draw, failures, decide=None):
+    """The :class:`SuiteResult` of ``trials`` instances ``draw(rng)``.
+
+    ``failures(*instance)`` gives an instance's failure payloads; with
+    ``decide``, run per size by :func:`_by_size`, ``failures(verdict, *instance)``.
+    """
     rng = np.random.default_rng(seed)
-    result = SuiteResult("pencil_vs_jacobian", trials)
-    for k in range(trials):
-        n = int(rng.integers(2, 7))
-        m = _spd(rng, n)
-        d = rng.normal(size=(n, n))
-        l = rng.normal(size=(n, n))
-        pencil = pencil_eigenvalues(m, d, l)  # checks the rank of M once
-        direct = np.linalg.eigvals(_solved_jacobian(m, d, l))
-        dist = matching_distance(pencil, direct)
-        scale = val.spectral_scale(direct)
-        conj_dist = matching_distance(direct, np.conj(direct))
-        if dist > 1e-8 * scale or conj_dist > 1e-8 * scale:
-            result.record(trial=k, m=m, d=d, l=l, distance=dist,
-                          conj_distance=conj_dist)
-    return result
-
-
-def suite_undamped_map(seed=DEFAULT_SEED, trials=200):
-    """Square-root map between sigma(-M^-1 L) and the undamped spectrum."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("undamped_map", trials)
-    for k in range(trials):
-        n = int(rng.integers(2, 7))
-        m = _spd(rng, n)
-        l = _sym(rng, n)
-        try:
-            stability.undamped_spectral_map(m, l)
-        except Exception as exc:  # TheoremViolation carries the mismatch
-            result.record(trial=k, m=m, l=l, error=str(exc))
-    return result
-
-
-def suite_referenced_spectrum(seed=DEFAULT_SEED, trials=200):
-    """Reference-bus reduction: same nonzero spectrum, inertia loses one zero."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("referenced_spectrum", trials)
-    for k in range(trials):
-        n = int(rng.integers(2, 7))
-        model, eq = random_lossless_grid(rng, n)
-        full = np.linalg.eigvals(
-            model.to_second_order().jacobian_at(eq.delta0)
-        )
-        reduced = np.linalg.eigvals(model.referenced(eq).jacobian())
-        full_report = classify_spectrum(full)
-        red_report = classify_spectrum(reduced)
-        band = axis_band(full_report.scale)
-        dist = matching_distance(full[~structural_zero(full, band)],
-                                 reduced[~structural_zero(reduced, band)])
-        inertia_ok = (
-            full_report.left_count == red_report.left_count
-            and full_report.axis_count == red_report.axis_count + 1
-            and full_report.right_count == red_report.right_count
-        )
-        if dist > 1e-7 * full_report.scale or not inertia_ok:
-            result.record(
-                trial=k, n=n, distance=dist,
-                full_inertia=list(full_report.inertia),
-                reduced_inertia=list(red_report.inertia),
-            )
+    instances = [draw(rng) for _ in range(trials)]
+    if decide is None:
+        found = [failures(*inst) for inst in instances]
+    else:
+        found = [failures(verdict, *inst)
+                 for inst, verdict in zip(instances, _by_size(instances, decide))]
+    result = SuiteResult(name, trials)
+    for k, payloads in enumerate(found):
+        for payload in payloads:
+            result.record(trial=k, **payload)
     return result
 
 
@@ -249,12 +214,59 @@ def _by_size(instances, decide):
     return verdicts
 
 
+def suite_pencil_vs_jacobian(seed=DEFAULT_SEED, trials=200):
+    """Pencil roots equal the eigenvalues of the companion Jacobian (and the
+    spectrum is closed under conjugation)."""
+    def draw(rng):
+        n = int(rng.integers(2, 7))
+        return _spd(rng, n), rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    def failures(m, d, l):
+        pencil = pencil_eigenvalues(m, d, l)  # checks the rank of M once
+        direct = np.linalg.eigvals(_solved_jacobian(m, d, l))
+        dist = matching_distance(pencil, direct)
+        scale = val.spectral_scale(direct)
+        conj_dist = matching_distance(direct, np.conj(direct))
+        if dist > 1e-8 * scale or conj_dist > 1e-8 * scale:
+            yield dict(m=m, d=d, l=l, distance=dist, conj_distance=conj_dist)
+    return _suite("pencil_vs_jacobian", seed, trials, draw, failures)
+
+
+def suite_undamped_map(seed=DEFAULT_SEED, trials=200):
+    """Square-root map between sigma(-M^-1 L) and the undamped spectrum."""
+    def draw(rng):
+        n = int(rng.integers(2, 7))
+        return _spd(rng, n), _sym(rng, n)
+    def failures(m, l):
+        try:
+            stability.undamped_spectral_map(m, l)
+        except Exception as exc:  # TheoremViolation carries the mismatch
+            yield dict(m=m, l=l, error=str(exc))
+    return _suite("undamped_map", seed, trials, draw, failures)
+
+
+def suite_referenced_spectrum(seed=DEFAULT_SEED, trials=200):
+    """Reference-bus reduction: same nonzero spectrum, inertia loses one zero."""
+    def failures(model, eq):
+        full = np.linalg.eigvals(model.to_second_order().jacobian_at(eq.delta0))
+        reduced = np.linalg.eigvals(model.referenced(eq).jacobian())
+        full_report = classify_spectrum(full)
+        red_report = classify_spectrum(reduced)
+        band = axis_band(full_report.scale)
+        dist = matching_distance(full[~structural_zero(full, band)],
+                                 reduced[~structural_zero(reduced, band)])
+        left, axis, right = full_report.inertia
+        inertia_ok = red_report.inertia == (left, axis - 1, right)  # one zero fewer
+        if dist > 1e-7 * full_report.scale or not inertia_ok:
+            yield dict(n=model.n, distance=dist, full_inertia=list(full_report.inertia),
+                       reduced_inertia=list(red_report.inertia))
+    return _suite("referenced_spectrum", seed, trials,
+                  lambda rng: random_lossless_grid(rng, int(rng.integers(2, 7))),
+                  failures)
+
+
 def suite_rank_monotonicity(seed=DEFAULT_SEED, trials=2000):
     """PSD imaginary perturbations never lower the rank of A + iD."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("rank_monotonicity", trials)
-    instances = []
-    for _ in range(trials):
+    def draw(rng):
         n = int(rng.integers(1, 9))
         style = rng.integers(0, 4)
         if style == 0:
@@ -275,56 +287,51 @@ def suite_rank_monotonicity(seed=DEFAULT_SEED, trials=2000):
         else:
             a = np.zeros((n, n))
             d = _psd(rng, n, rank=int(rng.integers(0, n + 1)))
-        e = _psd(rng, n, rank=int(rng.integers(0, n + 1)))
-        instances.append((a, d, e))
-    holds = _by_size(instances, lambda a, d, e: rank_monotonicity_holds(
-        PsdPerturbationInstance(a=a, d=d, e=e)))
-    for k, ((a, d, e), ok) in enumerate(zip(instances, holds)):
-        if not ok:
-            result.record(trial=k, a=a, d=d, e=e)
-    return result
+        return a, d, _psd(rng, n, rank=int(rng.integers(0, n + 1)))
+    return _suite(
+        "rank_monotonicity", seed, trials, draw,
+        lambda ok, a, d, e: () if ok else [dict(a=a, d=d, e=e)],
+        decide=lambda a, d, e: rank_monotonicity_holds(
+            PsdPerturbationInstance(a=a, d=d, e=e)),
+    )
 
 
-def _nonsingular_draws(rng, trials, draw_rest):
-    """``trials`` tuples ``(S, *draw_rest(rng, n))`` with S complex symmetric
-    of PSD imaginary part; a candidate S with ``sigma_min(S) < 1e-8`` is
-    dropped before ``draw_rest`` runs."""
-    draws = []
-    while len(draws) < trials:
+def _nonsingular_s(rng):
+    """S complex symmetric of PSD imaginary part; a candidate with
+    ``sigma_min(S) < 1e-8`` is dropped and drawn again."""
+    while True:
         n = int(rng.integers(1, 9))
         s = _sym(rng, n) + 1j * _psd(rng, n)
-        if np.linalg.svd(s, compute_uv=False)[-1] < 1e-8:
-            continue
-        draws.append((s, *draw_rest(rng, n)))
-    return draws
+        if np.linalg.svd(s, compute_uv=False)[-1] >= 1e-8:
+            return s
 
 
 def suite_imag_duality(seed=DEFAULT_SEED, trials=1000):
     """Im(S) PSD iff Im(S^-1) NSD for nonsingular complex symmetric S."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("imag_duality", trials)
-    draws = _nonsingular_draws(rng, trials, lambda rng, n: ())
-    flags = _by_size(draws, lambda s: np.stack(check_inverse_imag_duality(s), axis=-1))
-    for k, ((s,), pair) in enumerate(zip(draws, flags), start=1):
-        if not pair.all():
-            result.record(trial=k, s=s, flags=[bool(f) for f in pair])
-    return result
+    return _suite(
+        "imag_duality", seed, trials, lambda rng: (_nonsingular_s(rng),),
+        lambda flags, s: () if flags.all() else [
+            dict(s=s, flags=[bool(f) for f in flags])],
+        decide=lambda s: np.stack(check_inverse_imag_duality(s), axis=-1),
+    )
 
 
 def suite_imag_updates(seed=DEFAULT_SEED, trials=1000):
     """Rank-one and PSD imaginary updates keep S nonsingular."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("imag_updates", trials)
-    draws = _nonsingular_draws(rng, trials, lambda rng, n: (
-        rng.normal(size=n), _psd(rng, n, rank=int(rng.integers(0, n + 1)))))
-    oks = _by_size(draws, lambda s, v, e: np.stack(
-        [rank_one_imag_update_nonsingular(s, v), psd_imag_update_nonsingular(s, e)],
-        axis=-1))
-    for k, ((s, v, e), (ok_rank_one, ok_psd)) in enumerate(zip(draws, oks), start=1):
-        if not (ok_rank_one and ok_psd):
-            result.record(trial=k, s=s, v=v, e=e,
-                          rank_one=bool(ok_rank_one), psd=bool(ok_psd))
-    return result
+    def draw(rng):
+        s = _nonsingular_s(rng)
+        n = len(s)
+        return s, rng.normal(size=n), _psd(rng, n, rank=int(rng.integers(0, n + 1)))
+    def decide(s, v, e):
+        base = UpdateBase(s)
+        return np.stack([rank_one_imag_update_nonsingular(base, v),
+                         psd_imag_update_nonsingular(base, e)], axis=-1)
+    return _suite(
+        "imag_updates", seed, trials, draw,
+        lambda oks, s, v, e: () if oks.all() else [
+            dict(s=s, v=v, e=e, rank_one=bool(oks[0]), psd=bool(oks[1]))],
+        decide=decide,
+    )
 
 
 def suite_observability_equivalence(seed=DEFAULT_SEED, trials=500):
@@ -333,85 +340,71 @@ def suite_observability_equivalence(seed=DEFAULT_SEED, trials=500):
     The symmetric observability verdict inside ``hyperbolicity_symmetric``
     is also checked against the PBH test, witness count by witness count.
     """
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("observability_equivalence", trials)
-    for k in range(trials):
+    def draw(rng):
         n = int(rng.integers(2, 7))
-        m = _spd(rng, n)
-        l = _spd(rng, n)
-        d = _psd(rng, n, rank=int(rng.integers(0, n + 1)))
+        return _spd(rng, n), _spd(rng, n), _psd(rng, n, rank=int(rng.integers(0, n + 1)))
+    def failures(m, l, d):
         system = stability.SecondOrderSystem.linear(m, d, l)
         try:
-            verdict = stability.hyperbolicity_symmetric(system, np.zeros(n))
+            verdict = stability.hyperbolicity_symmetric(system, np.zeros(len(m)))
         except Exception as exc:
-            result.record(trial=k, m=m, d=d, l=l, error=str(exc))
-            continue
+            yield dict(m=m, d=d, l=l, error=str(exc))
+            return
         pbh = stability.observability_test(np.linalg.solve(m, l), np.linalg.solve(m, d))
         if len(pbh.witnesses) != len(verdict.observability.witnesses):
-            result.record(trial=k, m=m, d=d, l=l,
-                          error="symmetric and PBH observability disagree")
-    return result
+            yield dict(m=m, d=d, l=l, error="symmetric and PBH observability disagree")
+    return _suite("observability_equivalence", seed, trials, draw, failures)
 
 
 def suite_damping_monotonicity(seed=DEFAULT_SEED, trials=500):
     """More PSD damping never enlarges the imaginary-axis eigenvalue set."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("damping_monotonicity", trials)
-    for k in range(trials):
+    def draw(rng):
         n = int(rng.integers(2, 7))
         m = _sym(rng, n) + np.eye(n) * 0.1  # symmetric nonsingular, sign-free
         if abs(np.linalg.det(m)) < 1e-6:
             m += 0.5 * np.eye(n)
         l = _sym(rng, n)
         d1 = _psd(rng, n, rank=int(rng.integers(0, n + 1)))
-        d2 = d1 + _psd(rng, n, rank=int(rng.integers(0, n + 1)))
+        return m, l, d1, d1 + _psd(rng, n, rank=int(rng.integers(0, n + 1)))
+    def failures(m, l, d1, d2):
         first = stability.SecondOrderSystem.linear(m, d1, l)
-        second = first.with_damping(d2)
-        report = stability.monotonicity_compare(first, second, np.zeros(n))
+        report = stability.monotonicity_compare(first, first.with_damping(d2),
+                                                np.zeros(len(m)))
         if not (report.damping_increase_psd and report.subset_holds):
-            result.record(trial=k, m=m, l=l, d1=d1, d2=d2,
-                          axis_first=report.axis_set_first,
-                          axis_second=report.axis_set_second)
-    return result
+            yield dict(m=m, l=l, d1=d1, d2=d2,
+                       axis_first=report.axis_set_first,
+                       axis_second=report.axis_set_second)
+    return _suite("damping_monotonicity", seed, trials, draw, failures)
 
 
 def suite_full_damping_stability(seed=DEFAULT_SEED, trials=500):
     """SPD inertia, damping and stiffness force a strictly stable spectrum."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("full_damping_stability", trials)
-    instances = []
-    for _ in range(trials):
+    def draw(rng):
         n = int(rng.integers(1, 9))
-        instances.append((_spd(rng, n), _spd(rng, n, ridge=0.05), _spd(rng, n)))
-    stable = _by_size(instances, stability.asymptotic_stability_full_damping)
-    for k, ((m, d, l), ok) in enumerate(zip(instances, stable)):
-        if not ok:
-            result.record(trial=k, m=m, d=d, l=l)
-    return result
+        return _spd(rng, n), _spd(rng, n, ridge=0.05), _spd(rng, n)
+    return _suite(
+        "full_damping_stability", seed, trials, draw,
+        lambda ok, m, d, l: () if ok else [dict(m=m, d=d, l=l)],
+        decide=stability.asymptotic_stability_full_damping,
+    )
 
 
 def suite_small_grid_hyperbolicity(seed=DEFAULT_SEED, trials=500):
     """Lossy 2- and 3-generator grids with one undamped generator stay
     hyperbolic beyond the structural zero."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("small_grid_hyperbolicity", trials)
-    for k in range(trials):
-        n = int(rng.integers(2, 4))
-        model, eq = random_lossy_grid(rng, n)
+    def failures(model, eq):
         try:
             ok = swing.small_n_hyperbolicity_check(model, eq)
         except Exception as exc:
-            result.record(trial=k, n=n, error=str(exc))
-            continue
+            yield dict(n=model.n, error=str(exc))
+            return
         if not ok:
-            result.record(
-                trial=k, n=n,
-                y=model.y_mag, theta=model.theta,
-                volt=model.voltage, pm=model.p_mech,
-                inertia=model.inertia_const, damping=model.damping_coeff,
-                delta0=eq.delta0,
-            )
-    return result
+            yield dict(n=model.n, y=model.y_mag, theta=model.theta,
+                       volt=model.voltage, pm=model.p_mech, inertia=model.inertia_const,
+                       damping=model.damping_coeff, delta0=eq.delta0)
+    return _suite("small_grid_hyperbolicity", seed, trials,
+                  lambda rng: random_lossy_grid(rng, int(rng.integers(2, 4))),
+                  failures)
 
 
 def suite_undamped_pair_family(seed=DEFAULT_SEED, peers=range(2, 7)):
@@ -422,6 +415,9 @@ def suite_undamped_pair_family(seed=DEFAULT_SEED, peers=range(2, 7)):
     value of ``P(i beta)`` relative to ``residual_scale(i beta)`` must stay
     within ``1e-8``; ``P(-i beta)`` is its conjugate, with the same singular
     values.
+
+    It runs a fixed family of peer counts, not random trials, so it keeps
+    its own loop and records the peer count ``n`` instead of a trial index.
     """
     rng = np.random.default_rng(seed)
     peers = list(peers)
@@ -444,88 +440,70 @@ def suite_undamped_pair_family(seed=DEFAULT_SEED, peers=range(2, 7)):
 
 def suite_lossless_criterion(seed=DEFAULT_SEED, trials=300):
     """Lossless grids: imaginary pair iff the damping pair is unobservable."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("lossless_criterion", trials)
-    for k in range(trials):
+    def draw(rng):
         n = int(rng.integers(2, 6))
         profile = "positive" if rng.random() < 0.7 else "one_undamped"
-        model, eq = random_lossless_grid(rng, n, gamma_profile=profile)
+        return (profile, *random_lossless_grid(rng, n, gamma_profile=profile))
+    def failures(profile, model, eq):
         try:
             verdict = swing.lossless_imaginary_criterion(model, eq)
         except Exception as exc:
-            result.record(trial=k, n=n, error=str(exc))
-            continue
+            yield dict(n=model.n, error=str(exc))
+            return
         if profile == "positive" and verdict.imaginary_pair_exists:
-            result.record(trial=k, n=n, error="pair under full damping")
-    return result
+            yield dict(n=model.n, error="pair under full damping")
+    return _suite("lossless_criterion", seed, trials, draw, failures)
 
 
 def suite_safe_damping_region(seed=DEFAULT_SEED, trials=500):
     """PSD-increasing damping paths from a hyperbolic point never cross.
 
-    Every path is drawn first; the paths of one n are swept as one stacked
-    :class:`hopf.DampingPath`.
+    The paths of one n are swept as one stacked :class:`hopf.DampingPath`.
     """
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("safe_damping_region", trials)
-    instances = []
-    for _ in range(trials):
+    def draw(rng):
         n = int(rng.integers(2, 5))
         m = _spd(rng, n)
         l = _spd(rng, n)
         d0 = _spd(rng, n, ridge=0.05)  # SPD start: hyperbolic by stability
         g = rng.normal(size=(n, n))
-        instances.append((m, l, d0, g.T @ g))
-
+        return m, l, d0, g.T @ g
     def crossings(m, l, d0, growth):
-        path = hopf.DampingPath(
-            inertia=m, stiffness=l, damping_of=lambda gamma: d0 + gamma * growth,
-            gamma_range=(0.0, 2.0),
-        )
+        path = hopf.DampingPath(inertia=m, stiffness=l, gamma_range=(0.0, 2.0),
+                                damping_of=lambda gamma: d0 + gamma * growth)
         return hopf.track_axis_crossing(path, samples=9)
-
-    found = _by_size(instances, crossings)
-    for k, ((m, l, d0, growth), trial_crossings) in enumerate(zip(instances, found)):
-        if trial_crossings:
-            result.record(trial=k, m=m, l=l, d0=d0, growth=growth,
-                          gammas=[c.gamma for c in trial_crossings])
-    return result
+    return _suite(
+        "safe_damping_region", seed, trials, draw,
+        lambda found, m, l, d0, growth: [
+            dict(m=m, l=l, d0=d0, growth=growth, gammas=[c.gamma for c in found])
+        ] if found else (),
+        decide=crossings,
+    )
 
 
 def suite_flow_jacobian_fd(seed=DEFAULT_SEED, trials=100):
     """Analytic flow Jacobian agrees with central finite differences."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("flow_jacobian_fd", trials)
-    h = 1e-6
-    for k in range(trials):
+    def draw(rng):
         n = int(rng.integers(2, 6))
-        lossy = rng.random() < 0.5
-        model, eq = (
-            random_lossy_grid(rng, min(n, 3)) if lossy
-            else random_lossless_grid(rng, n)
-        )
-        delta = eq.delta0 + rng.uniform(-0.05, 0.05, size=model.n)
+        model, eq = (random_lossy_grid(rng, min(n, 3)) if rng.random() < 0.5
+                     else random_lossless_grid(rng, n))
+        return model, eq.delta0 + rng.uniform(-0.05, 0.05, size=model.n)
+    def failures(model, delta):
         jac = model.flow_jacobian(delta)
-        fd = np.zeros_like(jac)
-        for i in range(model.n):
-            e = np.zeros(model.n)
-            e[i] = h
-            fd[:, i] = (model.flow(delta + e) - model.flow(delta - e)) / (2 * h)
+        fd = np.stack([hopf._central(model.flow, delta, 1e-6, e_i)
+                       for e_i in np.eye(model.n)], axis=1)
         err = np.abs(jac - fd).max()
         if err > 1e-6 * max(1.0, np.abs(jac).max()):
-            result.record(trial=k, error=float(err))
+            yield dict(error=float(err))
         rowsum = np.abs(jac.sum(axis=1)).max()
         if rowsum > 1e-12 * max(1.0, np.abs(jac).max()):
-            result.record(trial=k, rowsum=float(rowsum))
-    return result
+            yield dict(rowsum=float(rowsum))
+    return _suite("flow_jacobian_fd", seed, trials, draw, failures)
 
 
 def suite_fold_exclusion(seed=DEFAULT_SEED, trials=200):
     """Zero is a Jacobian eigenvalue iff the stiffness matrix is singular,
     independent of damping."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("fold_exclusion", trials)
-    for k in range(trials):
+    def draw(rng):
         n = int(rng.integers(2, 7))
         m = _spd(rng, n)
         singular = bool(rng.integers(0, 2))
@@ -534,13 +512,13 @@ def suite_fold_exclusion(seed=DEFAULT_SEED, trials=200):
             l -= np.diag(l.sum(axis=1))  # zero row sums
         else:
             l = _spd(rng, n)
-        d = _psd(rng, n, rank=int(rng.integers(0, n + 1)))
+        return m, singular, l, _psd(rng, n, rank=int(rng.integers(0, n + 1)))
+    def failures(m, singular, l, d):
         eigs = np.linalg.eigvals(jacobian_2n(m, d, l))
         has_zero = structural_zero(eigs, axis_band(val.spectral_scale(eigs))).any()
         if has_zero != singular:
-            result.record(trial=k, m=m, d=d, l=l, has_zero=bool(has_zero),
-                          singular=singular)
-    return result
+            yield dict(m=m, d=d, l=l, has_zero=bool(has_zero), singular=singular)
+    return _suite("fold_exclusion", seed, trials, draw, failures)
 
 
 SUITES = {

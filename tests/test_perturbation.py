@@ -53,8 +53,8 @@ class TestRankOneUpdate:
 
     def test_suite_svds_per_trial(self, monkeypatch):
         # One SVD per accepted trial, the sampling filter; then, per matrix
-        # size, one stacked SVD for numerical_rank(S) in each update
-        # predicate and one for each updated stack.
+        # size, one stacked SVD for numerical_rank(S), shared by both update
+        # predicates, and one for each updated stack.
         svd = np.linalg.svd
         calls = []
 
@@ -69,8 +69,8 @@ class TestRankOneUpdate:
         stacked = [a for a in calls if a.ndim == 3]
         assert len(single) == 40
         sizes = {a.shape[-1] for a in single}
-        assert len(stacked) == 4 * len(sizes)
-        assert sum(a.shape[0] for a in stacked) == 4 * 40
+        assert len(stacked) == 3 * len(sizes)
+        assert sum(a.shape[0] for a in stacked) == 3 * 40
 
 
 class TestPsdUpdate:

@@ -156,6 +156,11 @@ def test_perturbation_predicates_on_stacks(n):
                                for m, x in zip(s, v)]))
     assert_same_bits(perturbation.psd_imag_update_nonsingular(s, e),
                      loop(perturbation.psd_imag_update_nonsingular, s, e))
+    base = perturbation.UpdateBase(s)  # S checked once, for both updates
+    assert_same_bits(perturbation.rank_one_imag_update_nonsingular(base, v),
+                     perturbation.rank_one_imag_update_nonsingular(s, v))
+    assert_same_bits(perturbation.psd_imag_update_nonsingular(base, e),
+                     perturbation.psd_imag_update_nonsingular(s, e))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -191,6 +196,8 @@ def test_one_bad_member_raises_the_single_matrix_error():
         perturbation.check_inverse_imag_duality(singular)
     with pytest.raises(PreconditionViolated, match="nonsingular"):
         perturbation.rank_one_imag_update_nonsingular(singular, np.ones((3, 3)))
+    with pytest.raises(PreconditionViolated, match="nonsingular"):
+        perturbation.UpdateBase(singular)
     with pytest.raises(MatrixShapeError):
         perturbation.rank_one_imag_update_nonsingular(s, np.ones(3))
     negative = np.stack([np.eye(3), -np.eye(3), np.eye(3)])
@@ -252,9 +259,11 @@ def test_imag_duality_calls_per_size(monkeypatch):
 
 
 def test_imag_updates_calls_per_size(monkeypatch):
+    # S is checked once per size for both updates: 3 SVDs and 2 eigvalsh
+    # per size, where checking it in each predicate made 4 and 3.
     calls = count_lapack(monkeypatch)
     assert suites.suite_imag_updates().passed
-    assert tally(calls, ndim=3) == {"svd": 32, "eigvalsh": 24}
+    assert tally(calls, ndim=3) == {"svd": 24, "eigvalsh": 16}
     assert tally(calls, ndim=2) == {"svd": 1000}
 
 
@@ -288,10 +297,29 @@ def per_trial_imag_duality(seed, trials):
         s = suites._sym(rng, n) + 1j * suites._psd(rng, n)
         if np.linalg.svd(s, compute_uv=False)[-1] < 1e-8:
             continue
-        done += 1
         flags = perturbation.check_inverse_imag_duality(s)
         if flags != (True, True):
             result.record(trial=done, s=s, flags=[bool(f) for f in flags])
+        done += 1
+    return result
+
+
+def per_trial_imag_updates(seed, trials):
+    rng = np.random.default_rng(seed)
+    result = suites.SuiteResult("imag_updates", trials)
+    done = 0
+    while done < trials:
+        n = int(rng.integers(1, 9))
+        s = suites._sym(rng, n) + 1j * suites._psd(rng, n)
+        if np.linalg.svd(s, compute_uv=False)[-1] < 1e-8:
+            continue
+        v = rng.normal(size=n)
+        e = suites._psd(rng, n, rank=int(rng.integers(0, n + 1)))
+        rank_one = perturbation.rank_one_imag_update_nonsingular(s, v)
+        psd = perturbation.psd_imag_update_nonsingular(s, e)
+        if not (rank_one and psd):
+            result.record(trial=done, s=s, v=v, e=e, rank_one=bool(rank_one), psd=bool(psd))
+        done += 1
     return result
 
 
@@ -316,6 +344,19 @@ def test_injected_failures_recorded_as_the_per_trial_loop(monkeypatch):
     monkeypatch.setattr(suites, "check_inverse_imag_duality", injected)
     want = per_trial_imag_duality(seed=11, trials=300)
     got = suites.suite_imag_duality(seed=11, trials=300)
+    assert 3 <= len(want.failures) < 300
+    assert json.dumps(got.failures) == json.dumps(want.failures)
+
+    rank_one = perturbation.rank_one_imag_update_nonsingular
+    psd = perturbation.psd_imag_update_nonsingular
+    for name, injected in (
+        ("rank_one_imag_update_nonsingular", lambda s, v: rank_one(s, v) & (v[..., 0] < 1.0)),
+        ("psd_imag_update_nonsingular", lambda s, e: psd(s, e) & (e[..., 0, 0] < 2.0)),
+    ):
+        monkeypatch.setattr(perturbation, name, injected)
+        monkeypatch.setattr(suites, name, injected)
+    want = per_trial_imag_updates(seed=11, trials=300)
+    got = suites.suite_imag_updates(seed=11, trials=300)
     assert 3 <= len(want.failures) < 300
     assert json.dumps(got.failures) == json.dumps(want.failures)
 

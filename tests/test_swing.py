@@ -645,9 +645,18 @@ def test_random_grid_is_built_once_with_the_same_bits(monkeypatch, draw):
     post_init = swing.PowerGridModel.__post_init__
     monkeypatch.setattr(swing.PowerGridModel, "__post_init__",
                         lambda model: built.append(model) or post_init(model))
+    couplings = []
+    coupling_matrix = swing._coupling_matrix
+    monkeypatch.setattr(swing, "_coupling_matrix",
+                        lambda *args: couplings.append(1) or coupling_matrix(*args))
     draws = [draw(np.random.default_rng(seed), n)
              for seed in range(8) for n in (2, 3, 5)]
     assert len(built) == len(draws)
+    # one coupling matrix per draw: the flow at the equilibrium reuses it
+    assert len(couplings) == len(draws)
+    for model, eq in draws:
+        model.flow(eq.delta0)
+    assert len(couplings) == len(draws)
     monkeypatch.setattr(suites, "_grid_at", _grid_built_twice)
     twice = [draw(np.random.default_rng(seed), n)
              for seed in range(8) for n in (2, 3, 5)]

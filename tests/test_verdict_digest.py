@@ -1,4 +1,9 @@
-from damplab import suites, swing
+import dataclasses
+from types import SimpleNamespace
+
+import numpy as np
+
+from damplab import hopf, stability, suites, swing
 
 import verdict_digest
 
@@ -20,3 +25,93 @@ def test_seed_line_names_failing_trials(monkeypatch):
     line = verdict_digest.seed_line(3, scale=0.03)
     assert line.startswith("seed 3: flow_jacobian_fd[0, 1, 2] sha256 ")
     assert verdict_digest.seed_line(3, scale=0.03) == line
+
+
+#: ``seed_line(5, scale=0.05)`` under ``_inject_failures``, as the per-trial
+#: loops of each suite printed it before the shared suite skeleton.
+INJECTED_LINE = (
+    "seed 5: pencil_vs_jacobian[0, 1, 2, 3, 4, 5, 7, 9] undamped_map[0, "
+    "1, 5, 7, 8] referenced_spectrum[0, 2, 3, 4, 5, 6, 7, 9] "
+    "rank_monotonicity[7, 20, 26, 30, 32, 34, 39, 41, 44, 47, 71, 77, 80, "
+    "82, 86, 89, 94] observability_equivalence[0, 1, 2, 3, 4, 5, 6, 7, 8, "
+    "9, 10, 11, 13, 14, 15, 16, 17, 18, 20, 21, 23, 24] "
+    "damping_monotonicity[6, 10, 12, 14, 19, 20] "
+    "full_damping_stability[0, 1, 2, 5, 6, 8, 11, 13, 15, 16, 18, 19, 21, "
+    "22, 23, 24] small_grid_hyperbolicity[1, 4, 8, 10, 12, 15, 16, 18, "
+    "21, 22, 23, 24] undamped_pair_family[3] lossless_criterion[1, 2, 3, "
+    "4, 7, 11, 12, 14] safe_damping_region[0, 3, 4, 5, 7, 12, 17, 20, 22] "
+    "flow_jacobian_fd[0, 0, 1, 1, 2, 2] fold_exclusion[0, 1] "
+    "sha256 1a9c0dc6ae8d88759056554722d76fcfa5852f766a1b675ba7545a16b17a1c29"
+)
+
+
+def _inject_failures(monkeypatch):
+    """Make the checks of all suites but the two imaginary-part suites fail
+    on some of their instances, picked by the instance's data, through each
+    kind of payload the suites record: caught errors, false verdicts and
+    the numbers behind them.  (The imaginary-part suites numbered their
+    trials from 1 before the shared suite skeleton; ``tests/test_stacks.py``
+    pins their payloads under failure against per-trial loops.)"""
+    def wrap(owner, name, make):
+        monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+
+    def fail(message):
+        raise ValueError(message)
+
+    def monotonicity(f):
+        def injected(first, second, x0):
+            report = f(first, second, x0)
+            return dataclasses.replace(
+                report, subset_holds=report.subset_holds and first.inertia[0, 0] < 0.5)
+        return injected
+
+    def lossless(f):
+        def injected(model, eq):
+            if model.inertia_const[0] > 1.7:
+                fail("injected criterion")
+            if model.inertia_const[0] < 0.8:
+                return SimpleNamespace(imaginary_pair_exists=True)
+            return f(model, eq)
+        return injected
+
+    def crossings(f):
+        def injected(path, samples):
+            return [found + [SimpleNamespace(gamma=1.0)] if m[0, 0] > 3.0 else found
+                    for found, m in zip(f(path, samples=samples), path.inertia)]
+        return injected
+
+    wrap(suites, "pencil_eigenvalues", lambda f: lambda m, d, l: (
+        f(m, d, l) + (m[0, 0] > 3.0)))
+    wrap(stability, "undamped_spectral_map", lambda f: lambda m, l: (
+        fail("injected map") if m[0, 0] > 3.0 else f(m, l)))
+    wrap(swing.ReferencedGridSystem, "jacobian", lambda f: lambda system, u=None: (
+        f(system, u) + 0.5 * (system.model.inertia_const[0] > 1.2)))
+    wrap(suites, "rank_monotonicity_holds", lambda f: lambda inst: (
+        f(inst) & (inst.a[..., 0, 0] < 0.5)))
+    wrap(stability, "hyperbolicity_symmetric", lambda f: lambda system, x0: (
+        fail("injected verdict") if system.inertia[0, 0] > 4.0 else f(system, x0)))
+    wrap(stability, "observability_test", lambda f: lambda a, b: (
+        SimpleNamespace(witnesses=[None] * 7) if a[0, 0] > 3.0 else f(a, b)))
+    wrap(stability, "monotonicity_compare", monotonicity)
+    wrap(stability, "asymptotic_stability_full_damping", lambda f: lambda m, d, l: (
+        f(m, d, l) & (m[..., 0, 0] < 4.0)))
+    wrap(swing, "small_n_hyperbolicity_check", lambda f: lambda model, eq: (
+        fail("injected check") if model.inertia_const[0] > 1.7
+        else f(model, eq) and model.inertia_const[0] > 0.8))
+    wrap(swing, "build_nonhyperbolic_family", lambda f: lambda n, d_tail: (
+        fail("injected family") if n == 3
+        else tuple(x + 0.1 * (n == 5) for x in f(n, d_tail))))
+    wrap(swing, "lossless_imaginary_criterion", lossless)
+    wrap(hopf, "track_axis_crossing", crossings)
+    wrap(swing.PowerGridModel, "flow_jacobian", lambda f: lambda model, delta: (
+        f(model, delta) + 1e-3 * (model.inertia_const[1] > 1.2)))
+    wrap(suites, "jacobian_2n", lambda f: lambda m, d, l: (
+        f(m, d, l) + 0.5 * (m[0, 0] > 3.0) * np.eye(2 * len(m))))
+
+
+def test_failure_payload_bytes_under_injected_failures(monkeypatch):
+    # The failing trials and the sha256 of their payloads are those the
+    # per-trial loops recorded under the same injections.
+    _inject_failures(monkeypatch)
+    assert verdict_digest.seed_line(5, scale=0.05) == INJECTED_LINE
+

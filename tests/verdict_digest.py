@@ -1,10 +1,11 @@
 """Verdict digest of the verification suites on seeds 0-39.
 
 Runs ``suites.run_all(seed)`` at the default trial counts for every seed,
-on one BLAS thread (about 150 s), and prints one line per seed: the failing
-suites with the indices of their failing trials, and the sha256 of the
-failure payloads as JSON.  Two checkouts that print the same lines reach
-the same verdicts, in the same trials, with byte-identical payloads::
+on one BLAS thread (about 50 s on a 2-core x86 host), and prints one line
+per seed: the failing suites with the indices of their failing trials, and
+the sha256 of the failure payloads as JSON.  Two checkouts that print the
+same lines reach the same verdicts, in the same trials, with byte-identical
+payloads::
 
     python3 tests/verdict_digest.py > before.txt
     diff before.txt after.txt

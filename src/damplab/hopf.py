@@ -2,10 +2,14 @@
 
 A :class:`DampingPath` freezes a second-order system at an equilibrium and
 lets the damping matrix vary with one real parameter.  The module tracks
-eigenvalue branches across the sweep, refines imaginary-axis crossings,
-checks the crossing conditions (axis eigenvalue, simplicity, transversal
-drift, no resonant eigenvalue at 0 or at a harmonic) and computes the first
-Lyapunov coefficient that decides whether the born cycle is stable.
+eigenvalue branches across the sweep and refines imaginary-axis crossings;
+for a path whose damping moves along one rank-one direction,
+:func:`track_axis_crossing` reads the crossings off the frequency response
+of the quadratic pencil instead and confirms them with a few dense
+spectra.  It checks the crossing conditions (axis eigenvalue, simplicity,
+transversal drift, no resonant eigenvalue at 0 or at a harmonic) and
+computes the first Lyapunov coefficient that decides whether the born
+cycle is stable.
 
 A path may be a stack of paths of one size, which :func:`sweep` samples
 with one eigen-solve per parameter value for all members; each member's
@@ -46,8 +50,9 @@ from .errors import (
     TheoremViolation,
     TrackingAmbiguity,
 )
-from .linalg import (_block_jacobian, axis_band, numerical_rank, on_axis, pair_upper,
-                     structural_zero)
+from .linalg import (_EPS, _block_jacobian, axis_band, numerical_rank, on_axis,
+                     pair_upper, structural_zero)
+from .simulate import _brent
 
 __all__ = [
     "AxisCrossing",
@@ -86,6 +91,10 @@ EIGENPAIR_TOL = 1e-8
 #: ``MAX_BISECT`` regula-falsi steps.
 REFINE_TOL = 1e-10
 MAX_BISECT = 200
+
+#: Equal frequency steps of ``(0, omega_max]`` on which the frequency route
+#: of :func:`track_axis_crossing` brackets the roots of ``Im g``.
+FREQUENCY_SAMPLES = 64
 
 
 @dataclass
@@ -221,10 +230,193 @@ class Sweep:
 
 
 def track_axis_crossing(path, samples=41):
-    """The axis crossings of :func:`sweep` ``(path, samples)``: one list, or
-    for a stacked path one list per member."""
+    """The axis crossings of ``path``: one list sorted by (gamma, omega), or
+    for a stacked path one list per member.
+
+    A single path whose damping moves one rank-one direction takes the
+    frequency route, which reads every crossing off the pencil's frequency
+    response with n x n solves and confirms them with dense spectra at the
+    two range ends and at each crossing.
+    Every other path takes the sampled route, ``sweep(path, samples)
+    .crossings`` bit for bit; ``samples`` applies to that route only.
+
+    **The frequency route** applies when all of these hold, and otherwise
+    the sampled route is taken:
+
+    - ``path`` is one path, not a stack, and has a ``damping_derivative``;
+    - the damping is affine on the range: ``damping_prime`` is equal at
+      both ends and ``damping_of(hi) - damping_of(lo) = (hi - lo) D'`` to
+      rounding;
+    - ``D' = s u u^T`` is symmetric of rank one;
+    - ``M`` and ``D(lo)`` are symmetric and ``M`` has a Cholesky factor;
+    - neither end spectrum has an :func:`linalg.on_axis` member, so every
+      boundary crossing is left to the sampled route, and ``P_lo(i w)``
+      below is nonsingular for every real ``w > 0``.
+
+    ``D(gamma) = D(lo) + (gamma - lo) s u u^T`` and the determinant identity
+    make ``lambda = i w`` an eigenvalue at gamma iff
+    ``g(w) = i w s u^T P_lo(i w)^-1 u``, with
+    ``P_lo(i w) = -w^2 M + i w D(lo) + L``, is real and negative, and then
+    ``gamma = lo - 1/g(w)`` (Golub, SIAM Review 15, 1973).  An axis
+    eigenvalue has ``w^2 = x^H sym(L) x / x^H M x`` (the real part of
+    ``x^H P x = 0`` for symmetric D), so ``w <= w_max`` with ``w_max^2``
+    the largest eigenvalue of ``M^-1 sym(L)``.  The first verdict scans
+    ``Im g`` on ``FREQUENCY_SAMPLES`` equal steps of ``(0, w_max]``, refines
+    each sign change by Brent's method and keeps the roots with
+    ``Re g < 0`` and ``gamma`` in ``(lo, hi)``.  The poles of ``g`` are the
+    eigenvalues of the Jacobian at ``lo``; each upper pair member ``p``
+    nearer the axis than one step adds the seven frequencies
+    ``Im p + |Re p| tan(k pi/8)``, k = -3..3, over which its term in ``g``
+    turns by pi/8 at a time.  The second verdict is dense and shares no
+    solve with the first:
+
+    - the Jacobian at each root has an upper pair member within one axis
+      band of ``i w`` (it becomes the crossing's ``eigenvalue``);
+    - the number of eigenvalues with ``Re > 0`` changes between the two
+      end spectra by ``2 sum sign Re dlambda/dgamma`` over the roots, with
+      ``dlambda/dgamma = -i w s (y^T u)(u^T x) / y^T (2 i w M + D(gamma)) x``,
+      ``x = P_lo^-1 u`` and ``y = P_lo^-T u``.
+
+    Raises TheoremViolation, with the frequency verdict first and the dense
+    one second, when the two disagree.
+
+    Blind spots: the frequency route misses two roots of ``Im g`` of
+    opposite directions between two scanned frequencies, a pair that
+    touches the axis and returns, where the net count stays level; a
+    single missed root raises.  The sampled route misses a pair that
+    crosses and returns within one gamma interval, and raises
+    TrackingAmbiguity when its grid is too coarse to pair branches.
+    """
+    if samples < 2:
+        raise AssumptionViolated("sample count >= 2")
+    found = _frequency_route(path)
+    if found is not None:
+        return found
     found = sweep(path, samples)
     return found.crossings if isinstance(found, Sweep) else [s.crossings for s in found]
+
+
+def _rank_one(slope):
+    """``(s, u)`` with ``slope = s u u^T`` and ``s = +-1`` to rounding, for
+    a symmetric ``slope`` of rank one; None otherwise.  The largest diagonal
+    entry of a rank-one ``s u u^T`` is ``s max u_j^2``, and its column is
+    ``s u_j u``."""
+    if not (slope == slope.T).all():
+        return None
+    j = np.argmax(np.abs(np.diag(slope)))
+    pivot = slope[j, j]
+    if pivot == 0:
+        return None
+    u = slope[:, j] / math.sqrt(abs(pivot))
+    s = math.copysign(1.0, pivot)
+    if np.abs(slope - s * np.outer(u, u)).max() > 16 * _EPS * abs(pivot):
+        return None
+    return s, u
+
+
+def _frequency_route(path):
+    """The crossings of ``path`` by the frequency route of
+    :func:`track_axis_crossing`, or None when that route does not apply."""
+    if path.inertia.ndim != 2 or path.damping_derivative is None:
+        return None
+    lo, hi = path.gamma_range
+    m = path.inertia
+    slope = path.damping_prime(lo)
+    if slope.shape != m.shape or not np.array_equal(slope, path.damping_prime(hi)):
+        return None
+    update = _rank_one(slope)
+    if update is None or not (m == m.T).all():
+        return None
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    d_lo, d_hi = (np.asarray(path.damping_of(g), dtype=float) for g in (lo, hi))
+    if d_lo.shape != m.shape or d_hi.shape != m.shape or not (d_lo == d_lo.T).all():
+        return None
+    rounding = 16 * _EPS * max(np.abs(d_lo).max(), np.abs(d_hi).max())
+    if np.abs(d_hi - d_lo - (hi - lo) * slope).max() > rounding:
+        return None
+    ends = [np.linalg.eigvals(path.jacobian(g)) for g in (lo, hi)]
+    band = axis_band(max(val.spectral_scale(e) for e in ends))
+    if any(on_axis(e, band).any() for e in ends):
+        return None
+
+    roots = _frequency_roots(path, chol, d_lo, *update, ends[0])
+    drift = 2 * sum(int(np.sign(dlam.real)) for _, _, dlam in roots)
+    counts = [int(np.count_nonzero(e.real > 0)) for e in ends]
+    if counts[1] - counts[0] != drift:
+        raise TheoremViolation(
+            f"frequency response and end spectra disagree: roots {roots} move "
+            f"{drift:+d} eigenvalues across the axis, the spectra at gamma = "
+            f"{lo:.6g} and {hi:.6g} have {counts[0]} and {counts[1]} with Re > 0",
+            first_verdict=roots,
+            second_verdict=counts,
+        )
+    crossings = []
+    for gamma0, omega0, _ in roots:
+        eigs = np.linalg.eigvals(path.jacobian(gamma0))
+        scale = val.spectral_scale(eigs)
+        band = axis_band(scale)
+        upper = eigs[pair_upper(eigs, scale)]
+        near = upper[on_axis(upper, band) & (np.abs(upper.imag - omega0) <= band)]
+        if near.size == 0:
+            raise TheoremViolation(
+                f"frequency response puts a crossing at gamma = {gamma0:.9g}, "
+                f"omega = {omega0:.9g}, but the Jacobian there has no upper pair "
+                f"member within the axis band {band:.2e} of it",
+                first_verdict=(gamma0, omega0),
+                second_verdict=upper,
+            )
+        lam = near[np.argmin(np.abs(near - 1j * omega0))]
+        crossings.append(AxisCrossing(gamma=float(gamma0), omega=float(omega0),
+                                      eigenvalue=complex(lam)))
+    return sorted(crossings, key=lambda c: (c.gamma, c.omega))
+
+
+def _frequency_roots(path, chol, d_lo, s, u, poles):
+    """``(gamma, omega, dlambda/dgamma)`` of every root of ``Im g`` that the
+    frequency scan of :func:`track_axis_crossing` brackets and keeps, in
+    increasing omega."""
+    lo, hi = path.gamma_range
+    m, l = path.inertia, path.stiffness
+    half = np.linalg.solve(chol, val.sym_part(l))
+    top = np.linalg.eigvalsh(np.linalg.solve(chol, half.T))[-1]
+    if not top > 0:
+        return []
+    omega_max = math.sqrt(top)
+
+    def pencil(w):
+        return -w * w * m + 1j * w * d_lo + l
+
+    def response(w):
+        x = np.linalg.solve(pencil(w), u)
+        return x, 1j * w * s * (u @ x)
+
+    step = omega_max / FREQUENCY_SAMPLES
+    grid = step * np.arange(1, FREQUENCY_SAMPLES + 1)
+    upper = poles[pair_upper(poles, val.spectral_scale(poles))]
+    sharp = upper[np.abs(upper.real) < step]
+    offsets = np.abs(sharp.real)[:, None] * np.tan(np.pi / 8 * np.arange(-3, 4))
+    extra = (sharp.imag[:, None] + offsets).ravel()
+    grid = np.unique(np.concatenate([grid, extra[(extra > 0) & (extra < omega_max)]]))
+    im = np.array([response(w)[1].imag for w in grid])
+    roots = []
+    for k in np.flatnonzero(np.signbit(im[:-1]) != np.signbit(im[1:])):
+        omega0 = _brent(lambda w: response(w)[1].imag, grid[k], grid[k + 1],
+                        4 * _EPS * omega_max, 4 * _EPS)
+        x, g0 = response(omega0)
+        if not g0.real < 0:
+            continue
+        gamma0 = lo - 1.0 / g0.real
+        if not lo < gamma0 < hi:
+            continue
+        y = np.linalg.solve(pencil(omega0).T, u)
+        d0 = d_lo + (gamma0 - lo) * s * np.outer(u, u)
+        dlam = (-1j * omega0 * s * (y @ u) * (u @ x)
+                / (y @ ((2j * omega0 * m + d0) @ x)))
+        roots.append((float(gamma0), float(omega0), complex(dlam)))
+    return roots
 
 
 def sweep(path, samples=41):

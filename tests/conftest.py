@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,18 @@ def case2():
     model = swing.demo_lossy_two_machine(0.2)
     eq = model.equilibrium_at(np.array([1.4905, 0.0]))
     return model, eq
+
+
+def crossing_bits(crossings):
+    """The bits of each crossing's fields, for comparisons bit for bit."""
+    return [(c.gamma.hex(), c.omega.hex(), c.eigenvalue.real.hex(),
+             c.eigenvalue.imag.hex(), c.boundary) for c in crossings]
+
+
+def sampled(path):
+    """``path`` without its damping derivative: ``track_axis_crossing`` then
+    takes the sampled route for a path that would take the frequency route."""
+    return replace(path, damping_derivative=None)
 
 
 @pytest.fixture(scope="session")

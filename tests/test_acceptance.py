@@ -14,7 +14,7 @@ import pytest
 from damplab import hopf, perturbation, simulate, stability, suites, swing
 from damplab.errors import CycleNotFound
 from damplab.linalg import jacobian_2n, matching_distance
-from conftest import OMEGA_CASE1
+from conftest import OMEGA_CASE1, sampled
 
 
 def report(tag, ok, detail=""):
@@ -79,10 +79,12 @@ def test_criterion_03_case1_lyapunov(case1_path):
 
 
 def test_criterion_04_case2_hopf_location(case2_path):
-    crossings = hopf.track_axis_crossing(case2_path, samples=21)
-    ok = len(crossings) == 1 and abs(crossings[0].gamma - 0.200) <= 1e-3
-    detail = f"gamma0 = {crossings[0].gamma:.6f}" if crossings else "no crossing"
-    report("4", ok, detail)
+    # The frequency route, then the sampled route on the same path.
+    for route, path in (("frequency", case2_path), ("sampled", sampled(case2_path))):
+        crossings = hopf.track_axis_crossing(path, samples=21)
+        ok = len(crossings) == 1 and abs(crossings[0].gamma - 0.200) <= 1e-3
+        detail = f"gamma0 = {crossings[0].gamma:.6f}" if crossings else "no crossing"
+        report("4", ok, f"{route} route, {detail}")
 
 
 def test_criterion_05_case2_subcritical_cycle(case2_path, case2_cycle_025):

@@ -10,10 +10,47 @@ from damplab.errors import (
     MatrixShapeError,
     NormalizationFailure,
     NotAnAxisEigenvalue,
+    TheoremViolation,
     TrackingAmbiguity,
 )
 from damplab.linalg import QuadraticPencil, jacobian_2n, referenced_jacobian
-from conftest import OMEGA_CASE1
+from conftest import OMEGA_CASE1, crossing_bits, sampled
+
+
+def tied_case2_pair(rng, n, base_grid):
+    """The case2 pair (line -1 + 5.7978i, angle difference 1.4905, dampings
+    0.25 and 1) tied by a 0.3 line to the random grid ``base_grid(rng,
+    n - 2)`` of n - 2 generators; returns the model and its equilibrium."""
+    base, base_eq = base_grid(rng, n - 2)
+    y, theta = np.zeros((n, n)), np.full((n, n), math.pi / 2)
+    y[2:, 2:], theta[2:, 2:] = base.y_mag, base.theta
+    line = complex(-1.0, 5.7978)
+    y[0, 1] = y[1, 0] = abs(line)
+    theta[0, 1] = theta[1, 0] = math.atan2(line.imag, line.real)
+    theta[0, 0] = theta[1, 1] = 0.0
+    tie = 2 + int(rng.integers(0, n - 2))
+    y[1, tie] = y[tie, 1] = 0.3
+    anchor = base_eq.delta0[tie - 2]
+    delta = np.concatenate([[anchor + 1.4905, anchor], base_eq.delta0])
+    model = replace(
+        base, y_mag=y, theta=theta, p_mech=np.zeros(n),
+        voltage=np.concatenate([[1.0, 1.0], base.voltage]),
+        inertia_const=np.concatenate([[1.0, 1.0], base.inertia_const]),
+        damping_coeff=np.concatenate([[0.25, 1.0], base.damping_coeff]),
+    )
+    model = replace(model, p_mech=model.flow(delta))
+    return model, model.equilibrium_at(delta)
+
+
+def count_linalg(monkeypatch, names=("eig", "eigvals", "eigvalsh", "svd", "solve")):
+    """Count the calls of each ``np.linalg`` function in ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 class TestDampingPath:
@@ -123,24 +160,21 @@ class TestDampingPath:
             inertia=m, stiffness=l, damping_of=lambda gamma: d0 + gamma * g.T @ g,
             gamma_range=(0.0, 2.0),
         )
-        counts = {"svd": 0, "solve": 0}
-        for name in counts:
-            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kw):
-                counts[_name] += 1
-                return _fn(*args, **kw)
-            monkeypatch.setattr(np.linalg, name, counted)
+        counts = count_linalg(monkeypatch, ("svd", "solve"))
         assert hopf.track_axis_crossing(path, samples=9) == []
         assert counts == {"svd": 0, "solve": 9}
 
 
 class TestTrackAxisCrossing:
     def test_case2_single_crossing(self, case2_path):
-        crossings = hopf.track_axis_crossing(case2_path, samples=21)
-        assert len(crossings) == 1
-        c = crossings[0]
-        assert abs(c.gamma - 0.2) <= 1e-3
-        assert not c.boundary
-        assert abs(c.eigenvalue.real) <= 1e-10 * abs(c.eigenvalue)
+        # The frequency route, and the sampled route on the same path.
+        for path in (case2_path, sampled(case2_path)):
+            crossings = hopf.track_axis_crossing(path, samples=21)
+            assert len(crossings) == 1
+            c = crossings[0]
+            assert abs(c.gamma - 0.2) <= 1e-3
+            assert not c.boundary
+            assert abs(c.eigenvalue.real) <= 1e-10 * abs(c.eigenvalue)
 
     def test_case1_boundary_crossing(self, case1_path):
         crossings = hopf.track_axis_crossing(case1_path, samples=21)
@@ -184,47 +218,31 @@ class TestTrackAxisCrossing:
             assert not fine[0].boundary
 
     def test_case2_refinement_jacobian_count(self, case2_path, monkeypatch):
-        # 21 samples plus the crossing's refinement: regula falsi needs a
-        # few Jacobians where bisection needed 22.
-        built = []
-        jacobian = case2_path.jacobian
-        monkeypatch.setattr(case2_path, "jacobian",
-                            lambda g: built.append(g) or jacobian(g))
-        crossings = hopf.track_axis_crossing(case2_path, samples=21)
-        assert len(crossings) == 1
-        assert len(built) <= 27
+        # The frequency route builds the Jacobians at the two range ends
+        # and at the crossing.  The sampled route builds one per sample
+        # (21) plus the crossing's refinement: regula falsi needs a few
+        # Jacobians where bisection needed 22.
+        for path, most in ((case2_path, 3), (sampled(case2_path), 27)):
+            built = []
+            jacobian = path.jacobian
+            monkeypatch.setattr(path, "jacobian",
+                                lambda g: built.append(g) or jacobian(g))
+            crossings = hopf.track_axis_crossing(path, samples=21)
+            assert len(crossings) == 1
+            assert len(built) <= most
 
     def test_distant_close_pair_is_no_ambiguity(self):
         # The case2 pair tied to a random lossy grid: two close eigenvalues
         # of the random part, 0.89 from the moving Hopf branch, must not
-        # stop the sweep.
-        n = 100
+        # stop the sweep, nor the frequency route.
         rng = np.random.default_rng(1)
-        base, base_eq = suites.random_lossy_grid(rng, n - 2)
-        y, theta = np.zeros((n, n)), np.full((n, n), math.pi / 2)
-        y[2:, 2:], theta[2:, 2:] = base.y_mag, base.theta
-        line = complex(-1.0, 5.7978)
-        y[0, 1] = y[1, 0] = abs(line)
-        theta[0, 1] = theta[1, 0] = math.atan2(line.imag, line.real)
-        theta[0, 0] = theta[1, 1] = 0.0
-        tie = 2 + int(rng.integers(0, n - 2))
-        y[1, tie] = y[tie, 1] = 0.3
-        anchor = base_eq.delta0[tie - 2]
-        delta = np.concatenate([[anchor + 1.4905, anchor], base_eq.delta0])
-        model = replace(
-            base, y_mag=y, theta=theta, p_mech=np.zeros(n),
-            voltage=np.concatenate([[1.0, 1.0], base.voltage]),
-            inertia_const=np.concatenate([[1.0, 1.0], base.inertia_const]),
-            damping_coeff=np.concatenate([[0.25, 1.0], base.damping_coeff]),
-        )
-        model = replace(model, p_mech=model.flow(delta))
-        eq = model.equilibrium_at(delta)
-        mask = np.arange(n) == 0
-        path = swing.grid_damping_path(model, eq, mask, (0.1, 0.3))
-        crossings = hopf.track_axis_crossing(path, samples=21)
-        assert len(crossings) == 1
-        assert abs(crossings[0].gamma - 0.264) <= 1e-3
-        assert not crossings[0].boundary
+        path = swing.grid_damping_path(*tied_case2_pair(rng, 100, suites.random_lossy_grid),
+                                       np.arange(100) == 0, (0.1, 0.3))
+        for route in (path, sampled(path)):
+            crossings = hopf.track_axis_crossing(route, samples=21)
+            assert len(crossings) == 1
+            assert abs(crossings[0].gamma - 0.264) <= 1e-3
+            assert not crossings[0].boundary
 
     def test_illinois_halving_keeps_refinement_short(self):
         # Re lam(gamma) = (e^1.5 - e^(5 gamma)) / 2 bends strongly on the
@@ -259,6 +277,131 @@ class TestTrackAxisCrossing:
     def test_safe_region_suite(self):
         result = suites.suite_safe_damping_region(seed=41, trials=150)
         assert result.passed, result.failures[:1]
+
+
+def lossless_base(rng, n):
+    return suites.random_lossless_grid(rng, n, "positive")
+
+
+def tied_pair_paths(seeds=range(4)):
+    """Generator 0's damping paths on (0.1, 0.3) of tied case2 pairs with
+    10-40 generators, on a lossless and on a lossy random grid per seed."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for base_grid in (lossless_base, suites.random_lossy_grid):
+            n = int(rng.integers(10, 41))
+            model, eq = tied_case2_pair(rng, n, base_grid)
+            yield swing.grid_damping_path(model, eq, np.arange(n) == 0, (0.1, 0.3))
+
+
+class TestFrequencyRoute:
+    """Rank-one affine paths: crossings from the pencil's frequency response,
+    confirmed by dense spectra at the range ends and at each crossing."""
+
+    @staticmethod
+    def assert_agrees_with_sweep(path, samples):
+        got = hopf.track_axis_crossing(path, samples=samples)
+        want = hopf.sweep(path, samples).crossings
+        assert len(got) == len(want)
+        for c, w in zip(got, want):
+            assert abs(c.gamma - w.gamma) <= 1e-9
+            assert abs(c.omega - w.omega) <= 1e-9
+            assert not c.boundary and not w.boundary
+            assert abs(c.eigenvalue - 1j * c.omega) <= 1e-7 * abs(c.eigenvalue)
+        return got
+
+    def test_agrees_with_sweep_on_case2(self, case2_path):
+        assert len(self.assert_agrees_with_sweep(case2_path, 21)) == 1
+
+    def test_agrees_with_sweep_on_tied_pairs(self):
+        found = [len(self.assert_agrees_with_sweep(path, 41))
+                 for path in tied_pair_paths()]
+        assert found == [1] * 8
+
+    def test_no_crossing_in_range(self, case2_path):
+        path = replace(case2_path, gamma_range=(0.22, 0.3))
+        assert hopf.track_axis_crossing(path) == []
+
+    def test_other_paths_take_the_sampled_route_bit_for_bit(self, case1, case2_path,
+                                                           case1_path):
+        model, eq = case1
+        # Generator 1 stays undamped, so the pair is on the axis at 0.
+        axis_at_lo = swing.grid_damping_path(model, eq, [True, False, False], (0.0, 0.5))
+        for path in (sampled(case2_path), case1_path, axis_at_lo):
+            got = hopf.track_axis_crossing(path, samples=21)
+            assert crossing_bits(got) == crossing_bits(hopf.sweep(path, 21).crossings)
+        assert [c.boundary for c in got] == [True]
+
+        # A stack of rank-one paths: the case2 path and its double inertia.
+        m = np.stack([case2_path.inertia, 2 * case2_path.inertia])
+        l = np.stack([case2_path.stiffness] * 2)
+        stacked = hopf.DampingPath(
+            inertia=m, stiffness=l,
+            damping_of=lambda g: np.stack([case2_path.damping_of(g)] * 2),
+            damping_derivative=lambda g: np.stack([case2_path.damping_prime(g)] * 2),
+            gamma_range=case2_path.gamma_range, referenced=True)
+        got = hopf.track_axis_crossing(stacked, samples=21)
+        want = hopf.sweep(stacked, 21)
+        assert [crossing_bits(c) for c in got] == [crossing_bits(w.crossings) for w in want]
+
+    def test_axis_eigenvalues_stay_below_the_band(self):
+        # omega_max^2 = lambda_max(M^-1 sym L) from scipy's symmetric-definite
+        # solver; every axis eigenvalue of every sampled Jacobian and every
+        # crossing lies below it.
+        from scipy.linalg import eigh
+
+        for path in tied_pair_paths(seeds=range(2)):
+            sym_l = 0.5 * (path.stiffness + path.stiffness.T)
+            omega_max = math.sqrt(eigh(sym_l, path.inertia, eigvals_only=True)[-1])
+            found = hopf.sweep(path, 41)
+            band = 1e-7 * found.scale
+            for eigs in found.spectra:
+                axis = eigs[np.abs(eigs.real) <= band]
+                assert (axis.imag <= omega_max + band).all()
+            crossings = hopf.track_axis_crossing(path)
+            assert crossings
+            for c in crossings:
+                assert c.omega < omega_max and c.eigenvalue.imag < omega_max
+
+    def test_perturbed_direction_in_the_frequency_verdict_raises(self, case2_path,
+                                                                 monkeypatch):
+        rank_one = hopf._rank_one
+        monkeypatch.setattr(hopf, "_rank_one", lambda slope: (
+            lambda s, u: (s, 1.01 * u))(*rank_one(slope)))
+        with pytest.raises(TheoremViolation) as info:
+            hopf.track_axis_crossing(case2_path)
+        gamma0, omega0 = info.value.first_verdict
+        assert abs(gamma0 - 0.19978) <= 1e-2
+        # The dense spectrum there has the pair well off the axis.
+        upper = info.value.second_verdict
+        assert np.abs(upper.real).min() > 1e-4
+
+    def test_perturbed_end_spectrum_raises(self, case2_path, monkeypatch):
+        # The Jacobian at the upper end shifted right by 1: the count of
+        # eigenvalues with Re > 0 no longer drops by the root's 2.
+        lo, hi = case2_path.gamma_range
+        jacobian = case2_path.jacobian
+        monkeypatch.setattr(case2_path, "jacobian", lambda g: (
+            jacobian(g) + (g == hi) * np.eye(3)))
+        with pytest.raises(TheoremViolation) as info:
+            hopf.track_axis_crossing(case2_path)
+        (gamma0, omega0, dlam), = info.value.first_verdict
+        assert abs(gamma0 - 0.19978) <= 1e-4 and dlam.real < 0
+        before, after = info.value.second_verdict
+        assert before == 2 and after != 0
+
+    def test_lapack_calls(self, monkeypatch):
+        # n = 30: two end spectra and one per crossing, one eigvalsh for the
+        # band, no eig and no SVD.  The 88 solves: 2 for the band, 64 for
+        # the scan, 16 Brent steps on its two sign changes, g at both roots
+        # and y at the one kept, and M^-1 D for the 3 Jacobians.
+        rng = np.random.default_rng(3)
+        model, eq = tied_case2_pair(rng, 30, lossless_base)
+        path = swing.grid_damping_path(model, eq, np.arange(30) == 0, (0.1, 0.3))
+        calls = count_linalg(monkeypatch)
+        crossings = hopf.track_axis_crossing(path)
+        assert len(crossings) == 1
+        assert calls == {"eig": 0, "eigvals": 3, "eigvalsh": 1, "svd": 0, "solve": 88}
 
 
 class TestHopfConditions:

@@ -12,6 +12,7 @@ from damplab import _validation as val
 from damplab import hopf, linalg, perturbation, stability, suites
 from damplab.errors import (AssumptionViolated, MatrixShapeError,
                             PreconditionViolated, SingularMatrix, TrackingAmbiguity)
+from conftest import crossing_bits
 
 SIZES = range(1, 9)
 
@@ -395,11 +396,6 @@ def stacked_path(m, l, d0, growth, referenced=False):
     return hopf.DampingPath(inertia=m, stiffness=l,
                             damping_of=lambda g: d0 + g * growth,
                             gamma_range=(0.0, 2.0), referenced=referenced)
-
-
-def crossing_bits(crossings):
-    return [(c.gamma.hex(), c.omega.hex(), c.eigenvalue.real.hex(),
-             c.eigenvalue.imag.hex(), c.boundary) for c in crossings]
 
 
 def assert_same_sweep(stacked, alone):

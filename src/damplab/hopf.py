@@ -251,7 +251,15 @@ def track_axis_crossing(path, samples=41):
     - ``M`` and ``D(lo)`` are symmetric and ``M`` has a Cholesky factor;
     - neither end spectrum has an :func:`linalg.on_axis` member, so every
       boundary crossing is left to the sampled route, and ``P_lo(i w)``
-      below is nonsingular for every real ``w > 0``.
+      below is nonsingular for every real ``w > 0``;
+    - for a referenced path, the two end spectra have ``det J`` of one
+      sign, i.e. counts of eigenvalues with ``Re > 0`` of equal parity.
+      The reduced Jacobian is singular where ``w^T D(gamma) 1 = 0``, with
+      ``w`` the left null vector of L; on a rank-one path ``det J`` is
+      affine in gamma, so a real eigenvalue crosses 0 inside the range
+      exactly when its sign differs at the ends, and the frequency
+      response, which has roots at ``w > 0`` only, does not see it.  On
+      an unreferenced path ``det J = det(M^-1 L)`` does not move.
 
     ``D(gamma) = D(lo) + (gamma - lo) s u u^T`` and the determinant identity
     make ``lambda = i w`` an eigenvalue at gamma iff
@@ -270,15 +278,17 @@ def track_axis_crossing(path, samples=41):
     turns by pi/8 at a time.  The second verdict is dense and shares no
     solve with the first:
 
-    - the Jacobian at each root has an upper pair member within one axis
-      band of ``i w`` (it becomes the crossing's ``eigenvalue``);
+    - at each root, the Jacobian's upper pair member nearest ``i w`` lies
+      within one axis band (of the end spectra's scale) of it and becomes
+      the crossing's ``eigenvalue``;
     - the number of eigenvalues with ``Re > 0`` changes between the two
       end spectra by ``2 sum sign Re dlambda/dgamma`` over the roots, with
       ``dlambda/dgamma = -i w s (y^T u)(u^T x) / y^T (2 i w M + D(gamma)) x``,
       ``x = P_lo^-1 u`` and ``y = P_lo^-T u``.
 
     Raises TheoremViolation, with the frequency verdict first and the dense
-    one second, when the two disagree.
+    one second, when the two disagree, and TrackingAmbiguity when the
+    Jacobian at a root has no complex pair at all.
 
     Blind spots: the frequency route misses two roots of ``Im g`` of
     opposite directions between two scanned frequencies, a pair that
@@ -338,13 +348,19 @@ def _frequency_route(path):
     if np.abs(d_hi - d_lo - (hi - lo) * slope).max() > rounding:
         return None
     ends = [np.linalg.eigvals(path.jacobian(g)) for g in (lo, hi)]
-    band = axis_band(max(val.spectral_scale(e) for e in ends))
+    scale = max(val.spectral_scale(e) for e in ends)
+    band = axis_band(scale)
     if any(on_axis(e, band).any() for e in ends):
+        return None
+    # With no end eigenvalue on the axis, the parity of the count with
+    # Re > 0 is the sign of det J: an odd change is a real eigenvalue
+    # through 0.
+    counts = [int(np.count_nonzero(e.real > 0)) for e in ends]
+    if path.referenced and (counts[1] - counts[0]) % 2:
         return None
 
     roots = _frequency_roots(path, chol, d_lo, *update, ends[0])
     drift = 2 * sum(int(np.sign(dlam.real)) for _, _, dlam in roots)
-    counts = [int(np.count_nonzero(e.real > 0)) for e in ends]
     if counts[1] - counts[0] != drift:
         raise TheoremViolation(
             f"frequency response and end spectra disagree: roots {roots} move "
@@ -355,20 +371,15 @@ def _frequency_route(path):
         )
     crossings = []
     for gamma0, omega0, _ in roots:
-        eigs = np.linalg.eigvals(path.jacobian(gamma0))
-        scale = val.spectral_scale(eigs)
-        band = axis_band(scale)
-        upper = eigs[pair_upper(eigs, scale)]
-        near = upper[on_axis(upper, band) & (np.abs(upper.imag - omega0) <= band)]
-        if near.size == 0:
+        lam = _nearest_upper(path, gamma0, 1j * omega0, scale)
+        if not (on_axis(lam, band) and abs(lam.imag - omega0) <= band):
             raise TheoremViolation(
                 f"frequency response puts a crossing at gamma = {gamma0:.9g}, "
-                f"omega = {omega0:.9g}, but the Jacobian there has no upper pair "
-                f"member within the axis band {band:.2e} of it",
+                f"omega = {omega0:.9g}, but the Jacobian's upper pair member "
+                f"nearest to it, {lam:.6g}, is not within the axis band {band:.2e}",
                 first_verdict=(gamma0, omega0),
-                second_verdict=upper,
+                second_verdict=lam,
             )
-        lam = near[np.argmin(np.abs(near - 1j * omega0))]
         crossings.append(AxisCrossing(gamma=float(gamma0), omega=float(omega0),
                                       eigenvalue=complex(lam)))
     return sorted(crossings, key=lambda c: (c.gamma, c.omega))

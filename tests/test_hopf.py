@@ -310,13 +310,11 @@ class TestFrequencyRoute:
             assert abs(c.eigenvalue - 1j * c.omega) <= 1e-7 * abs(c.eigenvalue)
         return got
 
-    def test_agrees_with_sweep_on_case2(self, case2_path):
-        assert len(self.assert_agrees_with_sweep(case2_path, 21)) == 1
-
-    def test_agrees_with_sweep_on_tied_pairs(self):
-        found = [len(self.assert_agrees_with_sweep(path, 41))
-                 for path in tied_pair_paths()]
-        assert found == [1] * 8
+    def test_agrees_with_sweep_on_case2_and_tied_pairs(self, case2_path):
+        paths = [(case2_path, 21)] + [(path, 41) for path in tied_pair_paths()]
+        found = [len(self.assert_agrees_with_sweep(path, samples))
+                 for path, samples in paths]
+        assert found == [1] * 9
 
     def test_no_crossing_in_range(self, case2_path):
         path = replace(case2_path, gamma_range=(0.22, 0.3))
@@ -327,7 +325,10 @@ class TestFrequencyRoute:
         model, eq = case1
         # Generator 1 stays undamped, so the pair is on the axis at 0.
         axis_at_lo = swing.grid_damping_path(model, eq, [True, False, False], (0.0, 0.5))
-        for path in (sampled(case2_path), case1_path, axis_at_lo):
+        # w^T D(gamma) 1, w the left null vector of L, changes sign at
+        # gamma = 2.749: a real eigenvalue of the reduced Jacobian crosses 0.
+        real_through_zero = replace(case2_path, gamma_range=(0.1, 3.0))
+        for path in (sampled(case2_path), case1_path, real_through_zero, axis_at_lo):
             got = hopf.track_axis_crossing(path, samples=21)
             assert crossing_bits(got) == crossing_bits(hopf.sweep(path, 21).crossings)
         assert [c.boundary for c in got] == [True]
@@ -373,8 +374,7 @@ class TestFrequencyRoute:
         gamma0, omega0 = info.value.first_verdict
         assert abs(gamma0 - 0.19978) <= 1e-2
         # The dense spectrum there has the pair well off the axis.
-        upper = info.value.second_verdict
-        assert np.abs(upper.real).min() > 1e-4
+        assert abs(info.value.second_verdict.real) > 1e-4
 
     def test_perturbed_end_spectrum_raises(self, case2_path, monkeypatch):
         # The Jacobian at the upper end shifted right by 1: the count of

@@ -54,7 +54,12 @@ class TheoremViolation(DampLabError):
 
 
 class TrackingAmbiguity(DampLabError):
-    """Eigenvalue continuation could not pair spectra between sweep samples."""
+    """Eigenvalue continuation could not pair spectra between sweep samples;
+    carries the parameter ``gamma`` where it failed."""
+
+    def __init__(self, message, gamma=None):
+        self.gamma = gamma
+        super().__init__(message)
 
 
 class NotAnAxisEigenvalue(DampLabError):

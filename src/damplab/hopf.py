@@ -2,8 +2,8 @@
 
 A :class:`DampingPath` freezes a second-order system at an equilibrium and
 lets the damping matrix vary with one real parameter.  The module tracks
-eigenvalue branches across the sweep and refines imaginary-axis crossings;
-for a path whose damping moves along one rank-one direction,
+eigenvalue branches and reports each imaginary-axis crossing once; for a
+path whose damping moves along one rank-one direction,
 :func:`track_axis_crossing` reads the crossings off the frequency response
 of the quadratic pencil instead and confirms them with a few dense
 spectra.  It checks the crossing conditions (axis eigenvalue, simplicity,
@@ -86,11 +86,6 @@ FD_STEP = 1e-6
 
 #: Eigenpair residual bound of :func:`eigenvalue_parameter_derivative`.
 EIGENPAIR_TOL = 1e-8
-
-#: Crossing refinement stops at ``|Re| <= REFINE_TOL * |eig|`` or after
-#: ``MAX_BISECT`` regula-falsi steps.
-REFINE_TOL = 1e-10
-MAX_BISECT = 200
 
 #: Equal frequency steps of ``(0, omega_max]`` on which the frequency route
 #: of :func:`track_axis_crossing` brackets the roots of ``Im g``.
@@ -294,8 +289,9 @@ def track_axis_crossing(path, samples=41):
     opposite directions between two scanned frequencies, a pair that
     touches the axis and returns, where the net count stays level; a
     single missed root raises.  The sampled route misses a pair that
-    crosses and returns within one gamma interval, and raises
-    TrackingAmbiguity when its grid is too coarse to pair branches.
+    crosses and returns within one gamma interval with no sample in the
+    axis band, leaves a touch unrefined at its sample nearest the axis, and
+    raises TrackingAmbiguity when its grid is too coarse to pair branches.
     """
     if samples < 2:
         raise AssumptionViolated("sample count >= 2")
@@ -402,7 +398,8 @@ def _frequency_roots(path, chol, d_lo, s, u, poles):
 
     def response(w):
         x = np.linalg.solve(pencil(w), u)
-        return x, 1j * w * s * (u @ x)
+        g = 1j * w * s * (u @ x)
+        return g.imag, x, g
 
     step = omega_max / FREQUENCY_SAMPLES
     grid = step * np.arange(1, FREQUENCY_SAMPLES + 1)
@@ -411,12 +408,12 @@ def _frequency_roots(path, chol, d_lo, s, u, poles):
     offsets = np.abs(sharp.real)[:, None] * np.tan(np.pi / 8 * np.arange(-3, 4))
     extra = (sharp.imag[:, None] + offsets).ravel()
     grid = np.unique(np.concatenate([grid, extra[(extra > 0) & (extra < omega_max)]]))
-    im = np.array([response(w)[1].imag for w in grid])
+    values = [response(w) for w in grid]
+    im = np.array([v[0] for v in values])
     roots = []
     for k in np.flatnonzero(np.signbit(im[:-1]) != np.signbit(im[1:])):
-        omega0 = _brent(lambda w: response(w)[1].imag, grid[k], grid[k + 1],
-                        4 * _EPS * omega_max, 4 * _EPS)
-        x, g0 = response(omega0)
+        omega0, (_, x, g0) = _refine(response, grid[k], grid[k + 1], values[k],
+                                     values[k + 1], 4 * _EPS * omega_max, 4 * _EPS)
         if not g0.real < 0:
             continue
         gamma0 = lo - 1.0 / g0.real
@@ -433,14 +430,20 @@ def _frequency_roots(path, chol, d_lo, s, u, poles):
 def sweep(path, samples=41):
     """Locate all parameter values where a complex pair crosses the axis.
 
-    Samples the spectrum on a uniform grid over ``path.gamma_range``, pairs
-    eigenvalues between adjacent samples by nearest-neighbour continuity,
-    and refines every sign change of the real part by Illinois regula falsi
-    on ``Re lam(gamma)`` (Dowell & Jarratt, BIT 11, 1971) inside the
-    bracket, down to ``|Re| <= REFINE_TOL * |eig|`` or ``MAX_BISECT``
-    steps.  An eigenvalue already inside the axis band at either end of the
-    range is reported with ``boundary=True`` and left unrefined.  Returns
-    a :class:`Sweep`, so callers reuse the sampled spectra.
+    Samples the spectrum on a uniform grid over ``path.gamma_range`` and
+    pairs upper pair members between adjacent samples by nearest-neighbour
+    continuity.  A paired branch lies left of the axis band, in it or right
+    of it, and each crossing is reported once: a branch that changes sides
+    within one interval, or a run of in-band samples entered from one side
+    and left on the other, is refined between the samples around it; a run
+    that returns to its side (a touch) or is open where pairing ends is
+    reported, unrefined, at its sample nearest the axis.  An eigenvalue in
+    the band at a range end is a crossing with ``boundary=True``, and its
+    run adds nothing else.  Refinement is Brent's method on
+    ``Re lam(gamma)``, ``lam`` the upper pair member nearest the linear
+    predictor between the bracket's end eigenvalues, to
+    ``1e-12 max(1, |hi|)`` in gamma.  Returns a :class:`Sweep`, so callers
+    reuse the sampled spectra.
 
     An interval is skipped before pairing when no crossing can hide in it:
     when one of its samples has no upper pair member, or when at both
@@ -456,9 +459,9 @@ def sweep(path, samples=41):
     raises stops the stack.  One path keeps one 2-d ``eigvals`` call per
     sample, so a large Jacobian is never held once per sample.
 
-    Raises TrackingAmbiguity when a branch's continuation step exceeds half
-    the gap between its match and the match's nearest neighbour, or two
-    branches share one match, i.e. the grid is too coarse to pair branches.
+    Raises TrackingAmbiguity, with the interval's start as ``gamma``, when
+    a branch's continuation step exceeds half the gap between its match and
+    the match's nearest neighbour, or two branches share one match.
     """
     if samples < 2:
         raise AssumptionViolated("sample count >= 2")
@@ -503,30 +506,42 @@ def sweep(path, samples=41):
 
 
 def _crossings(path, grid, table, upper, scale, intervals):
-    """The deduplicated axis crossings of one path from its sampled spectra
-    ``table`` (samples by 2n) with the upper pair mask ``upper``, pairing
-    and refining only on the grid ``intervals`` that may hide one."""
-    hi = path.gamma_range[1]
+    """The axis crossings of one path by the rule of :func:`sweep`, from its
+    spectra ``table`` (samples by 2n) with upper pair mask ``upper``, paired
+    on the grid ``intervals`` only.  A run is ``[entry, nearest]``: the
+    ``(gamma, lam)`` before it (None where pairing starts, False at the
+    range start) and the one nearest the axis in it (None for a branch step
+    that leaves one side: a run of no in-band sample)."""
     band = axis_band(scale)
-    samples = grid.size
-    crossings = []
+    tol = 1e-12 * max(1.0, abs(path.gamma_range[1]))
+    last = grid.size - 1
+    crossings = [AxisCrossing(float(grid[k]), float(lam.imag), complex(lam), boundary=True)
+                 for k in (0, last) for lam in table[k][upper[k] & on_axis(table[k], band)]]
 
-    # Samples already on the axis: range endpoints are flagged as boundary
-    # crossings (no bracket to refine), interior grid points are ordinary
-    # crossings that happen to need no refinement.
-    for k in range(samples):
-        pairs = table[k][upper[k]]
-        for lam in pairs[on_axis(pairs, band)]:
-            crossings.append(
-                AxisCrossing(
-                    gamma=float(grid[k]),
-                    omega=float(lam.imag),
-                    eigenvalue=complex(lam),
-                    boundary=k in (0, samples - 1),
-                )
-            )
+    def close(run, exit):
+        entry, nearest = run
+        if entry is False:
+            return  # the run includes the range start: a boundary crossing
+        if entry and exit and np.sign(entry[1].real) != np.sign(exit[1].real):
+            (g_a, lam_a), (g_b, lam_b) = entry, exit
 
+            def member(g):
+                z = _nearest_upper(path, g, lam_a + (g - g_a) / (g_b - g_a) * (lam_b - lam_a),
+                                   scale)
+                return z.real, z
+
+            root, (_, lam) = _refine(member, g_a, g_b, (lam_a.real, lam_a),
+                                     (lam_b.real, lam_b), tol, 4 * _EPS)
+            nearest = (root, lam)
+        crossings.append(AxisCrossing(float(nearest[0]), float(abs(nearest[1].imag)),
+                                      complex(nearest[1])))
+
+    runs, at = {}, None  # index of a branch at sample ``at`` -> its run
     for k in intervals:
+        if k != at:
+            for run in runs.values():
+                close(run, None)
+            runs = {}
         current, following = table[k][upper[k]], table[k + 1][upper[k + 1]]
         distance = np.abs(current[:, None] - following[None, :])
         match = np.argmin(distance, axis=1)
@@ -535,7 +550,8 @@ def _crossings(path, grid, table, upper, scale, intervals):
         np.fill_diagonal(spacing, np.inf)
         gaps = spacing.min(axis=1)[match]
         shared = np.bincount(match, minlength=following.size)[match] > 1
-        for lam, j, step, gap, twice in zip(current, match, steps, gaps, shared):
+        carried = {}
+        for i, (lam, j, step, gap, twice) in enumerate(zip(current, match, steps, gaps, shared)):
             nearest = following[j]
             if (twice or step > 0.5 * gap) and step > band:
                 what = (
@@ -543,60 +559,37 @@ def _crossings(path, grid, table, upper, scale, intervals):
                     else f"continuation step {step:.3e} exceeds half the "
                     f"eigenvalue gap {gap:.3e} at its match"
                 )
-                raise TrackingAmbiguity(f"{what} near gamma = {grid[k]:.6g}; increase samples")
-            if on_axis(lam, band) or on_axis(nearest, band):
-                continue  # boundary case already recorded or handled next interval
-            if np.sign(lam.real) != np.sign(nearest.real):
-                g0, lam0 = _refine(path, grid[k], grid[k + 1], lam, nearest, scale)
-                crossings.append(
-                    AxisCrossing(
-                        gamma=float(g0),
-                        omega=float(abs(lam0.imag)),
-                        eigenvalue=complex(lam0),
-                        boundary=False,
-                    )
-                )
-
-    # Deduplicate (same crossing found from both sides or as boundary).
-    unique = []
-    for c in sorted(crossings, key=lambda c: (c.gamma, c.omega)):
-        if any(
-            abs(c.gamma - u.gamma) <= 1e-8 * max(1.0, abs(hi))
-            and abs(c.omega - u.omega) <= 1e-6 * max(1.0, u.omega)
-            for u in unique
-        ):
-            continue
-        unique.append(c)
-    return unique
+                raise TrackingAmbiguity(f"{what} near gamma = {grid[k]:.6g}; increase samples",
+                                        gamma=float(grid[k]))
+            before, after = (grid[k], lam), (grid[k + 1], nearest)
+            run = runs.get(i, [None if k else False, before] if on_axis(lam, band)
+                           else [before, None])
+            if on_axis(nearest, band):
+                if run[1] is None or abs(nearest.real) < abs(run[1][1].real):
+                    run[1] = after
+                carried.setdefault(j, run)
+            elif run[1] is not None or np.sign(lam.real) != np.sign(nearest.real):
+                close(run, after)
+        runs, at = carried, k + 1
+    if at != last:
+        for run in runs.values():
+            close(run, None)
+    return sorted(crossings, key=lambda c: (c.gamma, c.omega))
 
 
-def _refine(path, a, b, lam_a, lam_b, scale):
-    """Illinois regula falsi for the crossing of ``Re lam`` in ``(a, b)``;
-    an end kept twice in a row has its value halved, so the secant point
-    cannot stall at one end of the bracket."""
-    hi = path.gamma_range[1]
-    fa, fb = lam_a.real, lam_b.real
-    kept = 0
-    for _ in range(MAX_BISECT):
-        x = (a * fb - b * fa) / (fb - fa)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-        lam_x = _nearest_upper(path, x, lam_a if x - a <= b - x else lam_b, scale)
-        if abs(lam_x.real) <= REFINE_TOL * abs(lam_x):
-            return x, lam_x
-        if np.sign(lam_x.real) == np.sign(fa):
-            a, fa, lam_a = x, lam_x.real, lam_x
-            if kept == 1:
-                fb *= 0.5
-            kept = 1
-        else:
-            b, fb, lam_b = x, lam_x.real, lam_x
-            if kept == -1:
-                fa *= 0.5
-            kept = -1
-        if b - a < 1e-15 * max(1.0, abs(hi)):
-            break
-    return x, lam_x
+def _refine(f, a, b, at_a, at_b, xtol, rtol):
+    """Brent's root (:func:`simulate._brent`) in ``[a, b]`` of the first entry
+    of the tuple ``f(x)``, seeded with ``at_a = f(a)`` and ``at_b = f(b)``;
+    returns the root and ``f`` there, evaluating ``f`` once per point."""
+    known = {a: at_a, b: at_b}
+
+    def first(x):
+        if x not in known:
+            known[x] = f(x)
+        return known[x][0]
+
+    root = _brent(first, a, b, xtol, rtol)
+    return root, known[root]
 
 
 def eigenvalue_parameter_derivative(jac, djac, lam, right, left):
@@ -847,5 +840,6 @@ def _nearest_upper(path, gamma, lam, scale):
     eigs = np.linalg.eigvals(path.jacobian(gamma))
     eigs = eigs[pair_upper(eigs, scale)]
     if eigs.size == 0:
-        raise TrackingAmbiguity("complex pair vanished during refinement")
+        raise TrackingAmbiguity("complex pair vanished during refinement",
+                                gamma=float(gamma))
     return eigs[np.argmin(np.abs(eigs - lam))]

@@ -56,9 +56,9 @@ TOLERANCES = (
     # the closed form is 4e-7 (case1) and 1e-7 (case2) relative, and
     # one-ulp noise in the flow moves it by at most 2.3e-7 relative.
     ("hopf-scan", ".*", r"(^|\.)l1$|Lyapunov coefficient = $", 1e-6, 1e-9),
-    # Quantities at a refined crossing: gamma0 is fixed only to
-    # |Re lam| <= REFINE_TOL |lam| = 1e-10 |lam|, so to about
-    # 1e-10 |lam| / |d Re lam / d gamma|.
+    # Quantities at a refined crossing: Brent's method fixes gamma0 only to
+    # its tolerance in gamma, 1e-12 max(1, |gamma_hi|) for the sampled
+    # sweep, and the certificate's fields move with gamma0.
     ("hopf-scan", ".*", ".*", 1e-8, 1e-9),
     # Trajectories and cycles: trajectories (RK45) and the return map
     # (DOP853), both at simulate.RTOL, and the Newton (RETURN_TOL, relative

@@ -5,6 +5,7 @@ import pytest
 import cli_digest
 
 L1 = 1.0816581
+GAMMA0 = 0.19978056200246214
 ANCHOR = [1.4738175332368082, -0.27121643139862145, -0.08604568357999486]
 
 
@@ -29,7 +30,18 @@ def save_l1_run(root, l1):
         root, "hopf-scan_case2",
         f"  first Lyapunov coefficient = {l1:+.12f}  -> subcritical\n",
         "certificates.json",
-        [{"gamma0": 0.19978056200246214, "l1": l1, "kind": "subcritical"}],
+        [{"gamma0": GAMMA0, "l1": l1, "kind": "subcritical"}],
+    )
+
+
+def save_gamma0_run(root, gamma0):
+    """The case2 crossing, in ``certificates.json``; stdout prints six
+    decimals, which do not move."""
+    return save_run(
+        root, "hopf-scan_case2",
+        f"crossing: gamma0 = {gamma0:.6f}  omega0 = 1.062951\n",
+        "certificates.json",
+        [{"gamma0": gamma0, "omega0": 1.0629508191947792, "kind": "subcritical"}],
     )
 
 
@@ -52,6 +64,15 @@ def test_compare_l1_tolerance(tmp_path, rel, flagged):
     problems = cli_digest.compare(before, after)
     assert len(problems) == flagged, problems
     assert all("hopf-scan_case2/" in p for p in problems)
+
+
+@pytest.mark.parametrize("rel, flagged", [(1e-6, 1), (1e-10, 0)])
+def test_compare_gamma0_tolerance(tmp_path, rel, flagged):
+    before = save_gamma0_run(tmp_path / "a", GAMMA0)
+    after = save_gamma0_run(tmp_path / "b", GAMMA0 * (1 + rel))
+    problems = cli_digest.compare(before, after)
+    assert len(problems) == flagged, problems
+    assert all("hopf-scan_case2/certificates.json:0.gamma0" in p for p in problems)
 
 
 @pytest.mark.parametrize("shift, flagged", [(5e-7, 3), (5e-9, 0)])

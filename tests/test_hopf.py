@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from damplab import hopf, suites, swing
+from damplab import hopf, simulate, suites, swing
 from damplab.errors import (
     AssumptionViolated,
     MatrixShapeError,
@@ -207,10 +207,12 @@ class TestTrackAxisCrossing:
             damping_of=damping_of,
             gamma_range=(0.0, 1.0),
         )
-        with pytest.raises(TrackingAmbiguity):
+        with pytest.raises(TrackingAmbiguity) as info:
             hopf.track_axis_crossing(path, samples=2)
-        # 81 samples place the crossing exactly on a grid point; 80 make the
-        # refinement produce it from a bracketing interval.
+        assert info.value.gamma == 0.0
+        # 81 samples place the crossing exactly on a grid point, a run of
+        # one in-band sample refined between its neighbours; 80 bracket it
+        # in one interval.
         for samples in (81, 80):
             fine = hopf.track_axis_crossing(path, samples=samples)
             assert len(fine) == 1
@@ -220,7 +222,7 @@ class TestTrackAxisCrossing:
     def test_case2_refinement_jacobian_count(self, case2_path, monkeypatch):
         # The frequency route builds the Jacobians at the two range ends
         # and at the crossing.  The sampled route builds one per sample
-        # (21) plus the crossing's refinement: regula falsi needs a few
+        # (21) plus the crossing's refinement: Brent's method needs four
         # Jacobians where bisection needed 22.
         for path, most in ((case2_path, 3), (sampled(case2_path), 27)):
             built = []
@@ -244,11 +246,11 @@ class TestTrackAxisCrossing:
             assert abs(crossings[0].gamma - 0.264) <= 1e-3
             assert not crossings[0].boundary
 
-    def test_illinois_halving_keeps_refinement_short(self):
+    def test_brent_keeps_refinement_short(self):
         # Re lam(gamma) = (e^1.5 - e^(5 gamma)) / 2 bends strongly on the
         # bracket, so plain regula falsi keeps one end and creeps in from
-        # the other for 176 Jacobians; halving the kept end's value gets
-        # the crossing at gamma = 0.3 in 13.
+        # the other for 176 Jacobians; Brent's method, seeded with the two
+        # sampled ends, gets the crossing at gamma = 0.3 in 10 more.
         calls = []
 
         def damping_of(g):
@@ -263,6 +265,53 @@ class TestTrackAxisCrossing:
         assert len(crossings) == 1
         assert abs(crossings[0].gamma - 0.3) <= 1e-9
         assert len(calls) <= 20
+
+    def test_slow_crossing_is_one_crossing(self):
+        # A random rank-one path whose pair stays in the axis band for four
+        # samples around gamma = 1.2086: one crossing, refined between the
+        # samples before and after the run, where the frequency route
+        # finds it.
+        rng = np.random.default_rng(194)
+        n = int(rng.integers(2, 9))
+        m = suites._spd(rng, n)
+        l = (suites._spd(rng, n) if rng.random() < 0.5
+             else rng.normal(size=(n, n)) + 3 * np.eye(n))
+        g = rng.normal(size=(n, n))
+        d0 = 0.3 * (g + g.T) + rng.uniform(0, 1) * np.eye(n)
+        u = rng.normal(size=n)
+        slope = rng.choice([-1.0, 1.0]) * np.outer(u, u)
+        path = hopf.DampingPath(inertia=m, stiffness=l,
+                                damping_of=lambda gamma: d0 + gamma * slope,
+                                damping_derivative=lambda gamma: slope,
+                                gamma_range=(0.0, 2.0))
+        found = hopf.sweep(path, 801)
+        band = 1e-7 * found.scale
+        assert sum(bool((np.abs(e.real) <= band).any()) for e in found.spectra) == 4
+        (got,), (want,) = found.crossings, hopf.track_axis_crossing(path)
+        assert abs(got.gamma - want.gamma) <= 1e-9
+        assert abs(got.omega - want.omega) <= 1e-9
+        assert not got.boundary
+
+    def test_pair_on_the_axis_throughout_gives_two_boundary_crossings(self, case1):
+        # Generator 3's damping leaves mode (1, -1, 0) unobservable: the
+        # pair stays on the axis, one run from end to end.
+        model, eq = case1
+        path = swing.grid_damping_path(model, eq, [False, False, True], (0.5, 1.5))
+        crossings = hopf.track_axis_crossing(path, samples=11)
+        assert [(c.gamma, c.boundary) for c in crossings] == [(0.5, True), (1.5, True)]
+        assert all(abs(c.omega - OMEGA_CASE1) < 1e-9 for c in crossings)
+
+    def test_touch_is_one_unrefined_crossing(self):
+        # D(gamma) = 4e-5 (gamma - 0.5)^2: the pair -D/2 +- i sqrt(1 - D^2/4)
+        # enters the axis band from the left at 0.45 and leaves it to the
+        # left after 0.55; the one crossing is the sample nearest the axis.
+        path = hopf.DampingPath(
+            inertia=np.eye(1), stiffness=np.eye(1),
+            damping_of=lambda g: np.array([[4e-5 * (g - 0.5) ** 2]]),
+            gamma_range=(0.0, 1.0),
+        )
+        (c,) = hopf.track_axis_crossing(path, samples=21)
+        assert (c.gamma, c.omega, c.eigenvalue, c.boundary) == (0.5, 1.0, 1j, False)
 
     def test_bad_sample_count(self):
         path = hopf.DampingPath(
@@ -390,18 +439,36 @@ class TestFrequencyRoute:
         before, after = info.value.second_verdict
         assert before == 2 and after != 0
 
+    def test_seeded_brent_is_bit_for_bit(self, case2_path, monkeypatch):
+        # The scan's values at the bracket ends seed Brent's method, and the
+        # response at the root is kept: evaluating all three afresh gives
+        # the same crossings bit for bit.
+        paths = [case2_path, *tied_pair_paths()]
+        seeded = [crossing_bits(hopf.track_axis_crossing(p)) for p in paths]
+        brackets = []
+
+        def fresh(f, a, b, at_a, at_b, xtol, rtol):
+            brackets.append((a, b))
+            root = simulate._brent(lambda x: f(x)[0], a, b, xtol, rtol)
+            return root, f(root)
+
+        monkeypatch.setattr(hopf, "_refine", fresh)
+        assert [crossing_bits(hopf.track_axis_crossing(p)) for p in paths] == seeded
+        assert all(len(c) == 1 for c in seeded) and len(brackets) >= len(paths)
+
     def test_lapack_calls(self, monkeypatch):
         # n = 30: two end spectra and one per crossing, one eigvalsh for the
-        # band, no eig and no SVD.  The 88 solves: 2 for the band, 64 for
-        # the scan, 16 Brent steps on its two sign changes, g at both roots
-        # and y at the one kept, and M^-1 D for the 3 Jacobians.
+        # band, no eig and no SVD.  The 82 solves: 2 for the band, 64 for
+        # the scan, 12 Brent steps inside its two sign changes (the scan
+        # holds g at the bracket ends, Brent at the roots), y at the root
+        # kept, and M^-1 D for the 3 Jacobians.
         rng = np.random.default_rng(3)
         model, eq = tied_case2_pair(rng, 30, lossless_base)
         path = swing.grid_damping_path(model, eq, np.arange(30) == 0, (0.1, 0.3))
         calls = count_linalg(monkeypatch)
         crossings = hopf.track_axis_crossing(path)
         assert len(crossings) == 1
-        assert calls == {"eig": 0, "eigvals": 3, "eigvalsh": 1, "svd": 0, "solve": 88}
+        assert calls == {"eig": 0, "eigvals": 3, "eigvalsh": 1, "svd": 0, "solve": 82}
 
 
 class TestHopfConditions:

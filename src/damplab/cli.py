@@ -71,7 +71,7 @@ def _parse_range(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected gamma range as lo:hi:samples")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, n = _finite(parts[0]), _finite(parts[1]), int(parts[2])
     if n < 2 or not lo < hi:
         raise argparse.ArgumentTypeError("need lo < hi and samples >= 2")
     return lo, hi, n
@@ -406,14 +406,14 @@ def build_parser():
     def add_model(p):
         p.add_argument("model", help="grid model JSON file")
         p.add_argument(
-            "--initial-state", type=float, nargs="+", default=None,
+            "--initial-state", type=_finite, nargs="+", default=None,
             help="equilibrium guess angles (radians)",
         )
         p.add_argument("--out", default=None, help="output file or directory")
 
     p = sub.add_parser("spectrum", help="eigenvalues and hyperbolicity verdict")
     add_model(p)
-    p.add_argument("--gamma", type=float, default=None,
+    p.add_argument("--gamma", type=_finite, default=None,
                    help="value for 'gamma' damping placeholders")
     p.add_argument("--tol-axis", type=_positive, default=TOL_AXIS)
     p.set_defaults(func=cmd_spectrum)
@@ -426,7 +426,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="integrate the referenced model")
     add_model(p)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=_finite, default=None)
     p.add_argument("--state", type=_finite, nargs="+", default=None,
                    help="initial referenced state (psi_1.. omega_1..)")
     p.add_argument("--kick", type=_finite, default=1e-2,
@@ -447,7 +447,7 @@ def build_parser():
 
     p = sub.add_parser("reduce", help="export the referenced model")
     add_model(p)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=_finite, default=None)
     p.set_defaults(func=cmd_reduce)
 
     return parser

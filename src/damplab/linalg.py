@@ -249,10 +249,9 @@ def classify_spectrum(eigs, tol_axis=val.TOL_AXIS):
 
 
 def matching_distance(first, second):
-    """Optimal-assignment distance between two eigenvalue multisets.
-
-    Returns the largest pairwise distance in the optimal matching; inf if
-    the multisets have different sizes.
+    """Bottleneck distance between two eigenvalue multisets of one size: the
+    least largest distance of a one-to-one pairing (:func:`subset_distance`);
+    inf if the multisets have different sizes.
     """
     if np.size(first) != np.size(second):
         return np.inf
@@ -260,11 +259,10 @@ def matching_distance(first, second):
 
 
 def subset_distance(sub, full):
-    """For each element of ``sub``, distance to its own match in ``full``.
-
-    The matching is injective and optimal (a linear sum assignment that
-    minimizes the total distance); returns its largest distance (0.0 for an
-    empty ``sub``, inf if ``full`` is too small).
+    """Bottleneck distance from ``sub`` into ``full``: the least, over all
+    injective matchings of ``sub`` into ``full``, of the largest matched
+    distance, so each element of ``sub`` has its own partner within ``tol``
+    iff it is ``<= tol`` (0.0 for an empty ``sub``, inf if ``full`` is too small).
     """
     sub = np.atleast_1d(np.asarray(sub, dtype=complex))
     full = np.atleast_1d(np.asarray(full, dtype=complex))
@@ -272,8 +270,28 @@ def subset_distance(sub, full):
         return 0.0
     if sub.size > full.size:
         return np.inf
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.abs(sub[:, None] - full[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    nearest = cost.argmin(axis=1)
+    low = cost[np.arange(sub.size), nearest].max()
+    # Distinct nearest partners form a matching, and none can do better;
+    # else the answer is the least cost at or above ``low`` that matches all.
+    if len(set(nearest.tolist())) == sub.size:
+        return float(low)
+    return float(next(c for c in np.unique(cost[cost >= low]) if _matches_all(cost <= c)))
+
+
+def _matches_all(adj):
+    """Whether each row of the boolean matrix ``adj`` gets its own column
+    (Kuhn's augmenting paths)."""
+    owner = {}
+
+    def augment(i, seen):
+        for j in np.flatnonzero(adj[i]):
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(adj)))

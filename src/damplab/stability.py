@@ -42,8 +42,8 @@ __all__ = [
     "undamped_spectral_map",
 ]
 
-#: Distance within which an axis eigenvalue of the more damped system counts
-#: as matched in the less damped one.
+#: Bottleneck distance (``linalg.subset_distance``) within which the axis set
+#: of the more damped system counts as contained in the less damped one's.
 MATCH_TOL = 1e-6
 
 #: Relative accuracy to which the square-root map must reproduce the
@@ -361,11 +361,11 @@ def monotonicity_compare(first, second, x0, check=True):
     Both systems must share inertia (entrywise to ``1e-12``) and
     vector-field Jacobian at ``x0`` (entrywise to ``1e-10 * max(1, max|L|)``);
     in the symmetric setting, ``D_second >= D_first`` (PSD order) forces
-    the second axis set to be contained in the first, each second-set
-    eigenvalue matched within ``MATCH_TOL``.  A nonsingular inertia is not
-    checked again: :class:`SecondOrderSystem` enforces it on construction.
-    ``check=False`` bypasses the hypothesis validation and recomputes
-    anyway, which is how the unsymmetric counterexample is demonstrated.
+    the second axis set into the first: ``subset_holds`` iff its bottleneck
+    distance into the first is ``<= MATCH_TOL``.  A nonsingular inertia is
+    not checked again: :class:`SecondOrderSystem` enforces it on
+    construction.  ``check=False`` bypasses the hypothesis validation and
+    recomputes anyway, which is how the unsymmetric counterexample is shown.
     """
     x0 = np.asarray(x0, dtype=float)
     l1 = first.jac(x0)

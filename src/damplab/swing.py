@@ -140,8 +140,8 @@ class PowerGridModel:
             raise ModelFormatError("inertia constants must be positive")
         if np.any(d < 0):
             raise ModelFormatError("damping coefficients must be nonnegative")
-        if self.omega_s <= 0:
-            raise ModelFormatError("omega_s must be positive")
+        if not 0 < self.omega_s < np.inf:
+            raise ModelFormatError("omega_s must be positive and finite")
         if not self._connected(y):
             raise ModelFormatError("underlying network graph is not connected")
         object.__setattr__(self, "y_mag", y)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damplab import linalg
+from damplab import linalg, stability
 from damplab.errors import (
     MatrixShapeError,
     SingularInertia,
@@ -190,6 +192,81 @@ class TestSpectralRules:
                                       [False, True, True, False, False])
         np.testing.assert_array_equal(linalg.pair_upper(eigs, 2.0),
                                       [False, False, True, False, False])
+
+
+def brute_subset_distance(sub, full):
+    """Least largest distance over all injective matchings of ``sub``
+    into ``full``, by enumeration."""
+    if len(sub) > len(full):
+        return math.inf
+    cost = np.abs(np.subtract.outer(sub, full))
+    return min(max(cost[range(len(sub)), cols], default=0.0)
+               for cols in itertools.permutations(range(len(full)), len(sub)))
+
+
+class TestSubsetDistance:
+    @pytest.mark.parametrize("lattice", [False, True],
+                             ids=["continuous", "ties_and_repeats"])
+    def test_equals_brute_force_bottleneck(self, lattice):
+        # On the integer lattice, distances tie and values repeat, so
+        # nearest partners are shared and the augmenting paths decide.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            k, m = (int(v) for v in rng.integers(0, 7, size=2))
+            if lattice:
+                sub, full = (rng.integers(-1, 2, size=(size, 2)) @ [1, 1j]
+                             for size in (k, m))
+            else:
+                sub, full = (rng.normal(size=size) + 1j * rng.normal(size=size)
+                             for size in (k, m))
+            want = brute_subset_distance(sub, full)
+            assert linalg.subset_distance(sub, full) == want
+            if k == m:
+                assert linalg.matching_distance(sub, full) == want
+
+    def test_shared_nearest_partner(self):
+        # Both elements are nearest to 0.  The least-total matching
+        # (0 -> 0, 3i -> 4) has largest distance 5; pairing 0 -> 4 and
+        # 3i -> 0 keeps every distance within 4.
+        assert linalg.subset_distance([0, 3j], [0, 4]) == 4.0
+        assert linalg.matching_distance([0, 3j], [0, 4]) == 4.0
+        assert linalg.subset_distance([0, 0.1], [0, 10]) == 9.9
+
+    def test_distinct_nearest_partners(self):
+        assert linalg.subset_distance([0, 3j], [0, 4, 3j + 0.5]) == 0.5
+
+    def test_sizes(self):
+        assert linalg.subset_distance([], [1j]) == 0.0
+        assert linalg.subset_distance([], []) == 0.0
+        assert linalg.subset_distance([0, 1], [0]) == math.inf
+        assert linalg.matching_distance([0], [0, 1]) == math.inf
+        assert linalg.matching_distance([], []) == 0.0
+
+    @pytest.mark.parametrize("shift, holds", [(0.5, True), (1.5, False)])
+    def test_monotonicity_subset_moves_with_one_eigenvalue(self, monkeypatch,
+                                                           shift, holds):
+        # Extra damping on the third generator keeps case1's unobservable
+        # pair; moving the more damped system's upper pair member by
+        # ``shift * MATCH_TOL`` along the axis decides the subset test.
+        first = stability.SecondOrderSystem.linear(
+            np.eye(3), np.diag([0.0, 0.0, 1.5]), L_CASE1)
+        second = first.with_damping(np.diag([0.0, 0.0, 3.0]))
+        classify = stability.classify_spectrum
+        reports = []
+
+        def moved(eigs):
+            report = classify(eigs)
+            reports.append(report)
+            if len(reports) == 2:
+                axis = report.axis_set.copy()
+                axis[axis.imag.argmax()] += 1j * shift * stability.MATCH_TOL
+                report = dataclasses.replace(report, axis_set=axis)
+            return report
+
+        monkeypatch.setattr(stability, "classify_spectrum", moved)
+        report = stability.monotonicity_compare(first, second, np.zeros(3))
+        assert len(report.axis_set_second) == 3
+        assert report.subset_holds is holds
 
 
 def test_pencil_residual_scale_computes_norms_once(monkeypatch):

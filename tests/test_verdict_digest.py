@@ -27,8 +27,10 @@ def test_seed_line_names_failing_trials(monkeypatch):
     assert verdict_digest.seed_line(3, scale=0.03) == line
 
 
-#: ``seed_line(5, scale=0.05)`` under ``_inject_failures``, as the per-trial
-#: loops of each suite printed it before the shared suite skeleton.
+#: ``seed_line(5, scale=0.05)`` under ``_inject_failures``.  The failing
+#: trials are those the per-trial loops of each suite printed before the
+#: shared suite skeleton; the recorded spectral distances are bottleneck
+#: matching distances (``linalg.subset_distance``).
 INJECTED_LINE = (
     "seed 5: pencil_vs_jacobian[0, 1, 2, 3, 4, 5, 7, 9] undamped_map[0, "
     "1, 5, 7, 8] referenced_spectrum[0, 2, 3, 4, 5, 6, 7, 9] "
@@ -41,7 +43,7 @@ INJECTED_LINE = (
     "21, 22, 23, 24] undamped_pair_family[3] lossless_criterion[1, 2, 3, "
     "4, 7, 11, 12, 14] safe_damping_region[0, 3, 4, 5, 7, 12, 17, 20, 22] "
     "flow_jacobian_fd[0, 0, 1, 1, 2, 2] fold_exclusion[0, 1] "
-    "sha256 1a9c0dc6ae8d88759056554722d76fcfa5852f766a1b675ba7545a16b17a1c29"
+    "sha256 f87cd33fb00faf141e34999674d13c7d6f412659a84170ffb00ed4927d522430"
 )
 
 

@@ -64,8 +64,9 @@ class QuadraticPencil:
     """Matrix polynomial ``P(lam) = lam**2 a2 + lam a1 + a0`` with a2 nonsingular.
 
     ``a2``, ``a1``, ``a0`` are n-by-n real matrices (complex evaluation points
-    are fine).  For a second-order system these are inertia, damping and the
-    vector-field Jacobian respectively.
+    are fine), or stacks ``(..., n, n)``: one pencil per matrix.  For a
+    second-order system these are inertia, damping and the vector-field
+    Jacobian respectively.
     """
 
     a2: np.ndarray
@@ -73,16 +74,15 @@ class QuadraticPencil:
     a0: np.ndarray
 
     def __post_init__(self):
-        a2 = val.as_matrix(self.a2, "a2")
-        a1 = val.as_matrix(self.a1, "a1")
-        a0 = val.as_matrix(self.a0, "a0")
+        a2 = val.as_stack(self.a2, "a2")
+        a1 = val.as_stack(self.a1, "a1")
+        a0 = val.as_stack(self.a0, "a0")
         if not (a2.shape == a1.shape == a0.shape):
             raise MatrixShapeError(
                 f"pencil blocks must share one dimension, got "
                 f"{a2.shape}, {a1.shape}, {a0.shape}"
             )
-        n = a2.shape[0]
-        if numerical_rank(a2) < n:
+        if not val.every(numerical_rank(a2) == a2.shape[-1]):
             raise SingularLeadingCoefficient(
                 "leading coefficient a2 is numerically singular"
             )
@@ -92,14 +92,14 @@ class QuadraticPencil:
 
     @property
     def n(self):
-        return self.a2.shape[0]
+        return self.a2.shape[-1]
 
     def evaluate(self, lam):
         return (lam * lam) * self.a2 + lam * self.a1 + self.a0
 
     @cached_property
     def _norms(self):
-        return [np.linalg.norm(a, 2) for a in (self.a2, self.a1, self.a0)]
+        return [np.linalg.norm(a, 2, axis=(-2, -1)) for a in (self.a2, self.a1, self.a0)]
 
     def residual_scale(self, lam):
         """Natural backward-error scale at ``lam``."""
@@ -108,19 +108,20 @@ class QuadraticPencil:
         return r * r * n2 + r * n1 + n0
 
     def companion(self):
-        """First companion linearization ``[[0, I], [-a2^-1 a0, -a2^-1 a1]]``."""
+        """First companion linearization ``[[0, I], [-a2^-1 a0, -a2^-1 a1]]``,
+        assembled apart from :func:`jacobian_2n`, whose reference it is."""
         n = self.n
-        top = np.hstack([np.zeros((n, n)), np.eye(n)])
-        sol = np.linalg.solve(self.a2, np.hstack([self.a0, self.a1]))
-        bottom = -np.hstack([sol[:, :n], sol[:, n:]])
-        return np.vstack([top, bottom])
+        sol = np.linalg.solve(self.a2, np.concatenate([self.a0, self.a1], axis=-1))
+        top = np.broadcast_to(np.hstack([np.zeros((n, n)), np.eye(n)]), sol.shape)
+        return np.concatenate([top, -sol], axis=-2)
 
     def eigenvalues(self):
         return np.linalg.eigvals(self.companion())
 
 
 def pencil_eigenvalues(a2, a1, a0):
-    """All 2n eigenvalues of the quadratic pencil ``lam^2 a2 + lam a1 + a0``.
+    """All 2n eigenvalues of the quadratic pencil ``lam^2 a2 + lam a1 + a0``
+    (one row per pencil of stacks).
 
     Raises SingularLeadingCoefficient if ``a2`` is rank deficient.
     """
@@ -128,15 +129,16 @@ def pencil_eigenvalues(a2, a1, a0):
 
 
 def jacobian_2n(inertia, damping, stiffness):
-    """Block Jacobian ``[[0, I], [-M^-1 L, -M^-1 D]]`` of the first-order system.
+    """Block Jacobian ``[[0, I], [-M^-1 L, -M^-1 D]]`` of the first-order system
+    (one per matrix of stacks ``(..., n, n)``).
 
     ``stiffness`` is the vector-field Jacobian at the linearization point.
-    Raises SingularInertia when ``inertia`` is numerically singular.
+    Raises SingularInertia when an inertia is numerically singular.
     """
-    m = val.as_matrix(inertia, "inertia", dtype=float)
-    d = val.as_matrix(damping, "damping", dtype=float)
-    l = val.as_matrix(stiffness, "stiffness", dtype=float)
-    if numerical_rank(m) < m.shape[0]:
+    m = val.as_stack(inertia, "inertia", dtype=float)
+    d = val.as_stack(damping, "damping", dtype=float)
+    l = val.as_stack(stiffness, "stiffness", dtype=float)
+    if not val.every(numerical_rank(m) == m.shape[-1]):
         raise SingularInertia("inertia matrix is numerically singular")
     return _solved_jacobian(m, d, l)
 

@@ -56,7 +56,8 @@ class SecondOrderSystem:
     """Linearization data of a second-order model ``M x'' + D x' + f(x) = 0``.
 
     ``jac`` evaluates the Jacobian of ``f`` at an n-state; :meth:`linear`
-    builds it from a constant stiffness matrix.
+    builds it from a constant stiffness matrix.  Stacks ``(..., n, n)`` of
+    one shape, with a ``jac`` of that shape, give one Jacobian per matrix.
     """
 
     inertia: np.ndarray
@@ -64,13 +65,13 @@ class SecondOrderSystem:
     jac: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        self.inertia = val.as_matrix(self.inertia, "inertia", dtype=float)
+        self.inertia = val.as_stack(self.inertia, "inertia", dtype=float)
         self.damping = self._checked_damping(self.damping)
-        if numerical_rank(self.inertia) < self.n:
+        if not val.every(numerical_rank(self.inertia) == self.n):
             raise AssumptionViolated("inertia nonsingular")
 
     def _checked_damping(self, damping):
-        damping = val.as_matrix(damping, "damping", dtype=float)
+        damping = val.as_stack(damping, "damping", dtype=float)
         if damping.shape != self.inertia.shape:
             raise MatrixShapeError(f"damping must be {self.n}x{self.n} like the inertia, "
                                    f"got shape {damping.shape}")
@@ -78,12 +79,12 @@ class SecondOrderSystem:
 
     @classmethod
     def linear(cls, inertia, damping, stiffness):
-        stiffness = val.as_matrix(stiffness, "stiffness", dtype=float)
+        stiffness = val.as_stack(stiffness, "stiffness", dtype=float)
         return cls(inertia=inertia, damping=damping, jac=lambda x: stiffness)
 
     @property
     def n(self):
-        return self.inertia.shape[0]
+        return self.inertia.shape[-1]
 
     def with_damping(self, damping):
         """The system with another damping: only the damping is checked, the
@@ -95,7 +96,7 @@ class SecondOrderSystem:
     def jacobian_at(self, x):
         """2n-by-2n Jacobian of the first-order system at state ``(x, 0)``;
         the inertia was rank-checked at construction."""
-        l = val.as_matrix(self.jac(np.asarray(x, float)), "stiffness", dtype=float)
+        l = val.as_stack(self.jac(np.asarray(x, float)), "stiffness", dtype=float)
         return _solved_jacobian(self.inertia, self.damping, l)
 
 
@@ -147,8 +148,10 @@ def _eigenvalue_clusters(eigs, scale):
 
 
 def _pbh_scale(a, b):
-    """The cluster scale ``max(1, ||A||_2, ||B||_2)`` and the PBH threshold."""
-    scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
+    """The cluster scale ``max(1, ||A||_2, ||B||_2)`` and the PBH threshold,
+    one each per matrix of stacks."""
+    norms = (np.linalg.norm(x, 2, axis=(-2, -1)) for x in (a, b))
+    scale = np.maximum(1.0, np.maximum(*norms))
     return scale, val.TOL_OBS * scale
 
 
@@ -211,45 +214,51 @@ def observability_symmetric(m, l, d):
     the eigenspace with their residual ``||M^-1 D x||``, one per deficiency
     dimension.
 
-    Raises AssumptionViolated when M or L is not symmetric or M is not
-    positive definite.
+    Stacks ``(..., n, n)`` take one call per LAPACK routine and give a list
+    of verdicts, in ``np.ndindex`` order; clusters and witnesses are found
+    per matrix.  Raises AssumptionViolated when an M or L is not symmetric
+    or an M is not positive definite.
     """
-    m = val.as_matrix(m, "inertia", dtype=float)
-    l = val.as_matrix(l, "stiffness", dtype=float)
-    d = val.as_matrix(d, "damping", dtype=float)
+    m = val.as_stack(m, "inertia", dtype=float)
+    l = val.as_stack(l, "stiffness", dtype=float)
+    d = val.as_stack(d, "damping", dtype=float)
     if not (m.shape == l.shape == d.shape):
         raise AssumptionViolated("shape", "inertia, stiffness and damping must match")
-    if not val.is_symmetric(m):
+    if not val.every(val.is_symmetric(m)):
         raise AssumptionViolated("inertia symmetric positive definite")
-    if not val.is_symmetric(l):
+    if not val.every(val.is_symmetric(l)):
         raise AssumptionViolated("jacobian symmetric")
     try:
         c = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise AssumptionViolated("inertia symmetric positive definite") from None
     half = np.linalg.solve(c, l)  # C^-1 L
-    mu, u = np.linalg.eigh(np.linalg.solve(c, half.T))
-    vecs = np.linalg.solve(c.T, u)
-    vecs /= np.linalg.norm(vecs, axis=0)
+    mu, u = np.linalg.eigh(np.linalg.solve(c, half.swapaxes(-1, -2)))
+    ct = c.swapaxes(-1, -2)
+    vecs = np.linalg.solve(ct, u)
+    vecs /= np.linalg.norm(vecs, axis=-2, keepdims=True)
     b = np.linalg.solve(m, d)
-    scale, threshold = _pbh_scale(np.linalg.solve(c.T, half), b)  # M^-1 L
+    scale, threshold = _pbh_scale(np.linalg.solve(ct, half), b)  # M^-1 L
+    residuals = np.linalg.norm(b @ vecs, axis=-2)
 
-    residuals = np.linalg.norm(b @ vecs, axis=0).tolist()
-    witnesses = []
-    margins = []
-    for lam, idx in _eigenvalue_clusters(mu, scale):
-        lam = complex(lam)
-        if len(idx) == 1:
-            res = residuals[idx[0]]
-            margins.append((lam, res))
-            if res <= threshold:
-                witnesses.append(ObservabilityWitness(lam, vecs[:, idx[0]], res))
-            continue
-        basis, _ = np.linalg.qr(vecs[:, idx])
-        _, sing, vh = np.linalg.svd(b @ basis)
-        margins.append((lam, float(sing[-1])))
-        witnesses += _witnesses(lam, sing, vh, b, threshold, basis)
-    return ObservabilityVerdict(tuple(witnesses), tuple(margins), scale)
+    verdicts = []
+    for k in np.ndindex(m.shape[:-2]):
+        witnesses = []
+        margins = []
+        for lam, idx in _eigenvalue_clusters(mu[k], scale[k]):
+            lam = complex(lam)
+            if len(idx) == 1:
+                res = float(residuals[k][idx[0]])
+                margins.append((lam, res))
+                if res <= threshold[k]:
+                    witnesses.append(ObservabilityWitness(lam, vecs[k][:, idx[0]], res))
+                continue
+            basis, _ = np.linalg.qr(vecs[k][:, idx])
+            _, sing, vh = np.linalg.svd(b[k] @ basis)
+            margins.append((lam, float(sing[-1])))
+            witnesses += _witnesses(lam, sing, vh, b[k], threshold[k], basis)
+        verdicts.append(ObservabilityVerdict(tuple(witnesses), tuple(margins), float(scale[k])))
+    return verdicts if m.ndim > 2 else verdicts[0]
 
 
 @dataclass(frozen=True)
@@ -405,22 +414,22 @@ def undamped_spectral_map(inertia, stiffness):
     Returns ``(mu, lam)`` where ``mu`` are the eigenvalues of ``-M^-1 L`` and
     ``lam`` the induced values ``+-sqrt(mu)``; asserts ``lam`` equals the
     spectrum of the D = 0 Jacobian to ``UNDAMPED_MAP_TOL`` relative to its
-    spectral scale.
+    spectral scale.  Stacks ``(..., n, n)`` give one row of each per matrix.
     """
-    m = val.as_matrix(inertia, "inertia", dtype=float)
-    l = val.as_matrix(stiffness, "stiffness", dtype=float)
+    m = val.as_stack(inertia, "inertia", dtype=float)
+    l = val.as_stack(stiffness, "stiffness", dtype=float)
     mu = np.linalg.eigvals(np.linalg.solve(m, -l))
     roots = np.sqrt(mu.astype(complex))
-    lam = np.concatenate([roots, -roots])
+    lam = np.concatenate([roots, -roots], axis=-1)
     direct = np.linalg.eigvals(jacobian_2n(m, np.zeros_like(m), l))
-    dist = matching_distance(lam, direct)
-    scale = val.spectral_scale(direct)
-    if dist > UNDAMPED_MAP_TOL * scale:
-        raise TheoremViolation(
-            f"undamped spectral map mismatch: {dist:.3e}",
-            first_verdict=lam,
-            second_verdict=direct,
-        )
+    for k in np.ndindex(m.shape[:-2]):
+        dist = matching_distance(lam[k], direct[k])
+        if dist > UNDAMPED_MAP_TOL * val.spectral_scale(direct[k]):
+            raise TheoremViolation(
+                f"undamped spectral map mismatch: {dist:.3e}",
+                first_verdict=lam[k],
+                second_verdict=direct[k],
+            )
     return mu, lam
 
 

@@ -8,11 +8,15 @@ payloads for replay, and are shared between the test suite and the CLI
 
 A random suite states only its draw and its check; :func:`_suite` runs
 them.  Every instance is drawn first, with the rng calls in trial order;
-the check then runs once per instance, or once per matrix size on stacks
-(:func:`_by_size`); failure payloads are recorded in trial order under a
-0-based ``trial`` index.  ``suite_undamped_pair_family`` keeps its own
-loop: it checks a fixed family of peer counts, not random trials, and
-records the peer count ``n``.
+the check then runs once per matrix size on stacks (:func:`_by_size`),
+through the same stack-capable functions the CLI calls, or once per
+instance in ``observability_equivalence``, ``damping_monotonicity`` and
+``flow_jacobian_fd``.  Failure payloads are recorded in trial order under
+a 0-based ``trial`` index.  A suite that records errors decides a size
+whose stack raises again member by member (:func:`_errors_recorded`), so
+each error lands on its own trial.  ``suite_undamped_pair_family`` keeps
+its own loop: it checks a fixed family of peer counts, not random trials,
+and records the peer count ``n``.
 """
 
 from __future__ import annotations
@@ -65,12 +69,12 @@ class SuiteResult:
 
 
 def _serialize(v):
+    if isinstance(v, np.generic):
+        v = v.item()
     if isinstance(v, np.ndarray):
         if np.iscomplexobj(v):
             return {"re": v.real.tolist(), "im": v.imag.tolist()}
         return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
     return v
@@ -199,19 +203,37 @@ def _by_size(instances, decide):
     """Verdicts of ``decide`` on ``instances``, in order, with one call per
     matrix size.
 
-    Each instance is a tuple of arrays whose first is an n-by-n matrix; the
-    instances of one n are stacked member by member, and ``decide`` returns
-    one verdict per stacked instance.
+    Each instance is a tuple whose first item is an n-by-n matrix or a grid
+    model of n generators.  The instances of one n are passed item by
+    item: arrays stacked, other items as lists.  ``decide`` returns one
+    verdict per member.
     """
     groups = {}
     for i, inst in enumerate(instances):
-        groups.setdefault(inst[0].shape[-1], []).append(i)
+        n = inst[0].n if isinstance(inst[0], swing.PowerGridModel) else inst[0].shape[-1]
+        groups.setdefault(n, []).append(i)
     verdicts = [None] * len(instances)
     for idx in groups.values():
-        stacks = [np.stack(members) for members in zip(*(instances[i] for i in idx))]
-        for i, verdict in zip(idx, decide(*stacks)):
+        columns = [np.stack(members) if isinstance(members[0], np.ndarray) else list(members)
+                   for members in zip(*(instances[i] for i in idx))]
+        for i, verdict in zip(idx, decide(*columns)):
             verdicts[i] = verdict
     return verdicts
+
+
+def _errors_recorded(decide):
+    """``decide`` for suites that record errors: when a stack raises, each
+    member is decided again alone, as a stack of one, and the error of a
+    lone member is its verdict."""
+    def run(*columns):
+        try:
+            return decide(*columns)
+        except Exception as exc:
+            if len(columns[0]) == 1:
+                return [exc]
+            return [next(iter(run(*(c[k:k + 1] for c in columns))))
+                    for k in range(len(columns[0]))]
+    return run
 
 
 def suite_pencil_vs_jacobian(seed=DEFAULT_SEED, trials=200):
@@ -220,15 +242,17 @@ def suite_pencil_vs_jacobian(seed=DEFAULT_SEED, trials=200):
     def draw(rng):
         n = int(rng.integers(2, 7))
         return _spd(rng, n), rng.normal(size=(n, n)), rng.normal(size=(n, n))
-    def failures(m, d, l):
+    def decide(m, d, l):
         pencil = pencil_eigenvalues(m, d, l)  # checks the rank of M once
-        direct = np.linalg.eigvals(_solved_jacobian(m, d, l))
+        return zip(pencil, np.linalg.eigvals(_solved_jacobian(m, d, l)))
+    def failures(spectra, m, d, l):
+        pencil, direct = spectra
         dist = matching_distance(pencil, direct)
         scale = val.spectral_scale(direct)
         conj_dist = matching_distance(direct, np.conj(direct))
         if dist > 1e-8 * scale or conj_dist > 1e-8 * scale:
             yield dict(m=m, d=d, l=l, distance=dist, conj_distance=conj_dist)
-    return _suite("pencil_vs_jacobian", seed, trials, draw, failures)
+    return _suite("pencil_vs_jacobian", seed, trials, draw, failures, decide)
 
 
 def suite_undamped_map(seed=DEFAULT_SEED, trials=200):
@@ -236,19 +260,22 @@ def suite_undamped_map(seed=DEFAULT_SEED, trials=200):
     def draw(rng):
         n = int(rng.integers(2, 7))
         return _spd(rng, n), _sym(rng, n)
-    def failures(m, l):
-        try:
-            stability.undamped_spectral_map(m, l)
-        except Exception as exc:  # TheoremViolation carries the mismatch
-            yield dict(m=m, l=l, error=str(exc))
-    return _suite("undamped_map", seed, trials, draw, failures)
+    def failures(verdict, m, l):
+        if isinstance(verdict, Exception):  # TheoremViolation carries the mismatch
+            yield dict(m=m, l=l, error=str(verdict))
+    return _suite("undamped_map", seed, trials, draw, failures,
+                  decide=_errors_recorded(
+                      lambda m, l: zip(*stability.undamped_spectral_map(m, l))))
 
 
 def suite_referenced_spectrum(seed=DEFAULT_SEED, trials=200):
     """Reference-bus reduction: same nonzero spectrum, inertia loses one zero."""
-    def failures(model, eq):
-        full = np.linalg.eigvals(model.to_second_order().jacobian_at(eq.delta0))
-        reduced = np.linalg.eigvals(model.referenced(eq).jacobian())
+    def decide(models, eqs):
+        full = swing._second_order(models).jacobian_at([eq.delta0 for eq in eqs])
+        reduced = np.stack([model.referenced(eq).jacobian() for model, eq in zip(models, eqs)])
+        return zip(np.linalg.eigvals(full), np.linalg.eigvals(reduced))
+    def failures(spectra, model, eq):
+        full, reduced = spectra
         full_report = classify_spectrum(full)
         red_report = classify_spectrum(reduced)
         band = axis_band(full_report.scale)
@@ -261,7 +288,7 @@ def suite_referenced_spectrum(seed=DEFAULT_SEED, trials=200):
                        reduced_inertia=list(red_report.inertia))
     return _suite("referenced_spectrum", seed, trials,
                   lambda rng: random_lossless_grid(rng, int(rng.integers(2, 7))),
-                  failures)
+                  failures, decide)
 
 
 def suite_rank_monotonicity(seed=DEFAULT_SEED, trials=2000):
@@ -392,19 +419,17 @@ def suite_full_damping_stability(seed=DEFAULT_SEED, trials=500):
 def suite_small_grid_hyperbolicity(seed=DEFAULT_SEED, trials=500):
     """Lossy 2- and 3-generator grids with one undamped generator stay
     hyperbolic beyond the structural zero."""
-    def failures(model, eq):
-        try:
-            ok = swing.small_n_hyperbolicity_check(model, eq)
-        except Exception as exc:
-            yield dict(n=model.n, error=str(exc))
-            return
-        if not ok:
+    def failures(ok, model, eq):
+        if isinstance(ok, Exception):
+            yield dict(n=model.n, error=str(ok))
+        elif not ok:
             yield dict(n=model.n, y=model.y_mag, theta=model.theta,
                        volt=model.voltage, pm=model.p_mech, inertia=model.inertia_const,
                        damping=model.damping_coeff, delta0=eq.delta0)
     return _suite("small_grid_hyperbolicity", seed, trials,
                   lambda rng: random_lossy_grid(rng, int(rng.integers(2, 4))),
-                  failures)
+                  failures, decide=_errors_recorded(
+                      lambda *grids: swing.small_n_hyperbolicity_check(*grids)))
 
 
 def suite_undamped_pair_family(seed=DEFAULT_SEED, peers=range(2, 7)):
@@ -443,16 +468,15 @@ def suite_lossless_criterion(seed=DEFAULT_SEED, trials=300):
     def draw(rng):
         n = int(rng.integers(2, 6))
         profile = "positive" if rng.random() < 0.7 else "one_undamped"
-        return (profile, *random_lossless_grid(rng, n, gamma_profile=profile))
-    def failures(profile, model, eq):
-        try:
-            verdict = swing.lossless_imaginary_criterion(model, eq)
-        except Exception as exc:
-            yield dict(n=model.n, error=str(exc))
-            return
-        if profile == "positive" and verdict.imaginary_pair_exists:
+        return (*random_lossless_grid(rng, n, gamma_profile=profile), profile)
+    def failures(verdict, model, eq, profile):
+        if isinstance(verdict, Exception):
+            yield dict(n=model.n, error=str(verdict))
+        elif profile == "positive" and verdict.imaginary_pair_exists:
             yield dict(n=model.n, error="pair under full damping")
-    return _suite("lossless_criterion", seed, trials, draw, failures)
+    return _suite("lossless_criterion", seed, trials, draw, failures,
+                  decide=_errors_recorded(
+                      lambda models, eqs, _: swing.lossless_imaginary_criterion(models, eqs)))
 
 
 def suite_safe_damping_region(seed=DEFAULT_SEED, trials=500):
@@ -513,12 +537,12 @@ def suite_fold_exclusion(seed=DEFAULT_SEED, trials=200):
         else:
             l = _spd(rng, n)
         return m, singular, l, _psd(rng, n, rank=int(rng.integers(0, n + 1)))
-    def failures(m, singular, l, d):
-        eigs = np.linalg.eigvals(jacobian_2n(m, d, l))
+    def failures(eigs, m, singular, l, d):
         has_zero = structural_zero(eigs, axis_band(val.spectral_scale(eigs))).any()
         if has_zero != singular:
             yield dict(m=m, d=d, l=l, has_zero=bool(has_zero), singular=singular)
-    return _suite("fold_exclusion", seed, trials, draw, failures)
+    return _suite("fold_exclusion", seed, trials, draw, failures,
+                  decide=lambda m, singular, l, d: np.linalg.eigvals(jacobian_2n(m, d, l)))
 
 
 SUITES = {

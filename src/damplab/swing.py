@@ -35,7 +35,7 @@ from .errors import (
     TheoremViolation,
 )
 from .hopf import DampingPath
-from .linalg import classify_spectrum, jacobian_2n, referenced_jacobian
+from .linalg import _solved_jacobian, classify_spectrum, jacobian_2n, referenced_jacobian
 from .simulate import _norm, _shoot
 from .stability import SecondOrderSystem, observability_symmetric
 
@@ -397,6 +397,16 @@ class ReferencedGridSystem:
         )
 
 
+def _second_order(models):
+    """:meth:`PowerGridModel.to_second_order` of models of one size as one
+    stacked system, every inertia checked by one call; ``jac`` maps stacked
+    angle vectors to the stacked flow Jacobians."""
+    m, d = (np.stack([np.diag(getattr(model, name)) / model.omega_s for model in models])
+            for name in ("inertia_const", "damping_coeff"))
+    return SecondOrderSystem(m, d, lambda deltas: np.stack(
+        [model.flow_jacobian(x) for model, x in zip(models, deltas)]))
+
+
 def grid_damping_path(model, eq, mask, gamma_range):
     """Referenced damping path of ``model`` frozen at ``eq``.
 
@@ -449,39 +459,38 @@ def lossless_imaginary_criterion(model, eq, tol_axis=val.TOL_AXIS):
     (unless the system is fully undamped), so witnesses are filtered to
     positive eigenvalues; the verdict is cross-checked against the directly
     computed axis content of the spectrum, structural zero excluded.
+
+    ``model`` and ``eq`` may also be sequences of models of one size and of
+    their equilibria: the preconditions are checked member by member, the
+    observability and the spectra decided on stacks, and a list holds one
+    result per member.
     """
-    if not model.is_lossless():
-        raise NotLossless("criterion requires a lossless network")
-    if not eq.in_omega:
-        raise NotInOmega("criterion requires an equilibrium in the admissible set")
+    single = isinstance(model, PowerGridModel)
+    models, eqs = ([model], [eq]) if single else (model, eq)
+    for model, eq in zip(models, eqs):
+        if not model.is_lossless():
+            raise NotLossless("criterion requires a lossless network")
+        if not eq.in_omega:
+            raise NotInOmega("criterion requires an equilibrium in the admissible set")
 
-    system = model.to_second_order()
-    lmat = system.jac(eq.delta0)
-    verdict = observability_symmetric(system.inertia, lmat, system.damping)
-    scale = max(1.0, max(abs(lam) for lam, _ in verdict.margins))
-    positive = tuple(
-        w for w in verdict.witnesses if w.eigenvalue.real > 1e-9 * scale
-    )
-    pair_from_observability = (not verdict.observable) and (
-        len(positive) > 0 or np.all(model.damping_coeff == 0)
-    )
-
-    report = classify_spectrum(
-        np.linalg.eigvals(system.jacobian_at(eq.delta0)), tol_axis
-    )
-    pair_from_spectrum = report.nonzero_axis_set.size > 0
-
-    if pair_from_observability != pair_from_spectrum:
-        raise TheoremViolation(
-            "observability and spectral verdicts disagree on the imaginary pair",
-            first_verdict=verdict,
-            second_verdict=report,
-        )
-    return LosslessCriterionResult(
-        imaginary_pair_exists=pair_from_spectrum,
-        witnesses=positive,
-        spectrum=report,
-    )
+    system = _second_order(models)
+    lmat = system.jac([eq.delta0 for eq in eqs])
+    verdicts = observability_symmetric(system.inertia, lmat, system.damping)
+    spectra = np.linalg.eigvals(_solved_jacobian(system.inertia, system.damping, lmat))
+    results = []
+    for model, verdict, eigs in zip(models, verdicts, spectra):
+        scale = max(1.0, max(abs(lam) for lam, _ in verdict.margins))
+        positive = tuple(w for w in verdict.witnesses if w.eigenvalue.real > 1e-9 * scale)
+        pair_from_observability = (not verdict.observable) and (
+            len(positive) > 0 or np.all(model.damping_coeff == 0))
+        report = classify_spectrum(eigs, tol_axis)
+        pair_from_spectrum = report.nonzero_axis_set.size > 0
+        if pair_from_observability != pair_from_spectrum:
+            raise TheoremViolation(
+                "observability and spectral verdicts disagree on the imaginary pair",
+                first_verdict=verdict, second_verdict=report)
+        results.append(LosslessCriterionResult(pair_from_spectrum, positive, report))
+    return results[0] if single else results
 
 
 def damping_repair_suggestion(model, eq, witnesses):
@@ -554,34 +563,30 @@ def small_n_hyperbolicity_check(model, eq):
     weights with a symmetric zero pattern at the equilibrium.  For n = 2 the
     mutual weights only need to be nonzero (either sign); for n = 3 the
     equilibrium must lie in the admissible set so all weights are positive.
-    Under these hypotheses the result is always True.
+    Under these hypotheses the result is always True.  Sequences of models
+    of one size and of their equilibria are checked member by member and
+    their spectra taken on one stack; a list holds one verdict per member.
     """
-    n = model.n
-    if n not in (2, 3):
-        raise AssumptionViolated("n in {2, 3}")
-    undamped = np.count_nonzero(model.damping_coeff == 0)
-    if undamped != 1:
-        raise AssumptionViolated(
-            "exactly one undamped generator", f"found {undamped}"
-        )
-    w = model.weights(eq.delta0)
-    scale = max(np.abs(w).max(), 1e-300)
-    for j in range(n):
-        for k in range(j + 1, n):
-            zj = abs(w[j, k]) <= 1e-12 * scale
-            zk = abs(w[k, j]) <= 1e-12 * scale
-            if zj != zk:
-                raise AssumptionViolated("symmetric zero pattern of weights")
-    if n == 2:
-        if abs(w[0, 1]) <= 1e-12 * scale or abs(w[1, 0]) <= 1e-12 * scale:
+    single = isinstance(model, PowerGridModel)
+    models, eqs = ([model], [eq]) if single else (model, eq)
+    for model, eq in zip(models, eqs):
+        if model.n not in (2, 3):
+            raise AssumptionViolated("n in {2, 3}")
+        undamped = np.count_nonzero(model.damping_coeff == 0)
+        if undamped != 1:
+            raise AssumptionViolated("exactly one undamped generator", f"found {undamped}")
+        w = model.weights(eq.delta0)
+        zero = np.abs(w) <= 1e-12 * max(np.abs(w).max(), 1e-300)
+        if (zero != zero.T).any():
+            raise AssumptionViolated("symmetric zero pattern of weights")
+        if model.n == 2 and zero[0, 1]:
             raise AssumptionViolated("nonzero mutual coupling")
-    else:
-        if not eq.in_omega:
+        if model.n == 3 and not eq.in_omega:
             raise AssumptionViolated("equilibrium in the admissible angle set")
 
-    system = model.to_second_order()
-    report = classify_spectrum(np.linalg.eigvals(system.jacobian_at(eq.delta0)))
-    return report.nonzero_axis_set.size == 0
+    spectra = np.linalg.eigvals(_second_order(models).jacobian_at([eq.delta0 for eq in eqs]))
+    verdicts = [classify_spectrum(eigs).nonzero_axis_set.size == 0 for eigs in spectra]
+    return verdicts[0] if single else verdicts
 
 
 # -- end of a cycle branch: homoclinic connection to a drift saddle ----------

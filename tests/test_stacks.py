@@ -1,7 +1,7 @@
-"""Predicates and damping sweeps on stacks of matrices: one verdict per
-matrix, bit for bit the verdict of one call per matrix, and one LAPACK call
-per matrix size (per sample, for sweeps) in the perturbation, full-damping
-and safe-damping suites."""
+"""Predicates, spectra, grid criteria and damping sweeps on stacks: one
+verdict per matrix (or grid), bit for bit the verdict of one call per
+member, and one LAPACK call per routine and matrix size (per sample, for
+sweeps) in the suites that decide per size."""
 
 import json
 
@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from damplab import _validation as val
-from damplab import hopf, linalg, perturbation, stability, suites
-from damplab.errors import (AssumptionViolated, MatrixShapeError,
-                            PreconditionViolated, SingularMatrix, TrackingAmbiguity)
+from damplab import hopf, linalg, perturbation, stability, suites, swing
+from damplab.errors import (AssumptionViolated, MatrixShapeError, NotInOmega, NotLossless,
+                            PreconditionViolated, SingularInertia,
+                            SingularLeadingCoefficient, SingularMatrix,
+                            TheoremViolation, TrackingAmbiguity)
 from conftest import crossing_bits
 
 SIZES = range(1, 9)
@@ -181,6 +183,102 @@ def test_full_damping_on_stacks(n):
     assert stability.asymptotic_stability_full_damping(m[0], d[0], l[0]).ndim == 0
 
 
+def as_complex(spectra):
+    """Eigenvalues as complex: ``eigvals`` returns a real array only when
+    every matrix of its stack has a real spectrum."""
+    return np.asarray(spectra, dtype=complex)
+
+
+def symmetric_triples(rng, n, count=6):
+    """SPD inertia M = C C^T, symmetric stiffness and PSD damping.  Every
+    third stiffness is ``C S C^T`` with a repeated eigenvalue of S (a
+    repeated cluster of M^-1 L) and a zero damping (witnesses); the others
+    have a damping of rank n - 1."""
+    m = spd(rng, n, count)
+    l, d = [], []
+    for k, c in enumerate(np.linalg.cholesky(m)):
+        eigs = rng.normal(size=n)
+        if k % 3 == 0:
+            eigs[-1] = eigs[0]
+        l.append(val.sym_part(c @ with_eigenvalues(rng, eigs) @ c.T))
+        d.append(np.zeros((n, n)) if k % 3 == 0 else psd(rng, n, n - 1))
+    return m, np.stack(l), np.stack(d)
+
+
+def verdict_bits(verdict):
+    """The bits of an observability verdict's scale, margins and witnesses."""
+    def z(x):
+        return complex(x).real.hex(), complex(x).imag.hex()
+    return (float(verdict.scale).hex(),
+            [(z(lam), float(res).hex()) for lam, res in verdict.margins],
+            [(z(w.eigenvalue), np.asarray(w.vector).tobytes(), float(w.residual).hex())
+             for w in verdict.witnesses])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pencils_and_jacobians_on_stacks(n):
+    rng = np.random.default_rng(500 + n)
+    m, d, l = spd(rng, n), rng.normal(size=(5, n, n)), rng.normal(size=(5, n, n))
+    pencil = linalg.QuadraticPencil(m, d, l)
+    assert_same_bits(pencil.companion(),
+                     loop(lambda *b: linalg.QuadraticPencil(*b).companion(), m, d, l))
+    assert_same_bits(as_complex(linalg.pencil_eigenvalues(m, d, l)),
+                     as_complex(loop(linalg.pencil_eigenvalues, m, d, l)))
+    assert_same_bits(pencil.residual_scale(2j), loop(
+        lambda *b: np.float64(linalg.QuadraticPencil(*b).residual_scale(2j)), m, d, l))
+    assert_same_bits(linalg.jacobian_2n(m, d, l), loop(linalg.jacobian_2n, m, d, l))
+    # the companion stays the reference the Jacobian is checked against
+    assert np.allclose(pencil.companion(), linalg.jacobian_2n(m, d, l), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_symmetric_observability_and_undamped_map_on_stacks(n):
+    rng = np.random.default_rng(600 + n)
+    m, l, d = symmetric_triples(rng, n)
+    stacked = stability.observability_symmetric(m, l, d)
+    assert [verdict_bits(v) for v in stacked] == [
+        verdict_bits(stability.observability_symmetric(*x)) for x in zip(m, l, d)]
+    assert not stacked[0].observable and any(len(v.witnesses) > 1 for v in stacked)
+    mu, lam = stability.undamped_spectral_map(m, l)
+    assert_same_bits(as_complex(mu), as_complex(loop(
+        lambda *x: stability.undamped_spectral_map(*x)[0], m, l)))
+    assert_same_bits(as_complex(lam), as_complex(loop(
+        lambda *x: stability.undamped_spectral_map(*x)[1], m, l)))
+    two = stability.observability_symmetric(m.reshape(2, 3, n, n), l.reshape(2, 3, n, n),
+                                            d.reshape(2, 3, n, n))
+    assert [verdict_bits(v) for v in two] == [verdict_bits(v) for v in stacked]
+
+
+def lossless_grids(rng, n, count=6):
+    """Lossless grids with damped, one undamped and all undamped generators."""
+    profiles = ("positive", "one_undamped", "undamped")
+    return [suites.random_lossless_grid(rng, n, profiles[k % 3]) for k in range(count)]
+
+
+def result_bits(result):
+    return (result.imaginary_pair_exists, result.spectrum.inertia,
+            result.spectrum.eigenvalues.tobytes(),
+            verdict_bits(stability.ObservabilityVerdict(result.witnesses, (), 1.0)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_grid_criteria_on_stacks(n):
+    rng = np.random.default_rng(700 + n)
+    models, eqs = map(list, zip(*lossless_grids(rng, n)))
+    stacked = swing.lossless_imaginary_criterion(models, eqs)
+    alone = [swing.lossless_imaginary_criterion(*x) for x in zip(models, eqs)]
+    assert [result_bits(r) for r in stacked] == [result_bits(r) for r in alone]
+    assert {r.imaginary_pair_exists for r in alone} == {True, False}
+    system = swing._second_order(models)
+    assert_same_bits(system.jacobian_at([eq.delta0 for eq in eqs]),
+                     np.stack([model.to_second_order().jacobian_at(eq.delta0)
+                               for model, eq in zip(models, eqs)]))
+    if n <= 3:
+        models, eqs = map(list, zip(*(suites.random_lossy_grid(rng, n) for _ in range(6))))
+        assert swing.small_n_hyperbolicity_check(models, eqs) == [
+            swing.small_n_hyperbolicity_check(*x) for x in zip(models, eqs)] == [True] * 6
+
+
 # -- a failed precondition anywhere in a stack ------------------------------
 
 
@@ -218,14 +316,50 @@ def test_one_bad_member_raises_the_single_matrix_error():
         linalg.numerical_rank(np.ones(3))
 
 
+def test_one_bad_member_raises_the_single_matrix_error_in_spectra():
+    rng = np.random.default_rng(10)
+    m, l, d = symmetric_triples(rng, 3, count=3)
+    singular = m.copy()
+    singular[1] = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(SingularInertia):
+        linalg.jacobian_2n(singular, d, l)
+    with pytest.raises(SingularLeadingCoefficient):
+        linalg.pencil_eigenvalues(singular, d, l)
+    with pytest.raises(AssumptionViolated, match="inertia nonsingular"):
+        stability.SecondOrderSystem.linear(singular, d, l)
+    with pytest.raises(AssumptionViolated, match="inertia symmetric positive definite"):
+        stability.observability_symmetric(singular, l, d)
+    unsymmetric = l.copy()
+    unsymmetric[2, 0, 1] += 1.0
+    with pytest.raises(AssumptionViolated, match="jacobian symmetric"):
+        stability.observability_symmetric(m, unsymmetric, d)
+    nan = l.copy()
+    nan[0, 1, 1] = np.nan
+    with pytest.raises(MatrixShapeError, match="NaN"):
+        stability.undamped_spectral_map(m, nan)
+    with pytest.raises(MatrixShapeError, match="one dimension"):
+        linalg.QuadraticPencil(m, d[:2], l)
+
+    models, eqs = map(list, zip(*lossless_grids(rng, 3, count=3)))
+    lossy, lossy_eq = suites.random_lossy_grid(rng, 3)
+    with pytest.raises(NotLossless):
+        swing.lossless_imaginary_criterion(models + [lossy], eqs + [lossy_eq])
+    far = models[1].equilibrium_at(np.array([0.0, 2.5, -2.5]))
+    with pytest.raises(NotInOmega):
+        swing.lossless_imaginary_criterion(models, [eqs[0], far, eqs[2]])
+    with pytest.raises(AssumptionViolated, match="found 0"):
+        swing.small_n_hyperbolicity_check([lossy, models[0]], [lossy_eq, eqs[0]])
+
+
 # -- the suites: one LAPACK call per size, failures in trial order ----------
 
 
 def count_lapack(monkeypatch):
     """Record ``(name, ndim of the first argument)`` for each call of the
-    LAPACK drivers the four suites use."""
+    LAPACK drivers the suites use (``np.linalg.norm``'s own SVDs are not
+    counted)."""
     calls = []
-    for name in ("svd", "eigvalsh", "eigvals", "inv", "solve"):
+    for name in ("svd", "eigvalsh", "eigvals", "inv", "solve", "eigh", "cholesky"):
         fn = getattr(np.linalg, name)
 
         def counted(a, *args, fn=fn, name=name, **kw):
@@ -275,6 +409,67 @@ def test_full_damping_calls_per_size(monkeypatch):
     assert tally(calls) == {"eigvalsh": 32, "solve": 8, "eigvals": 8}
 
 
+def test_pencil_vs_jacobian_calls_per_size(monkeypatch):
+    # The per-trial loop made 1 SVD, 2 solves and 2 eigvals per trial: 200,
+    # 400 and 400 calls; per size, the pencil and the Jacobian each take one
+    # solve and one eigvals.
+    calls = count_lapack(monkeypatch)
+    assert suites.suite_pencil_vs_jacobian().passed
+    assert tally(calls, ndim=3) == tally(calls) == {"svd": 5, "solve": 10, "eigvals": 10}
+
+
+def test_undamped_map_calls_per_size(monkeypatch):
+    # The per-trial loop made 1 SVD, 2 solves and 2 eigvals per trial: 200,
+    # 400 and 400 calls; per size, -M^-1 L and the undamped Jacobian each
+    # take one solve and one eigvals.
+    calls = count_lapack(monkeypatch)
+    assert suites.suite_undamped_map().passed
+    assert tally(calls, ndim=3) == tally(calls) == {"svd": 5, "solve": 10, "eigvals": 10}
+
+
+def test_referenced_spectrum_calls_per_size(monkeypatch):
+    # The per-trial loop made 1 SVD, 1 solve and 2 eigvals per trial: 200,
+    # 200 and 400 calls; per size, one eigvals for each of the two spectra.
+    calls = count_lapack(monkeypatch)
+    assert suites.suite_referenced_spectrum().passed
+    assert tally(calls, ndim=3) == tally(calls) == {"svd": 5, "solve": 5, "eigvals": 10}
+
+
+def test_small_grid_hyperbolicity_calls_per_size(monkeypatch):
+    # The per-trial loop made 1 SVD, 1 solve and 1 eigvals per trial: 500
+    # calls each, for two sizes.
+    calls = count_lapack(monkeypatch)
+    assert suites.suite_small_grid_hyperbolicity().passed
+    assert tally(calls, ndim=3) == tally(calls) == {"svd": 2, "solve": 2, "eigvals": 2}
+
+
+def test_lossless_criterion_calls_per_size(monkeypatch):
+    # The per-trial loop made 1 SVD, 1 Cholesky, 1 eigh, 6 solves and 1
+    # eigvals per trial: 300 calls each and 1,800 solves.  Per size,
+    # observability takes five solves and the Jacobian one.
+    calls = count_lapack(monkeypatch)
+    assert suites.suite_lossless_criterion().passed
+    assert tally(calls, ndim=3) == tally(calls) == {
+        "svd": 4, "cholesky": 4, "eigh": 4, "solve": 24, "eigvals": 4}
+
+
+def test_fold_exclusion_calls_per_size(monkeypatch):
+    # The per-trial loop made 1 SVD, 1 solve and 1 eigvals per trial: 200
+    # calls each.
+    calls = count_lapack(monkeypatch)
+    assert suites.suite_fold_exclusion().passed
+    assert tally(calls, ndim=3) == tally(calls) == {"svd": 5, "solve": 5, "eigvals": 5}
+
+
+def test_numpy_scalars_in_payloads_serialize():
+    result = suites.SuiteResult("flags", 1)
+    result.record(flag=np.bool_(True), count=np.int64(3), x=np.float32(0.5),
+                  z=np.complex128(1 - 2j), name=np.str_("m"), flags=np.array([True, False]))
+    assert json.dumps(result.failures) == (
+        '[{"flag": true, "count": 3, "x": 0.5, "z": {"re": 1.0, "im": -2.0}, '
+        '"name": "m", "flags": [true, false]}]')
+
+
 def per_trial_full_damping(seed, trials):
     """The suite as a per-trial loop: one predicate call per trial."""
     rng = np.random.default_rng(seed)
@@ -322,6 +517,74 @@ def per_trial_imag_updates(seed, trials):
             result.record(trial=done, s=s, v=v, e=e, rank_one=bool(rank_one), psd=bool(psd))
         done += 1
     return result
+
+
+def per_trial_undamped_map(seed, trials):
+    """The suite as a per-trial loop: one map per trial, its error recorded."""
+    rng = np.random.default_rng(seed)
+    result = suites.SuiteResult("undamped_map", trials)
+    for k in range(trials):
+        n = int(rng.integers(2, 7))
+        m, l = suites._spd(rng, n), suites._sym(rng, n)
+        try:
+            stability.undamped_spectral_map(m, l)
+        except Exception as exc:
+            result.record(trial=k, m=m, l=l, error=str(exc))
+    return result
+
+
+def per_trial_lossless(seed, trials):
+    rng = np.random.default_rng(seed)
+    result = suites.SuiteResult("lossless_criterion", trials)
+    for k in range(trials):
+        n = int(rng.integers(2, 6))
+        profile = "positive" if rng.random() < 0.7 else "one_undamped"
+        model, eq = suites.random_lossless_grid(rng, n, gamma_profile=profile)
+        try:
+            verdict = swing.lossless_imaginary_criterion(model, eq)
+        except Exception as exc:
+            result.record(trial=k, n=model.n, error=str(exc))
+            continue
+        if profile == "positive" and verdict.imaginary_pair_exists:
+            result.record(trial=k, n=model.n, error="pair under full damping")
+    return result
+
+
+def test_errors_of_a_stack_recorded_on_their_own_trials(monkeypatch):
+    # A member with a heavy first inertia raises an error naming it, for a
+    # stack as for one matrix or model: the stack's size is decided again
+    # member by member, and each error lands on its own trial with its own
+    # message, as in the per-trial loop.
+    undamped_map = stability.undamped_spectral_map
+
+    def heavy_map(m, l):
+        for first in np.reshape(m, (-1,) + np.shape(m)[-2:])[:, 0, 0]:
+            if first > 3.0:
+                raise TheoremViolation(f"injected map at {first!r}")
+        return undamped_map(m, l)
+
+    monkeypatch.setattr(stability, "undamped_spectral_map", heavy_map)
+    want = per_trial_undamped_map(seed=11, trials=200)
+    got = suites.suite_undamped_map(seed=11, trials=200)
+    assert 3 <= len(want.failures) < 200
+    assert len({f["error"] for f in want.failures}) == len(want.failures)
+    assert json.dumps(got.failures) == json.dumps(want.failures)
+
+    criterion = swing.lossless_imaginary_criterion
+
+    def heavy_grid(model, eq):
+        for grid in [model] if isinstance(model, swing.PowerGridModel) else model:
+            if grid.inertia_const[0] > 1.7:
+                raise AssumptionViolated("light first generator",
+                                         f"inertia {grid.inertia_const[0]!r}")
+        return criterion(model, eq)
+
+    monkeypatch.setattr(swing, "lossless_imaginary_criterion", heavy_grid)
+    want = per_trial_lossless(seed=11, trials=300)
+    got = suites.suite_lossless_criterion(seed=11, trials=300)
+    assert 3 <= len(want.failures) < 300
+    assert len({f["error"] for f in want.failures}) == len(want.failures)
+    assert json.dumps(got.failures) == json.dumps(want.failures)
 
 
 def test_injected_failures_recorded_as_the_per_trial_loop(monkeypatch):

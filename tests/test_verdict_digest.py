@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,16 @@ def test_seed_line_is_reproducible():
     line = verdict_digest.seed_line(1, scale=0.05)
     assert line.startswith("seed 1: ")
     assert verdict_digest.seed_line(1, scale=0.05) == line
+
+
+def test_main_runs_the_given_seeds_and_reports_the_time(monkeypatch, capsys):
+    monkeypatch.setattr(verdict_digest, "seed_line", lambda seed: f"seed {seed}: pass")
+    assert verdict_digest.main(["3", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "seed 3: pass\nseed 5: pass\n"
+    assert re.fullmatch(r"\d+\.\d s\n", err)
+    verdict_digest.main([])
+    assert capsys.readouterr().out.splitlines()[-1] == "seed 39: pass"
 
 
 def test_seed_line_names_failing_trials(monkeypatch):
@@ -68,12 +79,12 @@ def _inject_failures(monkeypatch):
         return injected
 
     def lossless(f):
-        def injected(model, eq):
-            if model.inertia_const[0] > 1.7:
+        def injected(models, eqs):
+            if any(model.inertia_const[0] > 1.7 for model in models):
                 fail("injected criterion")
-            if model.inertia_const[0] < 0.8:
-                return SimpleNamespace(imaginary_pair_exists=True)
-            return f(model, eq)
+            return [SimpleNamespace(imaginary_pair_exists=True)
+                    if model.inertia_const[0] < 0.8 else verdict
+                    for model, verdict in zip(models, f(models, eqs))]
         return injected
 
     def crossings(f):
@@ -83,9 +94,9 @@ def _inject_failures(monkeypatch):
         return injected
 
     wrap(suites, "pencil_eigenvalues", lambda f: lambda m, d, l: (
-        f(m, d, l) + (m[0, 0] > 3.0)))
+        f(m, d, l) + (m[..., :1, 0] > 3.0)))
     wrap(stability, "undamped_spectral_map", lambda f: lambda m, l: (
-        fail("injected map") if m[0, 0] > 3.0 else f(m, l)))
+        fail("injected map") if (m[..., 0, 0] > 3.0).any() else f(m, l)))
     wrap(swing.ReferencedGridSystem, "jacobian", lambda f: lambda system, u=None: (
         f(system, u) + 0.5 * (system.model.inertia_const[0] > 1.2)))
     wrap(suites, "rank_monotonicity_holds", lambda f: lambda inst: (
@@ -97,9 +108,9 @@ def _inject_failures(monkeypatch):
     wrap(stability, "monotonicity_compare", monotonicity)
     wrap(stability, "asymptotic_stability_full_damping", lambda f: lambda m, d, l: (
         f(m, d, l) & (m[..., 0, 0] < 4.0)))
-    wrap(swing, "small_n_hyperbolicity_check", lambda f: lambda model, eq: (
-        fail("injected check") if model.inertia_const[0] > 1.7
-        else f(model, eq) and model.inertia_const[0] > 0.8))
+    wrap(swing, "small_n_hyperbolicity_check", lambda f: lambda models, eqs: (
+        fail("injected check") if any(m.inertia_const[0] > 1.7 for m in models)
+        else [ok and m.inertia_const[0] > 0.8 for ok, m in zip(f(models, eqs), models)]))
     wrap(swing, "build_nonhyperbolic_family", lambda f: lambda n, d_tail: (
         fail("injected family") if n == 3
         else tuple(x + 0.1 * (n == 5) for x in f(n, d_tail))))
@@ -108,7 +119,7 @@ def _inject_failures(monkeypatch):
     wrap(swing.PowerGridModel, "flow_jacobian", lambda f: lambda model, delta: (
         f(model, delta) + 1e-3 * (model.inertia_const[1] > 1.2)))
     wrap(suites, "jacobian_2n", lambda f: lambda m, d, l: (
-        f(m, d, l) + 0.5 * (m[0, 0] > 3.0) * np.eye(2 * len(m))))
+        f(m, d, l) + 0.5 * (m[..., :1, :1] > 3.0) * np.eye(2 * m.shape[-1])))
 
 
 def test_failure_payload_bytes_under_injected_failures(monkeypatch):

@@ -1,14 +1,15 @@
-"""Verdict digest of the verification suites on seeds 0-39.
+"""Verdict digest of the verification suites on seeds 0-39, or on the seeds given.
 
 Runs ``suites.run_all(seed)`` at the default trial counts for every seed,
-on one BLAS thread (about 50 s on a 2-core x86 host), and prints one line
-per seed: the failing suites with the indices of their failing trials, and
-the sha256 of the failure payloads as JSON.  Two checkouts that print the
-same lines reach the same verdicts, in the same trials, with byte-identical
-payloads::
+on one BLAS thread, and prints one line per seed: the failing suites with
+the indices of their failing trials, and the sha256 of the failure
+payloads as JSON.  The elapsed seconds go to stderr.  Two checkouts that
+print the same lines reach the same verdicts, in the same trials, with
+byte-identical payloads::
 
     python3 tests/verdict_digest.py > before.txt
     diff before.txt after.txt
+    python3 tests/verdict_digest.py 1 4 39    # three seeds only
 
 The file name keeps pytest from collecting it.
 """
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -46,11 +48,13 @@ def seed_line(seed, scale=1.0):
     return f"seed {seed}: {' '.join(parts)} sha256 {digest}"
 
 
-def main():
-    for seed in SEEDS:
+def main(argv):
+    start = time.perf_counter()
+    for seed in [int(arg) for arg in argv] or SEEDS:
         print(seed_line(seed), flush=True)
+    print(f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

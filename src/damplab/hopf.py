@@ -11,12 +11,12 @@ transversal drift, no resonant eigenvalue at 0 or at a harmonic) and
 computes the first Lyapunov coefficient that decides whether the born
 cycle is stable.
 
-A path may be a stack of paths of one size, which :func:`sweep` samples
-with one eigen-solve per parameter value for all members; each member's
-sweep is bit for bit the sweep of that path alone.  A sweep pairs
-eigenvalues only on the intervals that may hide a crossing: an interval
-whose upper pair members all lie more than ten axis bands from the axis,
-on one side at both ends, is skipped.
+A path may be a stack of paths of one size, validated once and giving one
+Jacobian per member; the analyses (:func:`sweep`, :func:`track_axis_crossing`
+and :func:`hopf_conditions`) take one path and raise MatrixShapeError on a
+stack.  A sweep pairs eigenvalues only on the intervals that may hide a
+crossing: an interval whose upper pair members all lie more than ten axis
+bands from the axis, on one side at both ends, is skipped.
 
 The Lyapunov coefficient follows the standard center-manifold projection
 method: with ``A q = i w0 q``, ``A^T p = -i w0 p``, ``<q,q> = <p,q> = 1``
@@ -33,7 +33,6 @@ Negative l1 means a stable (supercritical) cycle, positive an unstable
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -106,7 +105,8 @@ class DampingPath:
     stiffness of one shape ``(..., n, n)`` and a ``damping_of`` that returns
     that shape.  The stack is validated once, with the checks of one path
     applied to every member; a member that fails one fails the stack with
-    the error of a single path.
+    the error of a single path.  :meth:`jacobian` then gives one Jacobian
+    per member; the sweeps and certificates of this module take one path.
 
     ``rhs_of``/``x0`` optionally supply the frozen-parameter nonlinear
     vector field (of the same reduced dimension as the Jacobian) and its
@@ -188,20 +188,6 @@ class DampingPath:
         out[..., -self.n :, -self.n :] = -np.linalg.solve(self.inertia, dprime)
         return out
 
-    def _member(self, index):
-        """Member ``index`` (a tuple over the leading axes) of a stacked path,
-        on the blocks the stack checked and solved."""
-        part = copy.copy(self)
-        part.inertia = self.inertia[index]
-        part.stiffness = self.stiffness[index]
-        part.minv_l = self.minv_l[index]
-        part._template = self._template[index]
-        part.damping_of = lambda g: np.asarray(self.damping_of(g), float)[index]
-        if self.damping_derivative is not None:
-            part.damping_derivative = (
-                lambda g: np.asarray(self.damping_derivative(g), float)[index])
-        return part
-
 
 @dataclass(frozen=True)
 class AxisCrossing:
@@ -224,11 +210,16 @@ class Sweep:
     crossings: list
 
 
-def track_axis_crossing(path, samples=41):
-    """The axis crossings of ``path``: one list sorted by (gamma, omega), or
-    for a stacked path one list per member.
+def _one_path(path, analysis):
+    """Refuse a stacked ``path``: ``analysis`` takes one path."""
+    if path.inertia.ndim != 2:
+        raise MatrixShapeError(f"{analysis} takes one path, not a stack")
 
-    A single path whose damping moves one rank-one direction takes the
+
+def track_axis_crossing(path, samples=41):
+    """The axis crossings of one ``path``, sorted by (gamma, omega).
+
+    A path whose damping moves one rank-one direction takes the
     frequency route, which reads every crossing off the pencil's frequency
     response with n x n solves and confirms them with dense spectra at the
     two range ends and at each crossing.
@@ -238,7 +229,7 @@ def track_axis_crossing(path, samples=41):
     **The frequency route** applies when all of these hold, and otherwise
     the sampled route is taken:
 
-    - ``path`` is one path, not a stack, and has a ``damping_derivative``;
+    - ``path`` has a ``damping_derivative``;
     - the damping is affine on the range: ``damping_prime`` is equal at
       both ends and ``damping_of(hi) - damping_of(lo) = (hi - lo) D'`` to
       rounding;
@@ -281,9 +272,10 @@ def track_axis_crossing(path, samples=41):
       ``dlambda/dgamma = -i w s (y^T u)(u^T x) / y^T (2 i w M + D(gamma)) x``,
       ``x = P_lo^-1 u`` and ``y = P_lo^-T u``.
 
-    Raises TheoremViolation, with the frequency verdict first and the dense
-    one second, when the two disagree, and TrackingAmbiguity when the
-    Jacobian at a root has no complex pair at all.
+    Raises MatrixShapeError on a stacked path; TheoremViolation, with the
+    frequency verdict first and the dense one second, when the two
+    disagree; and TrackingAmbiguity when the Jacobian at a root has no
+    complex pair at all.
 
     Blind spots: the frequency route misses two roots of ``Im g`` of
     opposite directions between two scanned frequencies, a pair that
@@ -293,13 +285,11 @@ def track_axis_crossing(path, samples=41):
     axis band, leaves a touch unrefined at its sample nearest the axis, and
     raises TrackingAmbiguity when its grid is too coarse to pair branches.
     """
+    _one_path(path, "track_axis_crossing")
     if samples < 2:
         raise AssumptionViolated("sample count >= 2")
     found = _frequency_route(path)
-    if found is not None:
-        return found
-    found = sweep(path, samples)
-    return found.crossings if isinstance(found, Sweep) else [s.crossings for s in found]
+    return sweep(path, samples).crossings if found is None else found
 
 
 def _rank_one(slope):
@@ -323,7 +313,7 @@ def _rank_one(slope):
 def _frequency_route(path):
     """The crossings of ``path`` by the frequency route of
     :func:`track_axis_crossing`, or None when that route does not apply."""
-    if path.inertia.ndim != 2 or path.damping_derivative is None:
+    if path.damping_derivative is None:
         return None
     lo, hi = path.gamma_range
     m = path.inertia
@@ -450,59 +440,40 @@ def sweep(path, samples=41):
     samples every upper pair member lies more than ``10 * band`` from the
     axis on one side (left at both, or right at both).
 
-    A stacked path (see :class:`DampingPath`) is swept with one ``eigvals``
-    call per sample for all members and gives a list of :class:`Sweep`, one
-    per member in C order over the leading axes, each bit for bit the sweep
-    of that member alone (a member's spectrum at a sample is real when all
-    its eigenvalues are, as ``eigvals`` returns it for one matrix).  Scale,
-    pairing, refinement and errors are per member; the first member that
-    raises stops the stack.  One path keeps one 2-d ``eigvals`` call per
-    sample, so a large Jacobian is never held once per sample.
+    Each sample is its own ``eigvals`` call: a stack of all samples would
+    hold every Jacobian of a large path at once.
 
-    Raises TrackingAmbiguity, with the interval's start as ``gamma``, when
-    a branch's continuation step exceeds half the gap between its match and
-    the match's nearest neighbour, or two branches share one match.
+    Raises MatrixShapeError on a stacked path, and TrackingAmbiguity, with
+    the interval's start as ``gamma``, when a branch's continuation step
+    exceeds half the gap between its match and the match's nearest
+    neighbour, or two branches share one match.
     """
+    _one_path(path, "sweep")
     if samples < 2:
         raise AssumptionViolated("sample count >= 2")
     lo, hi = path.gamma_range
     grid = np.linspace(lo, hi, samples)
     spectra = [np.linalg.eigvals(path.jacobian(g)) for g in grid]
-    lead = path.inertia.shape[:-2]
-    table = np.stack(spectra).reshape(samples, -1, spectra[0].shape[-1])
+    table = np.stack(spectra)
 
-    # Per member: the common scale of all samples, its band, the upper pair
-    # members, and the intervals that cannot hide a crossing.  Pair
-    # collisions far from the axis (e.g. a mode going overdamped) break
-    # nearest-neighbour continuity without any axis activity, so those
-    # intervals are neither paired nor reported as ambiguous.
-    scales = np.maximum(1.0, np.abs(table).max(axis=(0, 2)))
-    bands = axis_band(scales)
-    upper = pair_upper(table, scales[:, None])
-    margin = 10 * bands[:, None]
-    left = np.where(upper, table.real < -margin, True).all(axis=2)
-    right = np.where(upper, table.real > margin, True).all(axis=2)
-    empty = ~upper.any(axis=2)
+    # The common scale of all samples, its band, the upper pair members, and
+    # the intervals that cannot hide a crossing.  Pair collisions far from
+    # the axis (e.g. a mode going overdamped) break nearest-neighbour
+    # continuity without any axis activity, so those intervals are neither
+    # paired nor reported as ambiguous.
+    scale = float(val.spectral_scale(table))
+    band = axis_band(scale)
+    margin = 10 * band
+    upper = pair_upper(table, scale)
+    left = np.where(upper, table.real < -margin, True).all(axis=1)
+    right = np.where(upper, table.real > margin, True).all(axis=1)
+    empty = ~upper.any(axis=1)
     quiet = ((left[:-1] & left[1:]) | (right[:-1] & right[1:])
              | empty[:-1] | empty[1:])
-    touching = (upper & on_axis(table, bands[:, None])).any(axis=(0, 2))
-    real = ~table.imag.any(axis=2)
-
-    sweeps = []
-    for b in range(table.shape[1]):
-        if lead:
-            member = [table.real[k, b] if real[k, b] else table[k, b]
-                      for k in range(samples)]
-        else:
-            member = spectra
-        crossings = []
-        if touching[b] or not quiet[:, b].all():
-            path_b = path._member(np.unravel_index(b, lead)) if lead else path
-            crossings = _crossings(path_b, grid, table[:, b], upper[:, b],
-                                   float(scales[b]), np.flatnonzero(~quiet[:, b]))
-        sweeps.append(Sweep(gammas=grid, spectra=member, scale=float(scales[b]),
-                            crossings=crossings))
-    return sweeps if lead else sweeps[0]
+    crossings = []
+    if (upper & on_axis(table, band)).any() or not quiet.all():
+        crossings = _crossings(path, grid, table, upper, scale, np.flatnonzero(~quiet))
+    return Sweep(gammas=grid, spectra=spectra, scale=scale, crossings=crossings)
 
 
 def _crossings(path, grid, table, upper, scale, intervals):
@@ -730,10 +701,12 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     nonlinear vector field, evaluates the first Lyapunov coefficient and the
     resulting subcritical/supercritical label.
 
-    Raises NotAnAxisEigenvalue when no eigenvalue (near ``omega_hint``, when
-    given) sits in the axis band at ``gamma0``.  A failed simplicity gap
+    Raises MatrixShapeError on a stacked path, and NotAnAxisEigenvalue when
+    no eigenvalue (near ``omega_hint``, when given) sits in the axis band at
+    ``gamma0``.  A failed simplicity gap
     does not raise: the certificate is returned with ``simple=False``.
     """
+    _one_path(path, "hopf_conditions")
     jac0 = path.jacobian(gamma0)
     eigs, vecs = np.linalg.eig(jac0)
     scale = val.spectral_scale(eigs)

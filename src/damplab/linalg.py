@@ -121,7 +121,9 @@ class QuadraticPencil:
 
 def pencil_eigenvalues(a2, a1, a0):
     """All 2n eigenvalues of the quadratic pencil ``lam^2 a2 + lam a1 + a0``
-    (one row per pencil of stacks).
+    (one row per pencil of stacks).  As from ``np.linalg.eigvals``, a
+    stacked call returns complex rows when any member's spectrum is
+    complex, where one pencil alone may give a real row.
 
     Raises SingularLeadingCoefficient if ``a2`` is rank deficient.
     """

@@ -414,7 +414,9 @@ def undamped_spectral_map(inertia, stiffness):
     Returns ``(mu, lam)`` where ``mu`` are the eigenvalues of ``-M^-1 L`` and
     ``lam`` the induced values ``+-sqrt(mu)``; asserts ``lam`` equals the
     spectrum of the D = 0 Jacobian to ``UNDAMPED_MAP_TOL`` relative to its
-    spectral scale.  Stacks ``(..., n, n)`` give one row of each per matrix.
+    spectral scale.  Stacks ``(..., n, n)`` give one row of each per matrix;
+    a stack's ``mu`` is complex in every row when any member's is complex,
+    where one matrix alone may give a real row.
     """
     m = val.as_stack(inertia, "inertia", dtype=float)
     l = val.as_stack(stiffness, "stiffness", dtype=float)

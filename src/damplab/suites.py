@@ -11,12 +11,14 @@ them.  Every instance is drawn first, with the rng calls in trial order;
 the check then runs once per matrix size on stacks (:func:`_by_size`),
 through the same stack-capable functions the CLI calls, or once per
 instance in ``observability_equivalence``, ``damping_monotonicity`` and
-``flow_jacobian_fd``.  Failure payloads are recorded in trial order under
-a 0-based ``trial`` index.  A suite that records errors decides a size
-whose stack raises again member by member (:func:`_errors_recorded`), so
-each error lands on its own trial.  ``suite_undamped_pair_family`` keeps
-its own loop: it checks a fixed family of peer counts, not random trials,
-and records the peer count ``n``.
+``flow_jacobian_fd``; ``safe_damping_region`` stacks the sampled
+Jacobians of its paths, as :mod:`hopf` sweeps one path only.  Failure
+payloads are recorded in trial order under a 0-based ``trial`` index.  A
+suite that records errors decides a size whose stack raises again member
+by member (:func:`_errors_recorded`), so each error lands on its own
+trial.  ``suite_undamped_pair_family`` keeps its own loop: it checks a
+fixed family of peer counts, not random trials, and records the peer
+count ``n``.
 """
 
 from __future__ import annotations
@@ -482,7 +484,13 @@ def suite_lossless_criterion(seed=DEFAULT_SEED, trials=300):
 def suite_safe_damping_region(seed=DEFAULT_SEED, trials=500):
     """PSD-increasing damping paths from a hyperbolic point never cross.
 
-    The paths of one n are swept as one stacked :class:`hopf.DampingPath`.
+    Each path starts stable (SPD damping at gamma = 0) and keeps
+    ``det J = det(M^-1 L) > 0``, so it crosses the axis exactly when it is
+    not stable at some parameter.  A path fails at the samples ``gammas``
+    of gamma = 0, 0.25, ..., 2 where an eigenvalue lies in or right of the
+    axis band of the path's samples.  The paths of one n are one stacked
+    :class:`hopf.DampingPath`, and the Jacobians at all their samples one
+    ``eigvals`` call.
     """
     def draw(rng):
         n = int(rng.integers(2, 5))
@@ -491,16 +499,19 @@ def suite_safe_damping_region(seed=DEFAULT_SEED, trials=500):
         d0 = _spd(rng, n, ridge=0.05)  # SPD start: hyperbolic by stability
         g = rng.normal(size=(n, n))
         return m, l, d0, g.T @ g
-    def crossings(m, l, d0, growth):
+    def unstable(m, l, d0, growth):
         path = hopf.DampingPath(inertia=m, stiffness=l, gamma_range=(0.0, 2.0),
                                 damping_of=lambda gamma: d0 + gamma * growth)
-        return hopf.track_axis_crossing(path, samples=9)
+        gammas = np.linspace(0.0, 2.0, 9)
+        eigs = np.linalg.eigvals(np.stack([path.jacobian(g) for g in gammas], axis=1))
+        band = axis_band(np.maximum(1.0, np.abs(eigs).max(axis=(1, 2))))
+        return [gammas[hit] for hit in (eigs.real >= -band[:, None, None]).any(axis=2)]
     return _suite(
         "safe_damping_region", seed, trials, draw,
-        lambda found, m, l, d0, growth: [
-            dict(m=m, l=l, d0=d0, growth=growth, gammas=[c.gamma for c in found])
-        ] if found else (),
-        decide=crossings,
+        lambda gammas, m, l, d0, growth: [
+            dict(m=m, l=l, d0=d0, growth=growth, gammas=gammas)
+        ] if gammas.size else (),
+        decide=unstable,
     )
 
 

@@ -42,6 +42,31 @@ def sampled(path):
     return replace(path, damping_derivative=None)
 
 
+def count_lapack(monkeypatch):
+    """Record ``(name, ndim of the first argument)`` for each call of the
+    ``np.linalg`` LAPACK drivers (``np.linalg.norm``'s own SVDs are not
+    counted); :func:`tally` sums them."""
+    calls = []
+    for name in ("svd", "eig", "eigvals", "eigvalsh", "eigh", "inv", "solve", "cholesky"):
+        fn = getattr(np.linalg, name)
+
+        def counted(a, *args, fn=fn, name=name, **kw):
+            calls.append((name, np.ndim(a)))
+            return fn(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def tally(calls, ndim=None):
+    """Calls per driver name, of first arguments with ``ndim`` axes if given."""
+    out = {}
+    for name, dims in calls:
+        if ndim is None or dims == ndim:
+            out[name] = out.get(name, 0) + 1
+    return out
+
+
 @pytest.fixture(scope="session")
 def case1_path(case1):
     model, eq = case1

@@ -14,7 +14,7 @@ from damplab.errors import (
     TrackingAmbiguity,
 )
 from damplab.linalg import QuadraticPencil, jacobian_2n, referenced_jacobian
-from conftest import OMEGA_CASE1, crossing_bits, sampled
+from conftest import OMEGA_CASE1, count_lapack, crossing_bits, sampled, tally
 
 
 def tied_case2_pair(rng, n, base_grid):
@@ -40,17 +40,6 @@ def tied_case2_pair(rng, n, base_grid):
     )
     model = replace(model, p_mech=model.flow(delta))
     return model, model.equilibrium_at(delta)
-
-
-def count_linalg(monkeypatch, names=("eig", "eigvals", "eigvalsh", "svd", "solve")):
-    """Count the calls of each ``np.linalg`` function in ``names``."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kw):
-            calls[_name] += 1
-            return _fn(*args, **kw)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 class TestDampingPath:
@@ -160,9 +149,9 @@ class TestDampingPath:
             inertia=m, stiffness=l, damping_of=lambda gamma: d0 + gamma * g.T @ g,
             gamma_range=(0.0, 2.0),
         )
-        counts = count_linalg(monkeypatch, ("svd", "solve"))
+        calls = count_lapack(monkeypatch)
         assert hopf.track_axis_crossing(path, samples=9) == []
-        assert counts == {"svd": 0, "solve": 9}
+        assert tally(calls) == {"solve": 9, "eigvals": 9}
 
 
 class TestTrackAxisCrossing:
@@ -382,18 +371,6 @@ class TestFrequencyRoute:
             assert crossing_bits(got) == crossing_bits(hopf.sweep(path, 21).crossings)
         assert [c.boundary for c in got] == [True]
 
-        # A stack of rank-one paths: the case2 path and its double inertia.
-        m = np.stack([case2_path.inertia, 2 * case2_path.inertia])
-        l = np.stack([case2_path.stiffness] * 2)
-        stacked = hopf.DampingPath(
-            inertia=m, stiffness=l,
-            damping_of=lambda g: np.stack([case2_path.damping_of(g)] * 2),
-            damping_derivative=lambda g: np.stack([case2_path.damping_prime(g)] * 2),
-            gamma_range=case2_path.gamma_range, referenced=True)
-        got = hopf.track_axis_crossing(stacked, samples=21)
-        want = hopf.sweep(stacked, 21)
-        assert [crossing_bits(c) for c in got] == [crossing_bits(w.crossings) for w in want]
-
     def test_axis_eigenvalues_stay_below_the_band(self):
         # omega_max^2 = lambda_max(M^-1 sym L) from scipy's symmetric-definite
         # solver; every axis eigenvalue of every sampled Jacobian and every
@@ -457,18 +434,37 @@ class TestFrequencyRoute:
         assert all(len(c) == 1 for c in seeded) and len(brackets) >= len(paths)
 
     def test_lapack_calls(self, monkeypatch):
-        # n = 30: two end spectra and one per crossing, one eigvalsh for the
-        # band, no eig and no SVD.  The 82 solves: 2 for the band, 64 for
-        # the scan, 12 Brent steps inside its two sign changes (the scan
-        # holds g at the bracket ends, Brent at the roots), y at the root
-        # kept, and M^-1 D for the 3 Jacobians.
+        # n = 30: two end spectra and one per crossing, one Cholesky factor
+        # of M and one eigvalsh for the band, no eig and no SVD.  The 82
+        # solves: 2 for the band, 64 for the scan, 12 Brent steps inside its
+        # two sign changes (the scan holds g at the bracket ends, Brent at
+        # the roots), y at the root kept, and M^-1 D for the 3 Jacobians.
         rng = np.random.default_rng(3)
         model, eq = tied_case2_pair(rng, 30, lossless_base)
         path = swing.grid_damping_path(model, eq, np.arange(30) == 0, (0.1, 0.3))
-        calls = count_linalg(monkeypatch)
+        calls = count_lapack(monkeypatch)
         crossings = hopf.track_axis_crossing(path)
         assert len(crossings) == 1
-        assert calls == {"eig": 0, "eigvals": 3, "eigvalsh": 1, "svd": 0, "solve": 82}
+        assert tally(calls) == {"cholesky": 1, "eigvals": 3, "eigvalsh": 1, "solve": 82}
+
+
+@pytest.mark.parametrize("analysis", [
+    lambda path: hopf.sweep(path, 21),
+    lambda path: hopf.track_axis_crossing(path, samples=21),
+    lambda path: hopf.hopf_conditions(path, 0.2, omega_hint=1.0),
+], ids=["sweep", "track_axis_crossing", "hopf_conditions"])
+def test_analyses_refuse_a_stack(case2_path, analysis):
+    # The case2 path and the same path at double inertia: a stacked path is
+    # a linear-algebra object, one Jacobian per member.
+    stacked = hopf.DampingPath(
+        inertia=np.stack([case2_path.inertia, 2 * case2_path.inertia]),
+        stiffness=np.stack([case2_path.stiffness] * 2),
+        damping_of=lambda g: np.stack([case2_path.damping_of(g)] * 2),
+        damping_derivative=lambda g: np.stack([case2_path.damping_prime(g)] * 2),
+        gamma_range=case2_path.gamma_range, referenced=True)
+    assert stacked.jacobian(0.2).shape == (2, 3, 3)
+    with pytest.raises(MatrixShapeError, match="takes one path, not a stack"):
+        analysis(stacked)
 
 
 class TestHopfConditions:

@@ -1,7 +1,7 @@
-"""Predicates, spectra, grid criteria and damping sweeps on stacks: one
+"""Predicates, spectra, grid criteria and damping paths on stacks: one
 verdict per matrix (or grid), bit for bit the verdict of one call per
-member, and one LAPACK call per routine and matrix size (per sample, for
-sweeps) in the suites that decide per size."""
+member, and one LAPACK call per routine and matrix size in the suites that
+decide per size."""
 
 import json
 
@@ -13,8 +13,8 @@ from damplab import hopf, linalg, perturbation, stability, suites, swing
 from damplab.errors import (AssumptionViolated, MatrixShapeError, NotInOmega, NotLossless,
                             PreconditionViolated, SingularInertia,
                             SingularLeadingCoefficient, SingularMatrix,
-                            TheoremViolation, TrackingAmbiguity)
-from conftest import crossing_bits
+                            TheoremViolation)
+from conftest import count_lapack, tally
 
 SIZES = range(1, 9)
 
@@ -354,30 +354,6 @@ def test_one_bad_member_raises_the_single_matrix_error_in_spectra():
 # -- the suites: one LAPACK call per size, failures in trial order ----------
 
 
-def count_lapack(monkeypatch):
-    """Record ``(name, ndim of the first argument)`` for each call of the
-    LAPACK drivers the suites use (``np.linalg.norm``'s own SVDs are not
-    counted)."""
-    calls = []
-    for name in ("svd", "eigvalsh", "eigvals", "inv", "solve", "eigh", "cholesky"):
-        fn = getattr(np.linalg, name)
-
-        def counted(a, *args, fn=fn, name=name, **kw):
-            calls.append((name, np.ndim(a)))
-            return fn(a, *args, **kw)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
-def tally(calls, ndim=None):
-    out = {}
-    for name, dims in calls:
-        if ndim is None or dims == ndim:
-            out[name] = out.get(name, 0) + 1
-    return out
-
-
 def test_rank_monotonicity_calls_per_size(monkeypatch):
     # The per-trial loop made 2 SVDs and 2 eigvalsh per trial: 4,000 each.
     calls = count_lapack(monkeypatch)
@@ -625,7 +601,7 @@ def test_injected_failures_recorded_as_the_per_trial_loop(monkeypatch):
     assert json.dumps(got.failures) == json.dumps(want.failures)
 
 
-# -- damping sweeps on stacks of paths --------------------------------------
+# -- stacked damping paths and the safe-damping suite -----------------------
 
 
 def sweep_members(rng, n, referenced, count=9):
@@ -661,56 +637,6 @@ def stacked_path(m, l, d0, growth, referenced=False):
                             gamma_range=(0.0, 2.0), referenced=referenced)
 
 
-def assert_same_sweep(stacked, alone):
-    assert_same_bits(stacked.gammas, alone.gammas)
-    assert len(stacked.spectra) == len(alone.spectra)
-    for got, want in zip(stacked.spectra, alone.spectra):
-        assert_same_bits(got, want)
-    assert stacked.scale.hex() == float(alone.scale).hex()
-    assert crossing_bits(stacked.crossings) == crossing_bits(alone.crossings)
-
-
-@pytest.mark.parametrize("referenced", [False, True])
-@pytest.mark.parametrize("n", range(1, 6))
-def test_stacked_sweep_equals_each_member_alone(n, referenced):
-    rng = np.random.default_rng(10 * n + referenced)
-    m, l, d0, growth = sweep_members(rng, n, referenced)
-    alone, ambiguous = [], []
-    for i in range(len(m)):
-        try:
-            alone.append(hopf.sweep(stacked_path(m[i], l[i], d0[i], growth[i],
-                                                 referenced), samples=41))
-        except TrackingAmbiguity:
-            ambiguous.append(i)
-    keep = [i for i in range(len(m)) if i not in ambiguous]
-    stacked = hopf.sweep(stacked_path(m[keep], l[keep], d0[keep], growth[keep],
-                                      referenced), samples=41)
-    assert len(stacked) == len(keep)
-    for got, want in zip(stacked, alone):
-        assert_same_sweep(got, want)
-    assert hopf.track_axis_crossing(
-        stacked_path(m[keep], l[keep], d0[keep], growth[keep], referenced),
-        samples=41) == [s.crossings for s in alone]
-    if ambiguous:
-        # A member whose own sweep raises makes the stack raise.
-        with pytest.raises(TrackingAmbiguity):
-            hopf.sweep(stacked_path(m, l, d0, growth, referenced), samples=41)
-    if n > 1 + referenced:
-        kinds = {c.boundary for s in alone for c in s.crossings}
-        assert kinds == {True, False}
-
-
-def test_stacked_sweep_over_two_leading_axes():
-    rng = np.random.default_rng(3)
-    m, l, d0, growth = (x.reshape((2, 2) + x.shape[1:])
-                        for x in sweep_members(rng, 2, False, count=4))
-    stacked = hopf.sweep(stacked_path(m, l, d0, growth), samples=41)
-    assert len(stacked) == 4
-    for got, idx in zip(stacked, np.ndindex(2, 2)):
-        assert_same_sweep(got, hopf.sweep(
-            stacked_path(m[idx], l[idx], d0[idx], growth[idx]), samples=41))
-
-
 def test_stacked_path_bad_member_raises_the_single_path_error():
     rng = np.random.default_rng(4)
     m, l, d0, growth = sweep_members(rng, 3, False, count=3)
@@ -723,11 +649,11 @@ def test_stacked_path_bad_member_raises_the_single_path_error():
     path = stacked_path(m, l, d0, growth)
     path.damping_of = lambda g: np.zeros((2, 3, 3))
     with pytest.raises(MatrixShapeError, match="3x3"):
-        hopf.sweep(path, samples=9)
+        path.jacobian(0.0)
     nan = d0.copy()
     nan[2, 0, 1] = np.nan
     with pytest.raises(MatrixShapeError, match="NaN"):
-        hopf.sweep(stacked_path(m, l, nan, growth), samples=9)
+        stacked_path(m, l, nan, growth).jacobian(0.0)
     laplacian = np.stack([np.array([[1.0, -1.0], [-1.0, 1.0]])] * 2)
     laplacian[1, 0, 0] = 2.0
     with pytest.raises(AssumptionViolated, match="gauge mode"):
@@ -735,36 +661,35 @@ def test_stacked_path_bad_member_raises_the_single_path_error():
                      0 * laplacian, referenced=True)
 
 
-def test_ambiguous_member_makes_the_stack_raise():
-    # The coarse two-sample path of tests/test_hopf.py next to a path that
-    # sweeps cleanly.
-    clean = (np.eye(2), np.diag([16.0, 16.0]), np.eye(2), np.zeros((2, 2)))
-    coarse = (np.eye(2), np.diag([16.0, 16.0]), np.diag([-2.0, 1.6]),
-              np.diag([4.0, 0.0]))
-    assert hopf.track_axis_crossing(stacked_path(*clean), samples=2) == []
-    for order in ((clean, coarse), (coarse, clean)):
-        with pytest.raises(TrackingAmbiguity):
-            hopf.sweep(stacked_path(*(np.stack(x) for x in zip(*order))), samples=2)
-
-
-def per_trial_safe_damping(seed, trials):
-    """The suite as a per-trial loop: one path and one sweep per trial."""
+def safe_damping_paths(seed, trials):
+    """The draws of ``suites.suite_safe_damping_region``, one path each:
+    ``(m, l, d0, growth, path)`` per trial."""
     rng = np.random.default_rng(seed)
-    result = suites.SuiteResult("safe_damping_region", trials)
-    for k in range(trials):
+    for _ in range(trials):
         n = int(rng.integers(2, 5))
         m = suites._spd(rng, n)
         l = suites._spd(rng, n)
         d0 = suites._spd(rng, n, ridge=0.05)
         g = rng.normal(size=(n, n))
         growth = g.T @ g
-        path = hopf.DampingPath(inertia=m, stiffness=l,
-                                damping_of=lambda gamma: d0 + gamma * growth,
-                                gamma_range=(0.0, 2.0))
-        crossings = hopf.track_axis_crossing(path, samples=9)
-        if crossings:
-            result.record(trial=k, m=m, l=l, d0=d0, growth=growth,
-                          gammas=[c.gamma for c in crossings])
+        yield m, l, d0, growth, hopf.DampingPath(
+            inertia=m, stiffness=l, damping_of=lambda gamma, d0=d0, growth=growth: (
+                d0 + gamma * growth),
+            gamma_range=(0.0, 2.0))
+
+
+def per_trial_safe_damping(seed, trials):
+    """The suite as a per-trial loop: one path per trial and one spectrum
+    per sample; a path fails at the samples with an eigenvalue in or right
+    of the axis band of all its samples."""
+    result = suites.SuiteResult("safe_damping_region", trials)
+    for k, (m, l, d0, growth, path) in enumerate(safe_damping_paths(seed, trials)):
+        gammas = np.linspace(0.0, 2.0, 9)
+        spectra = [np.linalg.eigvals(path.jacobian(g)) for g in gammas]
+        band = 1e-7 * max(1.0, max(np.abs(eigs).max() for eigs in spectra))
+        unstable = [float(g) for g, eigs in zip(gammas, spectra) if (eigs.real >= -band).any()]
+        if unstable:
+            result.record(trial=k, m=m, l=l, d0=d0, growth=growth, gammas=unstable)
     return result
 
 
@@ -795,28 +720,33 @@ def test_safe_damping_failures_recorded_as_the_per_trial_loop(monkeypatch):
     assert 10 <= len(want.failures) < 150
     assert any(len(f["gammas"]) > 1 for f in want.failures)
     assert json.dumps(got.failures) == json.dumps(want.failures)
+    # At least as strict as a sweep of each path alone: every path with a
+    # reported crossing fails.
+    crossed = {k for k, (*_, path) in enumerate(safe_damping_paths(seed=11, trials=150))
+               if hopf.track_axis_crossing(path, samples=9)}
+    assert 10 <= len(crossed)
+    assert crossed <= {f["trial"] for f in got.failures}
 
 
-def test_safe_damping_suite_lets_tracking_ambiguity_propagate(monkeypatch):
-    inject_crossings(monkeypatch)
-
-    def vanished(*args):
-        raise TrackingAmbiguity("complex pair vanished during refinement")
-
-    monkeypatch.setattr(hopf, "_nearest_upper", vanished)
-    with pytest.raises(TrackingAmbiguity):
-        per_trial_safe_damping(seed=11, trials=150)
-    with pytest.raises(TrackingAmbiguity):
-        suites.suite_safe_damping_region(seed=11, trials=150)
+def test_safe_damping_fails_a_path_on_the_axis(monkeypatch):
+    # D(gamma) = gamma G: undamped at 0, where every eigenvalue lies in the
+    # axis band, as in the boundary crossing a sweep reports there.
+    path_class = hopf.DampingPath
+    monkeypatch.setattr(hopf, "DampingPath", lambda damping_of, **kw: path_class(
+        damping_of=lambda g: damping_of(g) - damping_of(0.0), **kw))
+    got = suites.suite_safe_damping_region(seed=5, trials=30)
+    assert [f["trial"] for f in got.failures] == list(range(30))
+    assert all(f["gammas"] == [0.0] for f in got.failures)
 
 
 def test_safe_damping_calls_per_size(monkeypatch):
     # The per-trial loop made 9 eigvals and 10 solves per trial: 4,500 and
-    # 5,000 calls; 3 SVDs check the 500 inertias.
+    # 5,000 calls.  Per size, one solve for M^-1 L and one per sample for
+    # M^-1 D, one eigvals for all samples, and one SVD checks the inertias.
     calls = count_lapack(monkeypatch)
     assert suites.suite_safe_damping_region().passed
-    assert tally(calls) == {"eigvals": 27, "solve": 30, "svd": 3}
-    assert tally(calls, ndim=3) == tally(calls)
+    assert tally(calls) == {"eigvals": 3, "solve": 30, "svd": 3}
+    assert tally(calls, ndim=3) == {"solve": 30, "svd": 3}
 
 
 def test_single_path_sweep_solves_one_jacobian_per_call(monkeypatch):

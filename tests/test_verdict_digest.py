@@ -87,12 +87,6 @@ def _inject_failures(monkeypatch):
                     for model, verdict in zip(models, f(models, eqs))]
         return injected
 
-    def crossings(f):
-        def injected(path, samples):
-            return [found + [SimpleNamespace(gamma=1.0)] if m[0, 0] > 3.0 else found
-                    for found, m in zip(f(path, samples=samples), path.inertia)]
-        return injected
-
     wrap(suites, "pencil_eigenvalues", lambda f: lambda m, d, l: (
         f(m, d, l) + (m[..., :1, 0] > 3.0)))
     wrap(stability, "undamped_spectral_map", lambda f: lambda m, l: (
@@ -115,7 +109,9 @@ def _inject_failures(monkeypatch):
         fail("injected family") if n == 3
         else tuple(x + 0.1 * (n == 5) for x in f(n, d_tail))))
     wrap(swing, "lossless_imaginary_criterion", lossless)
-    wrap(hopf, "track_axis_crossing", crossings)
+    wrap(hopf.DampingPath, "jacobian", lambda f: lambda path, gamma: (
+        f(path, gamma) + (gamma == 1.0) * (path.inertia[..., :1, :1] > 3.0)
+        * np.eye(2 * path.n)))
     wrap(swing.PowerGridModel, "flow_jacobian", lambda f: lambda model, delta: (
         f(model, delta) + 1e-3 * (model.inertia_const[1] > 1.2)))
     wrap(suites, "jacobian_2n", lambda f: lambda m, d, l: (

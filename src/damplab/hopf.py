@@ -11,12 +11,9 @@ transversal drift, no resonant eigenvalue at 0 or at a harmonic) and
 computes the first Lyapunov coefficient that decides whether the born
 cycle is stable.
 
-A path may be a stack of paths of one size, validated once and giving one
-Jacobian per member; the analyses (:func:`sweep`, :func:`track_axis_crossing`
-and :func:`hopf_conditions`) take one path and raise MatrixShapeError on a
-stack.  A sweep pairs eigenvalues only on the intervals that may hide a
-crossing: an interval whose upper pair members all lie more than ten axis
-bands from the axis, on one side at both ends, is skipped.
+A sweep pairs eigenvalues only on the intervals that may hide a crossing:
+an interval whose upper pair members all lie more than ten axis bands
+from the axis, on one side at both ends, is skipped.
 
 The Lyapunov coefficient follows the standard center-manifold projection
 method: with ``A q = i w0 q``, ``A^T p = -i w0 p``, ``<q,q> = <p,q> = 1``
@@ -101,12 +98,9 @@ class DampingPath:
     Jacobian) and all spectra are taken on the reference-bus reduction of
     dimension 2n - 1, which removes the rotational zero eigenvalue.
 
-    A path may also be a stack of paths on one parameter range: inertia and
-    stiffness of one shape ``(..., n, n)`` and a ``damping_of`` that returns
-    that shape.  The stack is validated once, with the checks of one path
-    applied to every member; a member that fails one fails the stack with
-    the error of a single path.  :meth:`jacobian` then gives one Jacobian
-    per member; the sweeps and certificates of this module take one path.
+    Inertia, stiffness and each ``damping_of(gamma)`` are n x n matrices;
+    a stack of them raises MatrixShapeError (``linalg.jacobian_2n`` builds
+    the Jacobians of stacked linear systems).
 
     ``rhs_of``/``x0`` optionally supply the frozen-parameter nonlinear
     vector field (of the same reduced dimension as the Jacobian) and its
@@ -114,8 +108,7 @@ class DampingPath:
 
     The blocks that do not depend on the parameter, ``minv_l = M^-1 L`` too,
     are built at construction: :meth:`jacobian` fills a copy of the Jacobian
-    (one per member) with one solve for ``M^-1 D(gamma)``.  Do not reassign
-    the fields.
+    with one solve for ``M^-1 D(gamma)``.  Do not reassign the fields.
     """
 
     inertia: np.ndarray
@@ -128,20 +121,19 @@ class DampingPath:
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.inertia = val.as_stack(self.inertia, "inertia", dtype=float)
-        self.stiffness = val.as_stack(self.stiffness, "stiffness", dtype=float)
+        self.inertia = val.as_matrix(self.inertia, "inertia", dtype=float)
+        self.stiffness = val.as_matrix(self.stiffness, "stiffness", dtype=float)
         if self.stiffness.shape != self.inertia.shape:
             raise MatrixShapeError(f"stiffness must have the shape {self.inertia.shape} "
                                    f"of the inertia, got {self.stiffness.shape}")
-        if not val.every(numerical_rank(self.inertia) == self.n):
+        if numerical_rank(self.inertia) != self.n:
             raise AssumptionViolated("inertia nonsingular")
         lo, hi = self.gamma_range
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise AssumptionViolated("finite nonempty gamma range")
         if self.referenced:
-            rowsum = np.abs(self.stiffness.sum(axis=-1)).max(axis=-1)
-            scale = np.maximum(1.0, np.abs(self.stiffness).max(axis=(-2, -1)))
-            if not val.every(rowsum <= 1e-8 * scale):
+            rowsum = np.abs(self.stiffness.sum(axis=1)).max()
+            if rowsum > 1e-8 * max(1.0, np.abs(self.stiffness).max()):
                 raise AssumptionViolated(
                     "zero row sums", "referenced reduction needs a gauge mode"
                 )
@@ -152,8 +144,8 @@ class DampingPath:
             mid = 0.5 * (lo + hi)
             analytic = np.asarray(self.damping_derivative(mid), dtype=float)
             fd = self._damping_prime_fd(mid)
-            scale = np.maximum(np.linalg.norm(analytic, 2, axis=(-2, -1)), 1e-300)
-            if not val.every(np.linalg.norm(fd - analytic, 2, axis=(-2, -1)) <= 1e-6 * scale):
+            scale = max(np.linalg.norm(analytic, 2), 1e-300)
+            if not np.linalg.norm(fd - analytic, 2) <= 1e-6 * scale:
                 raise AssumptionViolated(
                     "damping derivative consistency",
                     "analytic derivative disagrees with finite differences",
@@ -161,7 +153,7 @@ class DampingPath:
 
     @property
     def n(self):
-        return self.inertia.shape[-1]
+        return self.inertia.shape[0]
 
     def damping_prime(self, gamma):
         if self.damping_derivative is not None:
@@ -174,18 +166,18 @@ class DampingPath:
         )
 
     def jacobian(self, gamma):
-        d = val.as_stack(self.damping_of(gamma), "damping", dtype=float)
+        d = val.as_matrix(self.damping_of(gamma), "damping", dtype=float)
         if d.shape != self.inertia.shape:
             raise MatrixShapeError(f"blocks must all be {self.n}x{self.n}")
         out = self._template.copy()
-        out[..., -self.n :, -self.n :] = -np.linalg.solve(self.inertia, d)
+        out[-self.n :, -self.n :] = -np.linalg.solve(self.inertia, d)
         return out
 
     def jacobian_prime(self, gamma):
         """d/dgamma of the Jacobian: only the damping block moves."""
         out = np.zeros_like(self._template)
         dprime = self.damping_prime(gamma)
-        out[..., -self.n :, -self.n :] = -np.linalg.solve(self.inertia, dprime)
+        out[-self.n :, -self.n :] = -np.linalg.solve(self.inertia, dprime)
         return out
 
 
@@ -208,12 +200,6 @@ class Sweep:
     spectra: list
     scale: float
     crossings: list
-
-
-def _one_path(path, analysis):
-    """Refuse a stacked ``path``: ``analysis`` takes one path."""
-    if path.inertia.ndim != 2:
-        raise MatrixShapeError(f"{analysis} takes one path, not a stack")
 
 
 def track_axis_crossing(path, samples=41):
@@ -272,10 +258,9 @@ def track_axis_crossing(path, samples=41):
       ``dlambda/dgamma = -i w s (y^T u)(u^T x) / y^T (2 i w M + D(gamma)) x``,
       ``x = P_lo^-1 u`` and ``y = P_lo^-T u``.
 
-    Raises MatrixShapeError on a stacked path; TheoremViolation, with the
-    frequency verdict first and the dense one second, when the two
-    disagree; and TrackingAmbiguity when the Jacobian at a root has no
-    complex pair at all.
+    Raises TheoremViolation, with the frequency verdict first and the dense
+    one second, when the two disagree; and TrackingAmbiguity when the
+    Jacobian at a root has no complex pair at all.
 
     Blind spots: the frequency route misses two roots of ``Im g`` of
     opposite directions between two scanned frequencies, a pair that
@@ -285,7 +270,6 @@ def track_axis_crossing(path, samples=41):
     axis band, leaves a touch unrefined at its sample nearest the axis, and
     raises TrackingAmbiguity when its grid is too coarse to pair branches.
     """
-    _one_path(path, "track_axis_crossing")
     if samples < 2:
         raise AssumptionViolated("sample count >= 2")
     found = _frequency_route(path)
@@ -443,12 +427,10 @@ def sweep(path, samples=41):
     Each sample is its own ``eigvals`` call: a stack of all samples would
     hold every Jacobian of a large path at once.
 
-    Raises MatrixShapeError on a stacked path, and TrackingAmbiguity, with
-    the interval's start as ``gamma``, when a branch's continuation step
-    exceeds half the gap between its match and the match's nearest
-    neighbour, or two branches share one match.
+    Raises TrackingAmbiguity, with the interval's start as ``gamma``, when a
+    branch's continuation step exceeds half the gap between its match and
+    the match's nearest neighbour, or two branches share one match.
     """
-    _one_path(path, "sweep")
     if samples < 2:
         raise AssumptionViolated("sample count >= 2")
     lo, hi = path.gamma_range
@@ -701,12 +683,10 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     nonlinear vector field, evaluates the first Lyapunov coefficient and the
     resulting subcritical/supercritical label.
 
-    Raises MatrixShapeError on a stacked path, and NotAnAxisEigenvalue when
-    no eigenvalue (near ``omega_hint``, when given) sits in the axis band at
-    ``gamma0``.  A failed simplicity gap
+    Raises NotAnAxisEigenvalue when no eigenvalue (near ``omega_hint``, when
+    given) sits in the axis band at ``gamma0``.  A failed simplicity gap
     does not raise: the certificate is returned with ``simple=False``.
     """
-    _one_path(path, "hopf_conditions")
     jac0 = path.jacobian(gamma0)
     eigs, vecs = np.linalg.eig(jac0)
     scale = val.spectral_scale(eigs)

@@ -11,14 +11,14 @@ them.  Every instance is drawn first, with the rng calls in trial order;
 the check then runs once per matrix size on stacks (:func:`_by_size`),
 through the same stack-capable functions the CLI calls, or once per
 instance in ``observability_equivalence``, ``damping_monotonicity`` and
-``flow_jacobian_fd``; ``safe_damping_region`` stacks the sampled
-Jacobians of its paths, as :mod:`hopf` sweeps one path only.  Failure
-payloads are recorded in trial order under a 0-based ``trial`` index.  A
-suite that records errors decides a size whose stack raises again member
-by member (:func:`_errors_recorded`), so each error lands on its own
-trial.  ``suite_undamped_pair_family`` keeps its own loop: it checks a
-fixed family of peer counts, not random trials, and records the peer
-count ``n``.
+``flow_jacobian_fd``; ``safe_damping_region`` stacks the linear
+Jacobians of its paths at all their samples.  Failure payloads are
+recorded in trial order under a 0-based ``trial`` index.  A suite that
+records errors decides a size whose stack raises again member by member
+(:func:`_errors_recorded`), so each error lands on its own trial.
+``suite_undamped_pair_family`` keeps its own loop: it checks a fixed
+family of peer counts, not random trials, and records the peer count
+``n``.
 """
 
 from __future__ import annotations
@@ -488,9 +488,9 @@ def suite_safe_damping_region(seed=DEFAULT_SEED, trials=500):
     ``det J = det(M^-1 L) > 0``, so it crosses the axis exactly when it is
     not stable at some parameter.  A path fails at the samples ``gammas``
     of gamma = 0, 0.25, ..., 2 where an eigenvalue lies in or right of the
-    axis band of the path's samples.  The paths of one n are one stacked
-    :class:`hopf.DampingPath`, and the Jacobians at all their samples one
-    ``eigvals`` call.
+    axis band of the path's samples.  The paths of one n give one stack
+    ``(paths, 9, n, n)`` of damping matrices, one :func:`linalg.jacobian_2n`
+    call for their Jacobians and one ``eigvals`` call.
     """
     def draw(rng):
         n = int(rng.integers(2, 5))
@@ -500,10 +500,9 @@ def suite_safe_damping_region(seed=DEFAULT_SEED, trials=500):
         g = rng.normal(size=(n, n))
         return m, l, d0, g.T @ g
     def unstable(m, l, d0, growth):
-        path = hopf.DampingPath(inertia=m, stiffness=l, gamma_range=(0.0, 2.0),
-                                damping_of=lambda gamma: d0 + gamma * growth)
         gammas = np.linspace(0.0, 2.0, 9)
-        eigs = np.linalg.eigvals(np.stack([path.jacobian(g) for g in gammas], axis=1))
+        d = d0[:, None] + gammas[:, None, None] * growth[:, None]
+        eigs = np.linalg.eigvals(jacobian_2n(*np.broadcast_arrays(m[:, None], d, l[:, None])))
         band = axis_band(np.maximum(1.0, np.abs(eigs).max(axis=(1, 2))))
         return [gammas[hit] for hit in (eigs.real >= -band[:, None, None]).any(axis=2)]
     return _suite(

@@ -48,7 +48,6 @@ __all__ = [
     "ReferencedGridSystem",
     "build_nonhyperbolic_family",
     "damping_repair_suggestion",
-    "demo_lossless_three_machine",
     "demo_lossy_two_machine",
     "grid_damping_path",
     "load_grid_model",
@@ -768,32 +767,7 @@ def locate_homoclinic(model, eq, damping_of, gamma_bracket, saddle_guess):
     )
 
 
-# -- bundled demonstration models -----------------------------------------
-
-
-def demo_lossless_three_machine(gamma=0.0):
-    """Three lossless generators; the first two share the damping ``gamma``.
-
-    Unit voltages, purely susceptive coupling with the 2-3 line at half the
-    strength of the other two, and mechanical powers that place the
-    equilibrium at angles (0, pi/3, pi/3).  At gamma = 0 the equilibrium
-    carries the imaginary pair +- i sqrt(1.5).
-    """
-    half_pi = math.pi / 2
-    y = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.5], [1.0, 0.5, 0.0]])
-    theta = np.full((3, 3), half_pi)
-    np.fill_diagonal(theta, -half_pi)
-    s3 = math.sqrt(3.0)
-    return PowerGridModel(
-        y_mag=y,
-        theta=theta,
-        voltage=np.ones(3),
-        p_mech=np.array([-s3, s3 / 2, s3 / 2]),
-        inertia_const=np.ones(3),
-        damping_coeff=np.array([gamma, gamma, 1.5]),
-        omega_s=1.0,
-        metadata={"equilibrium_angles": (0.0, math.pi / 3, math.pi / 3)},
-    )
+# -- bundled demonstration model ------------------------------------------
 
 
 def demo_lossy_two_machine(gamma=0.25):
@@ -803,6 +777,7 @@ def demo_lossy_two_machine(gamma=0.25):
     angle-independent self terms are dropped and their constant power offset
     absorbed into the mechanical powers so that (1.4905, 0) is an exact
     equilibrium; the absorbed constants are recorded in the metadata.
+    The model is ``models/case2.json`` at ``gamma``, ``p_mech`` to 1 ulp.
     """
     y12 = complex(-1.0, 5.7978)
     mag = abs(y12)
@@ -857,7 +832,11 @@ class GridModelFile:
         self.inertia = data["inertia"]
         self.damping_spec = data["damping"]
         self.omega_s = data.get("omega_s", 1.0)
-        self.delta_guess = data.get("delta_guess")
+        self.delta_guess = guess = data.get("delta_guess")
+        if guess is not None and not (
+                isinstance(guess, list) and len(guess) == self.n
+                and all(_json_number(v) and -math.inf < v < math.inf for v in guess)):
+            raise ModelFormatError(f"{source}: delta_guess must be a list of {self.n} numbers")
         #: Which damping entries are the placeholder "gamma".
         self.gamma_mask = np.array(
             [entry == "gamma" for entry in self.damping_spec], dtype=bool
@@ -892,13 +871,12 @@ class GridModelFile:
             where = f"{self.source}: Y[{i}]"
             if not isinstance(entry, dict):
                 raise ModelFormatError(f"{where}: must be an object")
-            try:
-                j = int(entry["from"]) - 1
-                k = int(entry["to"]) - 1
-            except (KeyError, TypeError, ValueError):
+            j, k = entry.get("from"), entry.get("to")
+            if not (_json_number(j, int) and _json_number(k, int)):
                 raise ModelFormatError(
                     f"{where}: needs integer 'from' and 'to' bus numbers"
-                ) from None
+                )
+            j, k = j - 1, k - 1
             if not (0 <= j < n and 0 <= k < n):
                 raise ModelFormatError(f"{where}: bus number out of range 1..{n}")
             try:
@@ -948,6 +926,11 @@ class GridModelFile:
             )
         except (ModelFormatError, MatrixShapeError) as exc:
             raise ModelFormatError(f"{self.source}: {exc}") from None
+
+
+def _json_number(value, kind=(int, float)):
+    """Whether ``value`` parsed from JSON is a number of ``kind`` (not a bool)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def load_grid_model(path):

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +11,27 @@ from damplab import swing
 ROOT3 = math.sqrt(3.0)
 OMEGA_CASE1 = math.sqrt(1.5)
 
-#: Flow Jacobian of the lossless three-machine demo at its equilibrium.
+#: The bundled model files.
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+#: Three lossless generators, the first two sharing the damping ``gamma``,
+#: with the imaginary pair +- i sqrt(1.5) at gamma = 0.
+CASE1_FILE = MODELS / "case1.json"
+
+#: Flow Jacobian of the case1 model at its equilibrium.
 L_CASE1 = np.array(
     [[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]]
 )
 
 
+def case1_model(gamma):
+    """The model of :data:`CASE1_FILE` at damping ``gamma``."""
+    return swing.load_grid_model(CASE1_FILE).model(gamma)
+
+
 @pytest.fixture(scope="session")
 def case1():
-    model = swing.demo_lossless_three_machine(0.0)
+    model = case1_model(0.0)
     eq = model.solve_equilibrium([0.1, 1.0, 1.0])
     return model, eq
 

@@ -9,22 +9,10 @@ import numpy as np
 import pytest
 
 from damplab import cli, hopf, suites, swing
+from conftest import CASE1_FILE
 
 
-CASE1 = {
-    "n": 3,
-    "Y": [
-        {"from": 1, "to": 2, "mag": 1.0, "angle": math.pi / 2},
-        {"from": 1, "to": 3, "mag": 1.0, "angle": math.pi / 2},
-        {"from": 2, "to": 3, "mag": 0.5, "angle": math.pi / 2},
-    ],
-    "V": [1.0, 1.0, 1.0],
-    "Pm": [-math.sqrt(3), math.sqrt(3) / 2, math.sqrt(3) / 2],
-    "inertia": [1.0, 1.0, 1.0],
-    "damping": ["gamma", "gamma", 1.5],
-    "omega_s": 1.0,
-    "delta_guess": [0.1, 1.0, 1.0],
-}
+CASE1 = json.loads(CASE1_FILE.read_text())
 
 
 def case2_dict():
@@ -39,6 +27,9 @@ def case2_dict():
         "omega_s": 1.0,
         "delta_guess": [1.4, 0.0],
     }
+
+
+BUS_NUMBERS = r"Y\[0\]: needs integer 'from' and 'to' bus numbers"
 
 
 @pytest.fixture()
@@ -115,9 +106,16 @@ class TestSpectrum:
             ("Y", [{"from": 1, "to": 2, "re": "x"}], r"Y\[0\]: re/im and mag/angle"),
             ("V", 5, "voltage must be 1-d"),
             ("Pm", None, "p_mech must be 1-d"),
+            ("delta_guess", ["x", 0], "delta_guess must be a list of 2 numbers"),
+            ("delta_guess", [[1.4], [0.0]], "delta_guess must be a list of 2 numbers"),
+            ("Y", [{"from": 1.7, "to": 2, "re": -1.0, "im": 5.7978}], BUS_NUMBERS),
+            ("Y", [{"from": "2", "to": 1, "re": -1.0, "im": 5.7978}], BUS_NUMBERS),
+            ("Y", [{"from": True, "to": 2, "re": -1.0, "im": 5.7978}], BUS_NUMBERS),
         ],
         ids=["V_string", "omega_s_string", "omega_s_nan", "omega_s_inf",
-             "inertia_string", "Y_mag_string", "Y_re_string", "V_scalar", "Pm_null"],
+             "inertia_string", "Y_mag_string", "Y_re_string", "V_scalar", "Pm_null",
+             "delta_guess_string", "delta_guess_nested", "Y_from_float", "Y_from_string",
+             "Y_from_bool"],
     )
     def test_non_numeric_field_exits_1(self, model_file, capsys, field, value,
                                        message):

@@ -86,6 +86,32 @@ class TestDampingPath:
         with pytest.raises(MatrixShapeError):
             path.jacobian(0.5)
 
+    def test_bad_path_raises_its_error(self):
+        m, l, d0 = np.diag([2.0, 1.0, 3.0]), np.eye(3), 0.5 * np.eye(3)
+
+        def path(inertia=m, stiffness=l, damping=d0, referenced=False):
+            return hopf.DampingPath(inertia=inertia, stiffness=stiffness,
+                                    damping_of=lambda g: damping + g * np.eye(3),
+                                    gamma_range=(0.0, 2.0), referenced=referenced)
+
+        with pytest.raises(AssumptionViolated, match="inertia"):
+            path(inertia=np.diag([1.0, 1.0, 0.0]))
+        with pytest.raises(MatrixShapeError, match="shape"):
+            path(stiffness=l[:2, :2])
+        wrong = path()
+        wrong.damping_of = lambda g: np.zeros((2, 2))
+        with pytest.raises(MatrixShapeError, match="3x3"):
+            wrong.jacobian(0.0)
+        nan = d0.copy()
+        nan[0, 1] = np.nan
+        with pytest.raises(MatrixShapeError, match="NaN"):
+            path(damping=nan).jacobian(0.0)
+        laplacian = np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+        laplacian[0, 0] = 3.0
+        with pytest.raises(AssumptionViolated, match="gauge mode"):
+            path(stiffness=laplacian, referenced=True)
+        assert path(stiffness=laplacian - np.diag([1.0, 0, 0]), referenced=True).n == 3
+
     @staticmethod
     def random_path(rng, referenced):
         n = int(rng.integers(2, 7))
@@ -448,23 +474,13 @@ class TestFrequencyRoute:
         assert tally(calls) == {"cholesky": 1, "eigvals": 3, "eigvalsh": 1, "solve": 82}
 
 
-@pytest.mark.parametrize("analysis", [
-    lambda path: hopf.sweep(path, 21),
-    lambda path: hopf.track_axis_crossing(path, samples=21),
-    lambda path: hopf.hopf_conditions(path, 0.2, omega_hint=1.0),
-], ids=["sweep", "track_axis_crossing", "hopf_conditions"])
-def test_analyses_refuse_a_stack(case2_path, analysis):
-    # The case2 path and the same path at double inertia: a stacked path is
-    # a linear-algebra object, one Jacobian per member.
-    stacked = hopf.DampingPath(
-        inertia=np.stack([case2_path.inertia, 2 * case2_path.inertia]),
-        stiffness=np.stack([case2_path.stiffness] * 2),
-        damping_of=lambda g: np.stack([case2_path.damping_of(g)] * 2),
-        damping_derivative=lambda g: np.stack([case2_path.damping_prime(g)] * 2),
-        gamma_range=case2_path.gamma_range, referenced=True)
-    assert stacked.jacobian(0.2).shape == (2, 3, 3)
-    with pytest.raises(MatrixShapeError, match="takes one path, not a stack"):
-        analysis(stacked)
+def test_a_path_is_not_a_stack(case2_path):
+    # A DampingPath is one path; linalg.jacobian_2n builds stacked Jacobians.
+    with pytest.raises(MatrixShapeError, match="inertia must be 2-d"):
+        hopf.DampingPath(inertia=np.stack([case2_path.inertia, 2 * case2_path.inertia]),
+                         stiffness=np.stack([case2_path.stiffness] * 2),
+                         damping_of=case2_path.damping_of,
+                         gamma_range=case2_path.gamma_range, referenced=True)
 
 
 class TestHopfConditions:

@@ -9,6 +9,7 @@ import pytest
 
 from damplab import simulate, swing
 from damplab.errors import CycleNotFound, NonTransversal, StepSizeUnderflow
+from conftest import case1_model
 
 
 def harmonic(t, z):
@@ -216,7 +217,7 @@ class TestIntegrate:
 def case1_kick():
     """case1's referenced flow at gamma = 0 and a 0.02 kick along the
     undamped mode (the psi-parts of (1, -1, 0))."""
-    model = swing.demo_lossless_three_machine(0.0)
+    model = case1_model(0.0)
     ref = model.referenced(model.solve_equilibrium([0.1, 1.0, 1.0]))
     kick = np.zeros(5)
     kick[:2] = [1.0, -1.0]

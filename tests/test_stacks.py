@@ -601,7 +601,7 @@ def test_injected_failures_recorded_as_the_per_trial_loop(monkeypatch):
     assert json.dumps(got.failures) == json.dumps(want.failures)
 
 
-# -- stacked damping paths and the safe-damping suite -----------------------
+# -- damping paths and the safe-damping suite -------------------------------
 
 
 def sweep_members(rng, n, referenced, count=9):
@@ -631,39 +631,20 @@ def sweep_members(rng, n, referenced, count=9):
     return [np.stack(x) for x in zip(*out)]
 
 
-def stacked_path(m, l, d0, growth, referenced=False):
-    return hopf.DampingPath(inertia=m, stiffness=l,
-                            damping_of=lambda g: d0 + g * growth,
-                            gamma_range=(0.0, 2.0), referenced=referenced)
+def bend(m, d0, d):
+    """``D(gamma) = D0 + gamma G`` bent to ``-0.2 D0 + 0.05 gamma G`` where
+    the inertia ``m`` has a leading entry above 3 and n < 4: those paths
+    start anti-damped, gain damping slowly and cross the axis on most
+    draws.  ``m`` and ``d`` are one path's or stacks of one shape, ``d0``
+    broadcasts against ``d``."""
+    hit = (m[..., 0, 0] > 3.0) & (m.shape[-1] < 4)
+    return np.where(hit[..., None, None], 0.05 * d - 0.25 * d0, d)
 
 
-def test_stacked_path_bad_member_raises_the_single_path_error():
-    rng = np.random.default_rng(4)
-    m, l, d0, growth = sweep_members(rng, 3, False, count=3)
-    singular = m.copy()
-    singular[1] = np.diag([1.0, 1.0, 0.0])
-    with pytest.raises(AssumptionViolated, match="inertia"):
-        stacked_path(singular, l, d0, growth)
-    with pytest.raises(MatrixShapeError):
-        stacked_path(m, l[:2], d0, growth)
-    path = stacked_path(m, l, d0, growth)
-    path.damping_of = lambda g: np.zeros((2, 3, 3))
-    with pytest.raises(MatrixShapeError, match="3x3"):
-        path.jacobian(0.0)
-    nan = d0.copy()
-    nan[2, 0, 1] = np.nan
-    with pytest.raises(MatrixShapeError, match="NaN"):
-        stacked_path(m, l, nan, growth).jacobian(0.0)
-    laplacian = np.stack([np.array([[1.0, -1.0], [-1.0, 1.0]])] * 2)
-    laplacian[1, 0, 0] = 2.0
-    with pytest.raises(AssumptionViolated, match="gauge mode"):
-        stacked_path(np.stack([np.eye(2)] * 2), laplacian, 0 * laplacian,
-                     0 * laplacian, referenced=True)
-
-
-def safe_damping_paths(seed, trials):
-    """The draws of ``suites.suite_safe_damping_region``, one path each:
-    ``(m, l, d0, growth, path)`` per trial."""
+def safe_damping_paths(seed, trials, bent=False):
+    """The draws of ``suites.suite_safe_damping_region``, one path each, with
+    the damping bent by :func:`bend` if ``bent``: ``(m, l, d0, growth,
+    path)`` per trial."""
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         n = int(rng.integers(2, 5))
@@ -672,18 +653,21 @@ def safe_damping_paths(seed, trials):
         d0 = suites._spd(rng, n, ridge=0.05)
         g = rng.normal(size=(n, n))
         growth = g.T @ g
+
+        def damping_of(gamma, m=m, d0=d0, growth=growth):
+            d = d0 + gamma * growth
+            return bend(m, d0, d) if bent else d
+
         yield m, l, d0, growth, hopf.DampingPath(
-            inertia=m, stiffness=l, damping_of=lambda gamma, d0=d0, growth=growth: (
-                d0 + gamma * growth),
-            gamma_range=(0.0, 2.0))
+            inertia=m, stiffness=l, damping_of=damping_of, gamma_range=(0.0, 2.0))
 
 
-def per_trial_safe_damping(seed, trials):
+def per_trial_safe_damping(seed, trials, bent):
     """The suite as a per-trial loop: one path per trial and one spectrum
     per sample; a path fails at the samples with an eigenvalue in or right
     of the axis band of all its samples."""
     result = suites.SuiteResult("safe_damping_region", trials)
-    for k, (m, l, d0, growth, path) in enumerate(safe_damping_paths(seed, trials)):
+    for k, (m, l, d0, growth, path) in enumerate(safe_damping_paths(seed, trials, bent)):
         gammas = np.linspace(0.0, 2.0, 9)
         spectra = [np.linalg.eigvals(path.jacobian(g)) for g in gammas]
         band = 1e-7 * max(1.0, max(np.abs(eigs).max() for eigs in spectra))
@@ -693,36 +677,27 @@ def per_trial_safe_damping(seed, trials):
     return result
 
 
-def inject_crossings(monkeypatch):
-    """Bend the paths of n < 4 whose inertia has a leading entry above 3 to
-    ``D(gamma) = -0.2 D0 + 0.05 gamma G``: they start anti-damped, gain
-    damping slowly and cross the axis on most draws."""
-    path_class = hopf.DampingPath
-
-    def injected(inertia, stiffness, damping_of, gamma_range):
-        hit = (inertia[..., 0, 0] > 3.0) & (inertia.shape[-1] < 4)
-
-        def bent(gamma):
-            return np.where(hit[..., None, None],
-                            damping_of(0.05 * gamma) - 1.2 * damping_of(0.0),
-                            damping_of(gamma))
-
-        return path_class(inertia=inertia, stiffness=stiffness, damping_of=bent,
-                          gamma_range=gamma_range)
-
-    monkeypatch.setattr(hopf, "DampingPath", injected)
+def safe_damping_jacobians(monkeypatch, change):
+    """Replace the damping ``d`` of the suite's stacks ``(paths, 9, n, n)`` by
+    ``change(m, d0, d)`` before their Jacobians are built, with ``d0`` the
+    damping at gamma = 0; other calls of ``suites.jacobian_2n`` are left
+    alone."""
+    build = suites.jacobian_2n
+    monkeypatch.setattr(suites, "jacobian_2n", lambda m, d, l: build(
+        m, change(m, d[:, :1], d) if d.ndim == 4 else d, l))
 
 
 def test_safe_damping_failures_recorded_as_the_per_trial_loop(monkeypatch):
-    inject_crossings(monkeypatch)
-    want = per_trial_safe_damping(seed=11, trials=150)
+    safe_damping_jacobians(monkeypatch, bend)
+    want = per_trial_safe_damping(seed=11, trials=150, bent=True)
     got = suites.suite_safe_damping_region(seed=11, trials=150)
     assert 10 <= len(want.failures) < 150
     assert any(len(f["gammas"]) > 1 for f in want.failures)
     assert json.dumps(got.failures) == json.dumps(want.failures)
     # At least as strict as a sweep of each path alone: every path with a
     # reported crossing fails.
-    crossed = {k for k, (*_, path) in enumerate(safe_damping_paths(seed=11, trials=150))
+    paths = safe_damping_paths(seed=11, trials=150, bent=True)
+    crossed = {k for k, (*_, path) in enumerate(paths)
                if hopf.track_axis_crossing(path, samples=9)}
     assert 10 <= len(crossed)
     assert crossed <= {f["trial"] for f in got.failures}
@@ -731,9 +706,7 @@ def test_safe_damping_failures_recorded_as_the_per_trial_loop(monkeypatch):
 def test_safe_damping_fails_a_path_on_the_axis(monkeypatch):
     # D(gamma) = gamma G: undamped at 0, where every eigenvalue lies in the
     # axis band, as in the boundary crossing a sweep reports there.
-    path_class = hopf.DampingPath
-    monkeypatch.setattr(hopf, "DampingPath", lambda damping_of, **kw: path_class(
-        damping_of=lambda g: damping_of(g) - damping_of(0.0), **kw))
+    safe_damping_jacobians(monkeypatch, lambda m, d0, d: d - d0)
     got = suites.suite_safe_damping_region(seed=5, trials=30)
     assert [f["trial"] for f in got.failures] == list(range(30))
     assert all(f["gammas"] == [0.0] for f in got.failures)
@@ -741,12 +714,12 @@ def test_safe_damping_fails_a_path_on_the_axis(monkeypatch):
 
 def test_safe_damping_calls_per_size(monkeypatch):
     # The per-trial loop made 9 eigvals and 10 solves per trial: 4,500 and
-    # 5,000 calls.  Per size, one solve for M^-1 L and one per sample for
-    # M^-1 D, one eigvals for all samples, and one SVD checks the inertias.
+    # 5,000 calls.  Per size, on the stack of all paths at all samples, one
+    # SVD checks the inertias, one solve gives M^-1 [L, D] and one eigvals
+    # the spectra.
     calls = count_lapack(monkeypatch)
     assert suites.suite_safe_damping_region().passed
-    assert tally(calls) == {"eigvals": 3, "solve": 30, "svd": 3}
-    assert tally(calls, ndim=3) == {"solve": 30, "svd": 3}
+    assert tally(calls, ndim=4) == tally(calls) == {"eigvals": 3, "solve": 3, "svd": 3}
 
 
 def test_single_path_sweep_solves_one_jacobian_per_call(monkeypatch):
@@ -754,7 +727,8 @@ def test_single_path_sweep_solves_one_jacobian_per_call(monkeypatch):
     # samples would hold every Jacobian at once.
     rng = np.random.default_rng(12)
     m, l, d0, growth = (x[2] for x in sweep_members(rng, 5, True, count=3))
-    path = stacked_path(m, l, d0, growth, referenced=True)
+    path = hopf.DampingPath(inertia=m, stiffness=l, damping_of=lambda g: d0 + g * growth,
+                            gamma_range=(0.0, 2.0), referenced=True)
     calls = count_lapack(monkeypatch)
     assert hopf.track_axis_crossing(path, samples=31) == []
     assert tally(calls, ndim=2)["eigvals"] == 31

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from damplab.errors import (
 )
 from damplab.linalg import classify_spectrum
 from damplab.stability import ObservabilityWitness
-from conftest import L_CASE1, ROOT3
+from conftest import L_CASE1, MODELS, ROOT3, case1_model
 
 
 class TestFlowFunction:
@@ -245,7 +245,7 @@ class TestSolveEquilibrium:
 
 class TestToSecondOrder:
     def test_case1_matrices(self):
-        model = swing.demo_lossless_three_machine(0.25)
+        model = case1_model(0.25)
         system = model.to_second_order()
         np.testing.assert_allclose(system.inertia, np.eye(3))
         np.testing.assert_allclose(system.damping, np.diag([0.25, 0.25, 1.5]))
@@ -284,7 +284,7 @@ class TestReferencedReduction:
         assert model.referenced(eq).dim == 3
 
     def test_inertia_shift_case1_damped(self):
-        model = swing.demo_lossless_three_machine(0.1)
+        model = case1_model(0.1)
         eq = model.solve_equilibrium([0.1, 1.0, 1.0])
         full = classify_spectrum(
             np.linalg.eigvals(model.to_second_order().jacobian_at(eq.delta0))
@@ -422,7 +422,7 @@ class TestLosslessCriterion:
         assert abs(abs(np.vdot(direction, w.vector)) - 1.0) < 1e-8
 
     def test_case1_damped_no_pair(self):
-        model = swing.demo_lossless_three_machine(0.3)
+        model = case1_model(0.3)
         eq = model.solve_equilibrium([0.1, 1.0, 1.0])
         verdict = swing.lossless_imaginary_criterion(model, eq)
         assert not verdict.imaginary_pair_exists
@@ -518,7 +518,7 @@ class TestSmallGridHyperbolicity:
         assert swing.small_n_hyperbolicity_check(model, eq)
 
     def test_two_undamped_rejected(self):
-        model = swing.demo_lossless_three_machine(0.0)  # two undamped
+        model = case1_model(0.0)  # two undamped
         eq = model.solve_equilibrium([0.1, 1.0, 1.0])
         with pytest.raises(AssumptionViolated):
             swing.small_n_hyperbolicity_check(model, eq)
@@ -543,11 +543,24 @@ class TestModelValidation:
             )
 
     def test_negative_damping_rejected(self):
-        with pytest.raises(ModelFormatError):
-            swing.demo_lossless_three_machine(-0.1)
+        with pytest.raises(ModelFormatError, match="damping"):
+            case1_model(-0.1)
 
 
 class TestModelFiles:
+    def test_case2_demo_is_the_bundled_file(self):
+        # The perfbench twin of models/case2.json: equal in every field but
+        # the metadata it records, p_mech to 1 ulp.
+        bundled = swing.load_grid_model(MODELS / "case2.json")
+        for gamma in (0.0, 0.2, 0.25):
+            demo, model = swing.demo_lossy_two_machine(gamma), bundled.model(gamma)
+            for f in fields(model):
+                if f.name == "p_mech":
+                    ulp = np.spacing(np.abs(model.p_mech))
+                    assert (np.abs(demo.p_mech - model.p_mech) <= ulp).all()
+                elif f.name != "metadata":
+                    assert np.array_equal(getattr(demo, f.name), getattr(model, f.name))
+
     def base_data(self):
         return {
             "n": 2,

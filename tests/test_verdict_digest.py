@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from damplab import hopf, stability, suites, swing
+from damplab import stability, suites, swing
 
 import verdict_digest
 
@@ -109,13 +109,13 @@ def _inject_failures(monkeypatch):
         fail("injected family") if n == 3
         else tuple(x + 0.1 * (n == 5) for x in f(n, d_tail))))
     wrap(swing, "lossless_imaginary_criterion", lossless)
-    wrap(hopf.DampingPath, "jacobian", lambda f: lambda path, gamma: (
-        f(path, gamma) + (gamma == 1.0) * (path.inertia[..., :1, :1] > 3.0)
-        * np.eye(2 * path.n)))
     wrap(swing.PowerGridModel, "flow_jacobian", lambda f: lambda model, delta: (
         f(model, delta) + 1e-3 * (model.inertia_const[1] > 1.2)))
-    wrap(suites, "jacobian_2n", lambda f: lambda m, d, l: (
-        f(m, d, l) + 0.5 * (m[..., :1, :1] > 3.0) * np.eye(2 * m.shape[-1])))
+    # safe_damping_region's stacks (paths, 9, n, n) gain I at sample 4,
+    # gamma = 1; fold_exclusion's (trials, n, n) gain 0.5 I.
+    wrap(suites, "jacobian_2n", lambda f: lambda m, d, l: f(m, d, l) + (
+        (np.arange(9)[:, None, None] == 4) if m.ndim == 4 else 0.5)
+        * (m[..., :1, :1] > 3.0) * np.eye(2 * m.shape[-1]))
 
 
 def test_failure_payload_bytes_under_injected_failures(monkeypatch):

@@ -483,6 +483,22 @@ def test_a_path_is_not_a_stack(case2_path):
                          gamma_range=case2_path.gamma_range, referenced=True)
 
 
+@pytest.mark.parametrize("analysis", [
+    lambda path: hopf.sweep(path, 21),
+    lambda path: hopf.track_axis_crossing(path, samples=21),
+    lambda path: hopf.hopf_conditions(path, 0.2, omega_hint=1.0),
+], ids=["sweep", "track_axis_crossing", "hopf_conditions"])
+def test_analyses_refuse_a_stack(case2_path, analysis):
+    # One-path inertia and stiffness build, but a damping that returns a
+    # stack of two members is refused by each analysis on its first Jacobian.
+    stacked = hopf.DampingPath(
+        inertia=case2_path.inertia, stiffness=case2_path.stiffness,
+        damping_of=lambda g: np.stack([case2_path.damping_of(g)] * 2),
+        gamma_range=case2_path.gamma_range, referenced=True)
+    with pytest.raises(MatrixShapeError, match="damping must be 2-d"):
+        analysis(stacked)
+
+
 class TestHopfConditions:
     def test_case1_certificate(self, case1_path):
         cert = hopf.hopf_conditions(

@@ -11,9 +11,9 @@ transversal drift, no resonant eigenvalue at 0 or at a harmonic) and
 computes the first Lyapunov coefficient that decides whether the born
 cycle is stable.
 
-A sweep pairs eigenvalues only on the intervals that may hide a crossing:
-an interval whose upper pair members all lie more than ten axis bands
-from the axis, on one side at both ends, is skipped.
+A sweep pairs eigenvalues per branch step: a step that stays more than
+ten axis bands off the axis on one side is skipped, and a branch whose
+pair turns real may end there (a heuristic, see :func:`sweep`).
 
 The Lyapunov coefficient follows the standard center-manifold projection
 method: with ``A q = i w0 q``, ``A^T p = -i w0 p``, ``<q,q> = <p,q> = 1``
@@ -419,17 +419,21 @@ def sweep(path, samples=41):
     ``1e-12 max(1, |hi|)`` in gamma.  Returns a :class:`Sweep`, so callers
     reuse the sampled spectra.
 
-    An interval is skipped before pairing when no crossing can hide in it:
-    when one of its samples has no upper pair member, or when at both
-    samples every upper pair member lies more than ``10 * band`` from the
-    axis on one side (left at both, or right at both).
+    A step whose ends lie more than ``10 * band`` off the axis on one side
+    is skipped: it records nothing.  Where the next sample has fewer upper
+    pair members, a branch whose match is shared, whose step exceeds the
+    band and which lies nearer the real axis than its match (``Im lam <
+    step``) ends there, its pair turned real; pairing ends for its run, as
+    for every run where a sample has no upper pair member.  Ending is a
+    heuristic that can end the wrong branch and lose a crossing silently;
+    ROADMAP item 16's count verdict, not yet in place, is its check.
 
     Each sample is its own ``eigvals`` call: a stack of all samples would
     hold every Jacobian of a large path at once.
 
     Raises TrackingAmbiguity, with the interval's start as ``gamma``, when a
-    branch's continuation step exceeds half the gap between its match and
-    the match's nearest neighbour, or two branches share one match.
+    step longer than the band, neither skipped nor ended, exceeds half the
+    gap at its match or shares its match with a branch that did not end.
     """
     if samples < 2:
         raise AssumptionViolated("sample count >= 2")
@@ -438,34 +442,20 @@ def sweep(path, samples=41):
     spectra = [np.linalg.eigvals(path.jacobian(g)) for g in grid]
     table = np.stack(spectra)
 
-    # The common scale of all samples, its band, the upper pair members, and
-    # the intervals that cannot hide a crossing.  Pair collisions far from
-    # the axis (e.g. a mode going overdamped) break nearest-neighbour
-    # continuity without any axis activity, so those intervals are neither
-    # paired nor reported as ambiguous.
     scale = float(val.spectral_scale(table))
-    band = axis_band(scale)
-    margin = 10 * band
-    upper = pair_upper(table, scale)
-    left = np.where(upper, table.real < -margin, True).all(axis=1)
-    right = np.where(upper, table.real > margin, True).all(axis=1)
-    empty = ~upper.any(axis=1)
-    quiet = ((left[:-1] & left[1:]) | (right[:-1] & right[1:])
-             | empty[:-1] | empty[1:])
-    crossings = []
-    if (upper & on_axis(table, band)).any() or not quiet.all():
-        crossings = _crossings(path, grid, table, upper, scale, np.flatnonzero(~quiet))
+    crossings = _crossings(path, grid, table, pair_upper(table, scale), scale)
     return Sweep(gammas=grid, spectra=spectra, scale=scale, crossings=crossings)
 
 
-def _crossings(path, grid, table, upper, scale, intervals):
+def _crossings(path, grid, table, upper, scale):
     """The axis crossings of one path by the rule of :func:`sweep`, from its
-    spectra ``table`` (samples by 2n) with upper pair mask ``upper``, paired
-    on the grid ``intervals`` only.  A run is ``[entry, nearest]``: the
-    ``(gamma, lam)`` before it (None where pairing starts, False at the
-    range start) and the one nearest the axis in it (None for a branch step
-    that leaves one side: a run of no in-band sample)."""
+    spectra ``table`` (samples by 2n) with upper pair mask ``upper``.  A run
+    is ``[entry, nearest]``: the ``(gamma, lam)`` before it (None where
+    pairing starts, False at the range start) and the one nearest the axis
+    in it (None for a branch step that leaves one side: a run of no in-band
+    sample)."""
     band = axis_band(scale)
+    margin = 10 * band
     tol = 1e-12 * max(1.0, abs(path.gamma_range[1]))
     last = grid.size - 1
     crossings = [AxisCrossing(float(grid[k]), float(lam.imag), complex(lam), boundary=True)
@@ -489,13 +479,14 @@ def _crossings(path, grid, table, upper, scale, intervals):
         crossings.append(AxisCrossing(float(nearest[0]), float(abs(nearest[1].imag)),
                                       complex(nearest[1])))
 
-    runs, at = {}, None  # index of a branch at sample ``at`` -> its run
-    for k in intervals:
-        if k != at:
+    runs = {}  # index of a branch at the current sample -> its run
+    for k in range(last):
+        current, following = table[k][upper[k]], table[k + 1][upper[k + 1]]
+        if not following.size:
             for run in runs.values():
                 close(run, None)
             runs = {}
-        current, following = table[k][upper[k]], table[k + 1][upper[k + 1]]
+            continue
         distance = np.abs(current[:, None] - following[None, :])
         match = np.argmin(distance, axis=1)
         steps = distance[np.arange(current.size), match]
@@ -503,9 +494,23 @@ def _crossings(path, grid, table, upper, scale, intervals):
         np.fill_diagonal(spacing, np.inf)
         gaps = spacing.min(axis=1)[match]
         shared = np.bincount(match, minlength=following.size)[match] > 1
+        # An ended branch (its pair turned real) no longer shares its match.
+        ends = (shared & (steps > band) & (current.imag < steps)
+                & (following.size < current.size))
+        shared = np.bincount(match[~ends], minlength=following.size)[match] > 1
         carried = {}
-        for i, (lam, j, step, gap, twice) in enumerate(zip(current, match, steps, gaps, shared)):
+        for i, (lam, j, step, gap, twice, end) in enumerate(
+                zip(current, match, steps, gaps, shared, ends)):
             nearest = following[j]
+            if min(lam.real, nearest.real) > margin or max(lam.real, nearest.real) < -margin:
+                continue  # a step far off the axis on one side records nothing
+            before, after = (grid[k], lam), (grid[k + 1], nearest)
+            run = runs.get(i, [None if k else False, before] if on_axis(lam, band)
+                           else [before, None])
+            if end:
+                if run[1] is not None:
+                    close(run, None)
+                continue
             if (twice or step > 0.5 * gap) and step > band:
                 what = (
                     "two branches share one continuation match" if twice
@@ -514,19 +519,13 @@ def _crossings(path, grid, table, upper, scale, intervals):
                 )
                 raise TrackingAmbiguity(f"{what} near gamma = {grid[k]:.6g}; increase samples",
                                         gamma=float(grid[k]))
-            before, after = (grid[k], lam), (grid[k + 1], nearest)
-            run = runs.get(i, [None if k else False, before] if on_axis(lam, band)
-                           else [before, None])
             if on_axis(nearest, band):
                 if run[1] is None or abs(nearest.real) < abs(run[1][1].real):
                     run[1] = after
                 carried.setdefault(j, run)
             elif run[1] is not None or np.sign(lam.real) != np.sign(nearest.real):
                 close(run, after)
-        runs, at = carried, k + 1
-    if at != last:
-        for run in runs.values():
-            close(run, None)
+        runs = carried
     return sorted(crossings, key=lambda c: (c.gamma, c.omega))
 
 

@@ -853,13 +853,12 @@ class GridModelFile:
         for i, entry in enumerate(self.damping_spec):
             if self.gamma_mask[i]:
                 out.append(float(gamma))
+            elif _json_number(entry):
+                out.append(float(entry))
             else:
-                try:
-                    out.append(float(entry))
-                except (TypeError, ValueError):
-                    raise ModelFormatError(
-                        f"{self.source}: damping[{i}] must be a number or 'gamma'"
-                    ) from None
+                raise ModelFormatError(
+                    f"{self.source}: damping[{i}] must be a number or 'gamma'"
+                )
         return np.array(out)
 
     def model(self, gamma=None):
@@ -879,20 +878,16 @@ class GridModelFile:
             j, k = j - 1, k - 1
             if not (0 <= j < n and 0 <= k < n):
                 raise ModelFormatError(f"{where}: bus number out of range 1..{n}")
-            try:
-                if "re" in entry or "im" in entry:
-                    z = complex(entry.get("re", 0.0), entry.get("im", 0.0))
-                    mag, ang = abs(z), math.atan2(z.imag, z.real)
-                elif "mag" in entry:
-                    mag, ang = float(entry["mag"]), float(entry.get("angle", 0.0))
-                else:
-                    raise ModelFormatError(
-                        f"{where}: needs either re/im or mag/angle"
-                    )
-            except (TypeError, ValueError):
-                raise ModelFormatError(
-                    f"{where}: re/im and mag/angle must be numbers"
-                ) from None
+            if not all(_json_number(entry[key]) for key in ("re", "im", "mag", "angle")
+                       if key in entry):
+                raise ModelFormatError(f"{where}: re/im and mag/angle must be numbers")
+            if "re" in entry or "im" in entry:
+                z = complex(entry.get("re", 0.0), entry.get("im", 0.0))
+                mag, ang = abs(z), math.atan2(z.imag, z.real)
+            elif "mag" in entry:
+                mag, ang = float(entry["mag"]), float(entry.get("angle", 0.0))
+            else:
+                raise ModelFormatError(f"{where}: needs either re/im or mag/angle")
             if mag < 0:
                 raise ModelFormatError(f"{where}: magnitude must be nonnegative")
             for a, bdx in ((j, k), (k, j)):
@@ -906,7 +901,12 @@ class GridModelFile:
                 theta[a, bdx] = ang
 
         def numbers(key, value, convert=lambda v: np.asarray(v, dtype=float)):
+            # A list holds JSON numbers only; any other value but a bool is
+            # left to the conversion and the model's shape checks.
             try:
+                if isinstance(value, bool) or (
+                        isinstance(value, list) and not all(map(_json_number, value))):
+                    raise TypeError
                 return convert(value)
             except (TypeError, ValueError):
                 raise ModelFormatError(

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from damplab import swing
+from damplab import hopf, suites, swing
 
 ROOT3 = math.sqrt(3.0)
 OMEGA_CASE1 = math.sqrt(1.5)
@@ -53,6 +53,25 @@ def sampled(path):
     """``path`` without its damping derivative: ``track_axis_crossing`` then
     takes the sampled route for a path that would take the frequency route."""
     return replace(path, damping_derivative=None)
+
+
+def random_rank_one_path(seed):
+    """A random path on (0, 2) with damping ``D0 + gamma s u u^T``, drawn
+    from ``numpy.random.default_rng(seed)``: n in 2..8, M symmetric positive
+    definite, L too or a shifted Gaussian matrix, D0 symmetric."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    m = suites._spd(rng, n)
+    l = (suites._spd(rng, n) if rng.random() < 0.5
+         else rng.normal(size=(n, n)) + 3 * np.eye(n))
+    g = rng.normal(size=(n, n))
+    d0 = 0.3 * (g + g.T) + rng.uniform(0, 1) * np.eye(n)
+    u = rng.normal(size=n)
+    slope = rng.choice([-1.0, 1.0]) * np.outer(u, u)
+    return hopf.DampingPath(inertia=m, stiffness=l,
+                            damping_of=lambda gamma: d0 + gamma * slope,
+                            damping_derivative=lambda gamma: slope,
+                            gamma_range=(0.0, 2.0))
 
 
 def count_lapack(monkeypatch):

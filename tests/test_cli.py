@@ -30,6 +30,7 @@ def case2_dict():
 
 
 BUS_NUMBERS = r"Y\[0\]: needs integer 'from' and 'to' bus numbers"
+Y_NUMBERS = r"Y\[0\]: re/im and mag/angle must be numbers"
 
 
 @pytest.fixture()
@@ -111,11 +112,21 @@ class TestSpectrum:
             ("Y", [{"from": 1.7, "to": 2, "re": -1.0, "im": 5.7978}], BUS_NUMBERS),
             ("Y", [{"from": "2", "to": 1, "re": -1.0, "im": 5.7978}], BUS_NUMBERS),
             ("Y", [{"from": True, "to": 2, "re": -1.0, "im": 5.7978}], BUS_NUMBERS),
+            ("V", [True, 1.0], "V must be numeric"),
+            ("Pm", [True, -1.0], "Pm must be numeric"),
+            ("inertia", [1.0, True], "inertia must be numeric"),
+            ("omega_s", True, "omega_s must be numeric"),
+            ("damping", ["gamma", True], r"damping\[1\] must be a number or 'gamma'"),
+            ("Y", [{"from": 1, "to": 2, "re": True, "im": 5.7978}], Y_NUMBERS),
+            ("Y", [{"from": 1, "to": 2, "re": -1.0, "im": True}], Y_NUMBERS),
+            ("Y", [{"from": 1, "to": 2, "mag": True, "angle": 1.7}], Y_NUMBERS),
+            ("Y", [{"from": 1, "to": 2, "mag": 5.9, "angle": True}], Y_NUMBERS),
         ],
         ids=["V_string", "omega_s_string", "omega_s_nan", "omega_s_inf",
              "inertia_string", "Y_mag_string", "Y_re_string", "V_scalar", "Pm_null",
              "delta_guess_string", "delta_guess_nested", "Y_from_float", "Y_from_string",
-             "Y_from_bool"],
+             "Y_from_bool", "V_bool", "Pm_bool", "inertia_bool", "omega_s_bool",
+             "damping_bool", "Y_re_bool", "Y_im_bool", "Y_mag_bool", "Y_angle_bool"],
     )
     def test_non_numeric_field_exits_1(self, model_file, capsys, field, value,
                                        message):

@@ -14,7 +14,8 @@ from damplab.errors import (
     TrackingAmbiguity,
 )
 from damplab.linalg import QuadraticPencil, jacobian_2n, referenced_jacobian
-from conftest import OMEGA_CASE1, count_lapack, crossing_bits, sampled, tally
+from conftest import (OMEGA_CASE1, count_lapack, crossing_bits, random_rank_one_path,
+                      sampled, tally)
 
 
 def tied_case2_pair(rng, n, base_grid):
@@ -286,19 +287,7 @@ class TestTrackAxisCrossing:
         # samples around gamma = 1.2086: one crossing, refined between the
         # samples before and after the run, where the frequency route
         # finds it.
-        rng = np.random.default_rng(194)
-        n = int(rng.integers(2, 9))
-        m = suites._spd(rng, n)
-        l = (suites._spd(rng, n) if rng.random() < 0.5
-             else rng.normal(size=(n, n)) + 3 * np.eye(n))
-        g = rng.normal(size=(n, n))
-        d0 = 0.3 * (g + g.T) + rng.uniform(0, 1) * np.eye(n)
-        u = rng.normal(size=n)
-        slope = rng.choice([-1.0, 1.0]) * np.outer(u, u)
-        path = hopf.DampingPath(inertia=m, stiffness=l,
-                                damping_of=lambda gamma: d0 + gamma * slope,
-                                damping_derivative=lambda gamma: slope,
-                                gamma_range=(0.0, 2.0))
+        path = random_rank_one_path(194)
         found = hopf.sweep(path, 801)
         band = 1e-7 * found.scale
         assert sum(bool((np.abs(e.real) <= band).any()) for e in found.spectra) == 4
@@ -306,6 +295,73 @@ class TestTrackAxisCrossing:
         assert abs(got.gamma - want.gamma) <= 1e-9
         assert abs(got.omega - want.omega) <= 1e-9
         assert not got.boundary
+
+    @pytest.mark.parametrize("seed, gammas", [(2, [0.550742, 0.689786]),
+                                              (326, [0.068146, 0.083456, 0.303472])])
+    def test_branch_ends_where_its_pair_turns_real(self, seed, gammas):
+        # A pair turns real far off the axis (seed 2 near gamma = 1.05, about
+        # 1e5 bands right of it), and its branch shares the match of
+        # another.  The branch nearer the real axis ends; the sweep gives the
+        # frequency route's crossings.  On seed 326 the other branch crosses
+        # at 0.3035, and ending it instead would lose that crossing.
+        path = random_rank_one_path(seed)
+        got, want = hopf.sweep(path, 201).crossings, hopf.track_axis_crossing(path)
+        assert [round(c.gamma, 6) for c in want] == gammas
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert abs(a.gamma - b.gamma) <= 1e-9
+            assert not a.boundary
+
+    @pytest.mark.parametrize("stiffness, damping", [([1.0], []), ([1.0, 100.0], [1.0])])
+    def test_run_is_reported_where_pairing_ends(self, stiffness, damping):
+        # The pair of the first mode, with d(gamma) = 5 gamma^2 - 1.5 gamma
+        # - 0.5 and stiffness 1, is right of the axis at gamma = 0, on it
+        # (+-i) at 0.5 and real at 1 (d = 3).  Alone, no pair is left at
+        # 1; with a second mode (stiffness 100, damping 1) its branch
+        # shares the match -0.5 + 9.99i and ends.  Either way the open
+        # run is reported at its sample nearest the axis.
+        path = hopf.DampingPath(
+            inertia=np.eye(len(stiffness)), stiffness=np.diag(stiffness),
+            damping_of=lambda g: np.diag([5 * g * g - 1.5 * g - 0.5] + damping),
+            gamma_range=(0.0, 1.0),
+        )
+        (c,) = hopf.sweep(path, 3).crossings
+        assert (c.gamma, c.boundary) == (0.5, False)
+        assert abs(c.omega - 1.0) <= 1e-12
+
+    def test_shared_match_where_no_pair_turns_real_raises(self):
+        # The pair +-0.5i moves to 0.49 +- 0.0995i, and its nearest match
+        # is the fixed -0.55 + 0.5i, 0.55 away, which is farther than the
+        # real axis.  No pair turns real, so the branch does not end.
+        path = hopf.DampingPath(
+            inertia=np.eye(2), stiffness=np.diag([0.25, 0.5525]),
+            damping_of=lambda g: np.diag([-0.98 * g, 1.1]),
+            gamma_range=(0.0, 1.0),
+        )
+        with pytest.raises(TrackingAmbiguity, match="share one continuation match"):
+            hopf.sweep(path, 2)
+
+    def test_collisions_off_the_axis_without_hopf_point(self):
+        # Branches collide far from the axis, and no pair ever crosses it.
+        path = random_rank_one_path(16)
+        assert hopf.track_axis_crossing(path) == []
+        assert hopf.sweep(path, 201).crossings == []
+
+    @pytest.mark.parametrize("seed, count", [(66, 3), (102, 4)])
+    def test_crossings_confirmed_by_dense_spectra(self, seed, count):
+        # Two of these crossings on each path are a pair that crosses and
+        # returns between two frequencies the frequency route scans; the
+        # sampled route sees them.  Each crossing moves two eigenvalues
+        # across the axis.
+        path = random_rank_one_path(seed)
+        crossings = hopf.sweep(path, 201).crossings
+        assert len(crossings) == count
+        for c in crossings:
+            assert not c.boundary
+            before, after = (
+                np.count_nonzero(np.linalg.eigvals(path.jacobian(c.gamma + h)).real > 0)
+                for h in (-1e-3, 1e-3))
+            assert abs(after - before) == 2
 
     def test_pair_on_the_axis_throughout_gives_two_boundary_crossings(self, case1):
         # Generator 3's damping leaves mode (1, -1, 0) unobservable: the

@@ -296,14 +296,15 @@ class TestTrackAxisCrossing:
         assert abs(got.omega - want.omega) <= 1e-9
         assert not got.boundary
 
-    @pytest.mark.parametrize("seed, gammas", [(2, [0.550742, 0.689786]),
+    @pytest.mark.parametrize("seed, gammas", [(2, [0.550742, 0.689786]), (16, []),
                                               (326, [0.068146, 0.083456, 0.303472])])
-    def test_branch_ends_where_its_pair_turns_real(self, seed, gammas):
-        # A pair turns real far off the axis (seed 2 near gamma = 1.05, about
-        # 1e5 bands right of it), and its branch shares the match of
-        # another.  The branch nearer the real axis ends; the sweep gives the
-        # frequency route's crossings.  On seed 326 the other branch crosses
-        # at 0.3035, and ending it instead would lose that crossing.
+    def test_collisions_off_the_axis_keep_the_crossings(self, seed, gammas):
+        # Branches collide far off the axis.  On seed 2 a pair turns real
+        # near gamma = 1.05, about 1e5 bands right of it, and its branch
+        # shares the match of another; seed 16 has no Hopf point at all.
+        # The branch nearer the real axis ends, and the sweep gives the
+        # frequency route's crossings.  On seed 326 the other branch
+        # crosses at 0.3035, and ending it instead would lose that crossing.
         path = random_rank_one_path(seed)
         got, want = hopf.sweep(path, 201).crossings, hopf.track_axis_crossing(path)
         assert [round(c.gamma, 6) for c in want] == gammas
@@ -340,12 +341,6 @@ class TestTrackAxisCrossing:
         )
         with pytest.raises(TrackingAmbiguity, match="share one continuation match"):
             hopf.sweep(path, 2)
-
-    def test_collisions_off_the_axis_without_hopf_point(self):
-        # Branches collide far from the axis, and no pair ever crosses it.
-        path = random_rank_one_path(16)
-        assert hopf.track_axis_crossing(path) == []
-        assert hopf.sweep(path, 201).crossings == []
 
     @pytest.mark.parametrize("seed, count", [(66, 3), (102, 4)])
     def test_crossings_confirmed_by_dense_spectra(self, seed, count):

@@ -21,8 +21,6 @@ Subpackages
     Seeded randomized verification suites.
 """
 
-from . import errors, hopf, linalg, perturbation, simulate, stability, suites, swing
-
 __all__ = [
     "errors",
     "hopf",
@@ -35,3 +33,17 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # PEP 562: a submodule loads on first access, so ``import damplab``
+    # loads none and each CLI command loads only the modules it runs.
+    if name in __all__:
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

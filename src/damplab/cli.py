@@ -30,7 +30,7 @@ import tempfile
 
 import numpy as np
 
-from . import __version__, hopf, simulate, suites, swing
+from . import __version__, swing
 from ._validation import TOL_AXIS, spectral_scale
 from .errors import (
     DampLabError,
@@ -175,6 +175,8 @@ def cmd_spectrum(args):
 
 
 def cmd_hopf_scan(args):
+    from . import hopf
+
     mfile, model = _load(args, gamma=args.gamma_range[0])
     eq = _equilibrium(mfile, model, args)
     lo, hi, samples = args.gamma_range
@@ -243,6 +245,10 @@ def cmd_hopf_scan(args):
 
 
 def cmd_simulate(args):
+    from . import simulate
+
+    rtol = simulate.RTOL if args.rtol is None else args.rtol
+    atol = simulate.ATOL if args.atol is None else args.atol
     mfile, model = _load(args)
     eq = _equilibrium(mfile, model, args)
     ref = model.referenced(eq)
@@ -282,14 +288,14 @@ def cmd_simulate(args):
         try:
             cycle = simulate.poincare_cycle_search(
                 ref.rhs, section, x0, equilibrium=x_eq,
-                rtol=args.rtol, atol=args.atol,
+                rtol=rtol, atol=atol,
             )
         except DampLabError as exc:
             print(f"cycle search: not found ({exc})")
 
     try:
         traj = simulate.integrate(
-            ref.rhs, x0, (t0, t1), rtol=args.rtol, atol=args.atol,
+            ref.rhs, x0, (t0, t1), rtol=rtol, atol=atol,
             section=section,
         )
     except StepSizeUnderflow as exc:
@@ -345,7 +351,10 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
-    results = suites.run_all(seed=args.seed, scale=args.scale)
+    from . import suites
+
+    seed = suites.DEFAULT_SEED if args.seed is None else args.seed
+    results = suites.run_all(seed=seed, scale=args.scale)
     any_failed = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -360,7 +369,7 @@ def cmd_verify(args):
         _atomic_write(out_path, json.dumps(dump, indent=2) + "\n")
         print(f"FAILURES dumped to {out_path}", file=sys.stderr)
         return EXIT_PROPERTY_FAILURE
-    print(f"all suites passed (seed = {args.seed})")
+    print(f"all suites passed (seed = {seed})")
     return EXIT_OK
 
 
@@ -433,13 +442,15 @@ def build_parser():
                    help="mode kick amplitude when --state is omitted")
     p.add_argument("--t-span", type=_finite, nargs=2, default=(0.0, 100.0),
                    action=_TimeSpan)
-    p.add_argument("--rtol", type=_positive, default=simulate.RTOL)
-    p.add_argument("--atol", type=_positive, default=simulate.ATOL)
+    # None stands for simulate.RTOL, simulate.ATOL and suites.DEFAULT_SEED,
+    # which the commands read, so building the parser loads neither module.
+    p.add_argument("--rtol", type=_positive, default=None)
+    p.add_argument("--atol", type=_positive, default=None)
     p.add_argument("--cycle-search", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the randomized verification suites")
-    p.add_argument("--seed", type=int, default=suites.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scale", type=_positive, default=1.0,
                    help="multiplier on per-suite trial counts")
     p.add_argument("--out", default=None)

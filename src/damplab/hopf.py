@@ -38,6 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _validation as val
+from ._roots import _brent
 from .errors import (
     AssumptionViolated,
     MatrixShapeError,
@@ -48,7 +49,6 @@ from .errors import (
 )
 from .linalg import (_EPS, _block_jacobian, axis_band, numerical_rank, on_axis,
                      pair_upper, structural_zero)
-from .simulate import _brent
 
 __all__ = [
     "AxisCrossing",
@@ -530,7 +530,7 @@ def _crossings(path, grid, table, upper, scale):
 
 
 def _refine(f, a, b, at_a, at_b, xtol, rtol):
-    """Brent's root (:func:`simulate._brent`) in ``[a, b]`` of the first entry
+    """Brent's root (:func:`_roots._brent`) in ``[a, b]`` of the first entry
     of the tuple ``f(x)``, seeded with ``at_a = f(a)`` and ``at_b = f(b)``;
     returns the root and ``f`` there, evaluating ``f`` once per point."""
     known = {a: at_a, b: at_b}

@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CycleNotFound, NoConvergence, NonTransversal, StepSizeUnderflow
+from ._roots import _brent
+from .errors import CycleNotFound, NonTransversal, StepSizeUnderflow
 
 __all__ = [
     "CONTRACTING",
@@ -434,51 +435,6 @@ def _initial_step(fun, t0, y0, f0, t1, rtol, atol, order):
     return min(100 * h0, h1, span)
 
 
-def _brent(f, a, b, xtol, rtol):
-    """Root of ``f`` in the bracket ``[a, b]`` by Brent's method (inverse
-    quadratic interpolation, secant and bisection), to ``xtol + rtol |x|``;
-    the steps of scipy's ``brentq``, at most 100 of them."""
-    x_pre, x_cur = a, b
-    f_pre, f_cur = f(x_pre), f(x_cur)
-    if f_pre == 0:
-        return x_pre
-    if f_cur == 0:
-        return x_cur
-    if np.signbit(f_pre) == np.signbit(f_cur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(100):
-        if f_pre != 0 and f_cur != 0 and np.signbit(f_pre) != np.signbit(f_cur):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = (xtol + rtol * abs(x_cur)) / 2
-        s_bis = (x_blk - x_cur) / 2
-        if f_cur == 0 or abs(s_bis) < delta:
-            return x_cur
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
-                         / (d_blk * d_pre * (f_blk - f_pre)))
-            if 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
-                s_pre, s_cur = s_cur, s_try
-            else:
-                s_pre = s_cur = s_bis
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0 else -delta)
-        f_cur = f(x_cur)
-    raise NoConvergence("Brent's method did not converge in 100 steps",
-                        best=x_cur, residual=f_cur)
-
-
 def _steps(pair, rhs, t, y, t1, rtol, atol, stops=()):
     """The accepted steps of the adaptive ``pair`` on ``y' = rhs(t, y)`` from
     ``(t, y)`` to ``t1`` (``inf``: until the consumer stops), each as
@@ -486,11 +442,11 @@ def _steps(pair, rhs, t, y, t1, rtol, atol, stops=()):
     once, and ``fired`` lists ``(time, index)`` of the ``stops`` that fire in
     the step, earliest first.  The one event rule: a stop ``g(y)`` fires when
     ``g <= 0`` at the start of a step and ``>= 0`` at its end; Brent's
-    method locates it on the dense output to 4 eps.  Steps and crossings
-    equal scipy's ``solve_ivp`` with the same pair and events of direction
-    +1.  Raises ValueError at bad tolerances, time span or state, and
-    StepSizeUnderflow, with the last accepted time and state, when the step
-    falls below 10 ulp of ``t``."""
+    method (:func:`_roots._brent`) locates it on the dense output to 4 eps.
+    Steps and crossings equal scipy's ``solve_ivp`` with the same pair and
+    events of direction +1.  Raises ValueError at bad tolerances, time span
+    or state, and StepSizeUnderflow, with the last accepted time and state,
+    when the step falls below 10 ulp of ``t``."""
     y = np.asarray(y, dtype=float)
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("rtol and atol must be positive and finite")

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import _validation as val
 from . import hopf, stability, swing
+from .errors import SingularInertia
 from .linalg import (
     QuadraticPencil,
     _solved_jacobian,
@@ -37,6 +38,7 @@ from .linalg import (
     classify_spectrum,
     jacobian_2n,
     matching_distance,
+    numerical_rank,
     pencil_eigenvalues,
     structural_zero,
 )
@@ -488,9 +490,9 @@ def suite_safe_damping_region(seed=DEFAULT_SEED, trials=500):
     ``det J = det(M^-1 L) > 0``, so it crosses the axis exactly when it is
     not stable at some parameter.  A path fails at the samples ``gammas``
     of gamma = 0, 0.25, ..., 2 where an eigenvalue lies in or right of the
-    axis band of the path's samples.  The paths of one n give one stack
-    ``(paths, 9, n, n)`` of damping matrices, one :func:`linalg.jacobian_2n`
-    call for their Jacobians and one ``eigvals`` call.
+    axis band of the path's samples.  The paths of one n give one rank
+    check of their inertias, one stack ``(paths, 9, n, n)`` of damping
+    matrices, one solve for their Jacobians and one ``eigvals`` call.
     """
     def draw(rng):
         n = int(rng.integers(2, 5))
@@ -500,9 +502,11 @@ def suite_safe_damping_region(seed=DEFAULT_SEED, trials=500):
         g = rng.normal(size=(n, n))
         return m, l, d0, g.T @ g
     def unstable(m, l, d0, growth):
+        if not val.every(numerical_rank(m) == m.shape[-1]):
+            raise SingularInertia("inertia matrix is numerically singular")
         gammas = np.linspace(0.0, 2.0, 9)
         d = d0[:, None] + gammas[:, None, None] * growth[:, None]
-        eigs = np.linalg.eigvals(jacobian_2n(*np.broadcast_arrays(m[:, None], d, l[:, None])))
+        eigs = np.linalg.eigvals(_solved_jacobian(*np.broadcast_arrays(m[:, None], d, l[:, None])))
         band = axis_band(np.maximum(1.0, np.abs(eigs).max(axis=(1, 2))))
         return [gammas[hit] for hit in (eigs.real >= -band[:, None, None]).any(axis=2)]
     return _suite(

@@ -34,9 +34,7 @@ from .errors import (
     SingularReducedJacobian,
     TheoremViolation,
 )
-from .hopf import DampingPath
 from .linalg import _solved_jacobian, classify_spectrum, jacobian_2n, referenced_jacobian
-from .simulate import _norm, _shoot
 from .stability import SecondOrderSystem, observability_symmetric
 
 __all__ = [
@@ -415,6 +413,8 @@ def grid_damping_path(model, eq, mask, gamma_range):
     (crossing-free) scan.  The path carries the referenced vector field and
     its equilibrium, so :func:`hopf.hopf_conditions` computes ``l1``.
     """
+    from .hopf import DampingPath  # here: importing swing loads no hopf
+
     mask = np.asarray(mask, dtype=bool)
     system = model.to_second_order()
 
@@ -677,6 +677,8 @@ def locate_homoclinic(model, eq, damping_of, gamma_bracket, saddle_guess):
     last state, when an orbit meets neither event within ``MANIFOLD_T_MAX``
     or its step size underflows.
     """
+    from .simulate import _norm, _shoot  # here: importing swing loads no simulate
+
     n = model.n
     x_eq = model.referenced(eq).equilibrium_state
     guess = np.asarray(saddle_guess, dtype=float)

@@ -406,28 +406,49 @@ class TestReduce:
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def scipy_solvers_loaded(argv, cwd):
-    """The scipy modules loaded after running ``argv`` (nothing but the
-    import when empty) in a fresh interpreter where any scipy import fails."""
+def modules_loaded(argv, cwd, target="damplab.cli"):
+    """The loaded scipy modules and the loaded damplab modules, two sorted
+    lists, after importing ``target`` and running ``argv`` through
+    ``damplab.cli.main`` (nothing but the import when empty) in a fresh
+    interpreter where any scipy import fails."""
     code = (
-        "import sys\n"
+        "import importlib, json, sys\n"
         "sys.modules['scipy'] = None\n"
-        "import damplab.cli\n"
-        "if sys.argv[1:]:\n"
-        "    damplab.cli.main(sys.argv[1:])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-        "and sys.modules[m] is not None), file=sys.stderr)"
+        "importlib.import_module(sys.argv[1])\n"
+        "if sys.argv[2:]:\n"
+        "    sys.modules['damplab.cli'].main(sys.argv[2:])\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == top "
+        "and sys.modules[m] is not None) for top in ('scipy', 'damplab')]), file=sys.stderr)"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, *argv], check=True, capture_output=True,
+        [sys.executable, "-c", code, target, *argv], check=True, capture_output=True,
         text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
     )
-    return out.stderr.splitlines()[-1]
+    return json.loads(out.stderr.splitlines()[-1])
+
+
+#: What ``spectrum`` and ``reduce`` run: the modules the cli imports.
+CLI_MODULES = ["damplab", "damplab._validation", "damplab.cli", "damplab.errors",
+               "damplab.linalg", "damplab.stability", "damplab.swing"]
+
+#: The modules each command loads beyond ``CLI_MODULES``: ``simulate`` is
+#: run by no suite.
+COMMAND_MODULES = {
+    "spectrum": [],
+    "reduce": [],
+    "hopf-scan": ["damplab._roots", "damplab.hopf"],
+    "simulate": ["damplab._roots", "damplab.simulate"],
+    "verify": ["damplab._roots", "damplab.hopf", "damplab.perturbation", "damplab.suites"],
+}
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    assert modules_loaded([], tmp_path, target="damplab") == [[], ["damplab"]]
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
     # damplab runs on numpy alone, so every command starts at numpy speed.
-    assert scipy_solvers_loaded([], tmp_path) == "[]"
+    assert modules_loaded([], tmp_path) == [[], CLI_MODULES]
 
 
 @pytest.mark.parametrize(
@@ -446,13 +467,15 @@ def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
     ids=lambda argv: "_".join(argv[:2]),
 )
 def test_startup_bound_commands_leave_scipy_solvers_unloaded(argv, tmp_path):
-    # Importing scipy.linalg alone costs about 0.3 s, most of one of these
-    # commands' 0.43 s, and scipy.optimize 0.44 s.  Trajectories, section
-    # returns and the cycle search run on damplab's own step loop and root
-    # finder, and the suites' spectra are paired by its own matching.
+    # Importing scipy.linalg alone costs about 0.17 s, more than one of
+    # these commands takes (about 0.13 s), and scipy.optimize 0.4 s.
+    # Trajectories, section returns and the cycle search run on damplab's
+    # own step loop and root finder, and the suites' spectra are paired by
+    # its own matching.  Each command loads only the damplab modules it runs.
+    want = sorted(CLI_MODULES + COMMAND_MODULES[argv[0]])
     if argv[0] != "verify":
         argv = [argv[0], os.path.join(ROOT, "models", argv[1]), *argv[2:]]
-    assert scipy_solvers_loaded(argv, tmp_path) == "[]"
+    assert modules_loaded(argv, tmp_path) == [[], want]
 
 
 def test_package_does_not_import_scipy_integrate():

@@ -22,6 +22,24 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+def test_package_exports_load_through_module_getattr(monkeypatch):
+    modules = {name: importlib.import_module(f"damplab.{name}") for name in damplab.__all__}
+    # Without the bindings that loading a submodule leaves on the package,
+    # every lookup goes through its __getattr__, as in a fresh interpreter.
+    for name in modules:
+        monkeypatch.delattr(damplab, name)
+    namespace = {}
+    exec("from damplab import *", namespace)
+    assert {name: namespace[name] for name in modules} == modules
+    assert {name: getattr(damplab, name) for name in modules} == modules
+    assert set(modules) <= set(dir(damplab))
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="has no attribute 'sweep'"):
+        damplab.sweep
+
+
 def test_every_error_class_is_used_outside_errors():
     classes = [
         cls.__name__

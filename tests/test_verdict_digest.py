@@ -113,9 +113,11 @@ def _inject_failures(monkeypatch):
         f(model, delta) + 1e-3 * (model.inertia_const[1] > 1.2)))
     # safe_damping_region's stacks (paths, 9, n, n) gain I at sample 4,
     # gamma = 1; fold_exclusion's (trials, n, n) gain 0.5 I.
+    wrap(suites, "_solved_jacobian", lambda f: lambda m, d, l: f(m, d, l) + (
+        (np.arange(9)[:, None, None] == 4) * (m[..., :1, :1] > 3.0)
+        * np.eye(2 * m.shape[-1]) if m.ndim == 4 else 0))
     wrap(suites, "jacobian_2n", lambda f: lambda m, d, l: f(m, d, l) + (
-        (np.arange(9)[:, None, None] == 4) if m.ndim == 4 else 0.5)
-        * (m[..., :1, :1] > 3.0) * np.eye(2 * m.shape[-1]))
+        0.5 * (m[..., :1, :1] > 3.0) * np.eye(2 * m.shape[-1])))
 
 
 def test_failure_payload_bytes_under_injected_failures(monkeypatch):

@@ -7,9 +7,9 @@ path whose damping moves along one rank-one direction,
 :func:`track_axis_crossing` reads the crossings off the frequency response
 of the quadratic pencil instead and confirms them with a few dense
 spectra.  It checks the crossing conditions (axis eigenvalue, simplicity,
-transversal drift, no resonant eigenvalue at 0 or at a harmonic) and
-computes the first Lyapunov coefficient that decides whether the born
-cycle is stable.
+transversal drift, no resonant eigenvalue at 0 or at a harmonic) on one
+dense spectrum, its eigenvectors and drift by shifted solves, and computes
+the first Lyapunov coefficient that decides whether the born cycle is stable.
 
 A sweep pairs eigenvalues per branch step: a step that stays more than
 ten axis bands off the axis on one side is skipped, and a branch whose
@@ -109,6 +109,10 @@ class DampingPath:
     The blocks that do not depend on the parameter, ``minv_l = M^-1 L`` too,
     are built at construction: :meth:`jacobian` fills a copy of the Jacobian
     with one solve for ``M^-1 D(gamma)``.  Do not reassign the fields.
+
+    ``_eigvals`` keeps one spectrum, keyed on the Jacobian's content (not on
+    gamma: a patched :meth:`jacobian` must miss it), so the frequency route's
+    check at a root and the certificate there share one ``eigvals``.
     """
 
     inertia: np.ndarray
@@ -140,6 +144,7 @@ class DampingPath:
         self.minv_l = np.linalg.solve(self.inertia, self.stiffness)
         zero = np.zeros_like(self.minv_l)
         self._template = _block_jacobian(self.minv_l, zero, self.referenced)
+        self._spectrum = (np.empty(0), None)
         if self.damping_derivative is not None:
             mid = 0.5 * (lo + hi)
             analytic = np.asarray(self.damping_derivative(mid), dtype=float)
@@ -172,6 +177,14 @@ class DampingPath:
         out = self._template.copy()
         out[-self.n :, -self.n :] = -np.linalg.solve(self.inertia, d)
         return out
+
+    def _eigvals(self, jac):
+        """``eigvals(jac)``, reused while ``jac`` equals the last one seen."""
+        held, eigs = self._spectrum
+        if not np.array_equal(held, jac):
+            eigs = np.linalg.eigvals(jac)
+            self._spectrum = (jac.copy(), eigs)
+        return eigs
 
     def jacobian_prime(self, gamma):
         """d/dgamma of the Jacobian: only the damping block moves."""
@@ -645,12 +658,14 @@ class HopfCertificate:
     d(xi)/d(gamma) at the crossing (equivalently ``omega0`` times the
     imaginary part of the projected damping-derivative form); its sign
     depends on the ``+i omega0`` branch convention, and only being nonzero
-    is required for the bifurcation.  ``resonance_clear`` says that no other
-    Jacobian eigenvalue lies in the ``linalg.structural_zero`` box around 0
-    or around a harmonic ``i k omega0``, k = 2..``resonance_kmax``:
-    multiples with ``k**2 omega0**2`` above the spectral radius of
-    ``M^-1 L`` cannot be pencil roots, so the scan is cut off at
-    ``ceil(sqrt(rho(M^-1 L)) / omega0) + 2``.
+    is required for the bifurcation.  ``dlambda_dgamma_fd``, the central
+    difference of ``lambda(gamma0 +- h)`` by shifted solves (see
+    :func:`hopf_conditions`), checks the projection ``dlambda_dgamma``.
+    ``resonance_clear`` says that no other Jacobian eigenvalue lies in the
+    ``linalg.structural_zero`` box around 0 or around a harmonic ``i k
+    omega0``, k = 2..``resonance_kmax``: multiples with ``k**2 omega0**2``
+    above the spectral radius of ``M^-1 L`` cannot be pencil roots, so the
+    scan is cut off at ``ceil(sqrt(rho(M^-1 L)) / omega0) + 2``.
     """
 
     gamma0: float
@@ -682,12 +697,23 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     nonlinear vector field, evaluates the first Lyapunov coefficient and the
     resulting subcritical/supercritical label.
 
+    One ``eigvals`` of ``J0 = J(gamma0)``, shared through the path's memo
+    with the frequency route's check at the same root, serves every
+    spectral check.  ``r0`` and ``l0`` are one step of inverse iteration
+    each (Govaerts, SIAM 2000), solves with ``J0 - sigma I`` and its
+    transpose, ``sigma = lambda + 4 eps scale`` (an exact eigenvalue can be
+    an exact zero pivot), and ``l0^H r0 = 1``.  So is ``lambda(g)`` at
+    ``g = gamma0 +- h``: with ``x = (J(g) - sigma I)^-1 r0``, it is the
+    two-sided Rayleigh quotient ``l0^H J(g) x / l0^H x = sigma + 1 / l0^H x``.
+
     Raises NotAnAxisEigenvalue when no eigenvalue (near ``omega_hint``, when
-    given) sits in the axis band at ``gamma0``.  A failed simplicity gap
-    does not raise: the certificate is returned with ``simple=False``.
+    given) sits in the axis band at ``gamma0``, and TrackingAmbiguity when a
+    finite-difference estimate is not an upper pair member whose nearest
+    eigenvalue of ``J0`` is ``lambda``.  A failed simplicity gap does not
+    raise by itself: the certificate is returned with ``simple=False``.
     """
     jac0 = path.jacobian(gamma0)
-    eigs, vecs = np.linalg.eig(jac0)
+    eigs = path._eigvals(jac0)
     scale = val.spectral_scale(eigs)
     band = axis_band(scale)
 
@@ -709,13 +735,17 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
             f"Re lambda = {lam.real:.3e} outside the axis band {band:.2e} at gamma0"
         )
 
-    gap = min(
-        (abs(eigs[i] - lam) for i in range(eigs.size) if i != idx),
-        default=np.inf,
-    )
+    others = np.delete(eigs, idx)
+    gap = np.abs(others - lam).min(initial=np.inf)
     simple = gap > GAP_MIN_FACTOR * scale
 
-    r0 = vecs[:, idx]
+    # The start vector must not be orthogonal to either eigenvector: all
+    # ones is, to case1's mode (1, -1, 0).
+    eye = np.eye(eigs.size)
+    sigma = lam + 4 * _EPS * scale
+    shifted = jac0 - sigma * eye
+    start = np.sqrt(np.arange(1.0, eigs.size + 1))
+    r0 = np.linalg.solve(shifted, start)
     # v is the pencil kernel direction: the velocity block of r0 over
     # i omega0.  In the symmetric setting it is the unobservable eigenvector
     # of M^-1 L.  Phase convention: the first component within 1e-8 of the
@@ -730,19 +760,20 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     scale_factor = np.abs(v[pivot]) / (v[pivot] * np.linalg.norm(v))
     r0 = r0 * scale_factor
     v = v * scale_factor
-
-    # l0* is row idx of the inverse eigenvector matrix over the r0 rescaling.
-    try:
-        row = np.linalg.solve(vecs.T, np.eye(vecs.shape[0])[idx])
-    except np.linalg.LinAlgError:
-        raise NormalizationFailure("defective Jacobian: singular eigenvector matrix")
-    l0 = np.conj(row / scale_factor)
+    left = np.linalg.solve(shifted.T, start)
+    l0 = np.conj(left / (left @ r0))
 
     djac = path.jacobian_prime(gamma0)
     dlam = eigenvalue_parameter_derivative(jac0, djac, lam, r0, l0)
 
-    dlam_fd = _central(lambda g: _nearest_upper(path, g, lam, scale), gamma0,
-                       1e-6 * max(1.0, abs(gamma0)), 1.0)
+    def drifted(g):
+        mu = sigma + 1 / np.vdot(l0, np.linalg.solve(path.jacobian(g) - sigma * eye, r0))
+        if pair_upper(mu, scale) and np.argmin(np.abs(eigs - mu)) == idx:
+            return mu
+        raise TrackingAmbiguity(f"the crossing eigenvalue left its branch at gamma = {g:.6g}",
+                                gamma=float(g))
+
+    dlam_fd = _central(drifted, gamma0, 1e-6 * max(1.0, abs(gamma0)), 1.0)
     if abs(dlam) > 1e-10 and abs(dlam_fd - dlam) > 1e-5 * abs(dlam):
         raise TheoremViolation(
             "transversality cross-check failed: eigenvector projection and "
@@ -756,40 +787,24 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
     rho = max(np.abs(np.linalg.eigvals(path.minv_l)))
     kmax = int(math.ceil(math.sqrt(max(rho, 0.0)) / omega0)) + 2
     harmonics = 1j * np.array([0, *range(2, kmax + 1)]) * omega0
-    others = np.delete(eigs, idx)
     resonance_clear = not structural_zero(others[:, None] - harmonics, band).any()
 
-    l1 = None
-    kind = None
+    l1 = kind = None
     if compute_l1 and path.rhs_of is not None and path.x0 is not None:
-        f_gamma = path.rhs_of(gamma0)
-        l1 = first_lyapunov_coefficient(
-            f_gamma, path.x0, omega0, r0, l0, jac=jac0
-        )
+        l1 = first_lyapunov_coefficient(path.rhs_of(gamma0), path.x0, omega0, r0, l0, jac=jac0)
         kind = classify_lyapunov(l1)
 
     return HopfCertificate(
-        gamma0=float(gamma0),
-        omega0=omega0,
-        v=v,
-        r0=r0,
-        l0=l0,
-        transversality=float(dlam.real),
-        dlambda_dgamma=dlam,
-        dlambda_dgamma_fd=complex(dlam_fd),
-        simple=bool(simple),
-        eigenvalue_gap=float(gap),
-        resonance_clear=bool(resonance_clear),
-        resonance_kmax=kmax,
-        boundary=bool(boundary),
-        l1=l1,
-        kind=kind,
-    )
+        gamma0=float(gamma0), omega0=omega0, v=v, r0=r0, l0=l0,
+        transversality=float(dlam.real), dlambda_dgamma=dlam,
+        dlambda_dgamma_fd=complex(dlam_fd), simple=bool(simple), eigenvalue_gap=float(gap),
+        resonance_clear=bool(resonance_clear), resonance_kmax=kmax, boundary=bool(boundary),
+        l1=l1, kind=kind)
 
 
 def _nearest_upper(path, gamma, lam, scale):
     """The upper pair member of ``path.jacobian(gamma)`` nearest to ``lam``."""
-    eigs = np.linalg.eigvals(path.jacobian(gamma))
+    eigs = path._eigvals(path.jacobian(gamma))
     eigs = eigs[pair_upper(eigs, scale)]
     if eigs.size == 0:
         raise TrackingAmbiguity("complex pair vanished during refinement",

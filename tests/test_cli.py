@@ -408,9 +408,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def modules_loaded(argv, cwd, target="damplab.cli"):
     """The loaded scipy modules and the loaded damplab modules, two sorted
-    lists, after importing ``target`` and running ``argv`` through
-    ``damplab.cli.main`` (nothing but the import when empty) in a fresh
-    interpreter where any scipy import fails."""
+    lists, and whether ``numpy.random`` is loaded, after importing ``target``
+    and running ``argv`` through ``damplab.cli.main`` (nothing but the import
+    when empty) in a fresh interpreter where any scipy import fails."""
     code = (
         "import importlib, json, sys\n"
         "sys.modules['scipy'] = None\n"
@@ -418,7 +418,8 @@ def modules_loaded(argv, cwd, target="damplab.cli"):
         "if sys.argv[2:]:\n"
         "    sys.modules['damplab.cli'].main(sys.argv[2:])\n"
         "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == top "
-        "and sys.modules[m] is not None) for top in ('scipy', 'damplab')]), file=sys.stderr)"
+        "and sys.modules[m] is not None) for top in ('scipy', 'damplab')]\n"
+        "                 + ['numpy.random' in sys.modules]), file=sys.stderr)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, target, *argv], check=True, capture_output=True,
@@ -443,12 +444,12 @@ COMMAND_MODULES = {
 
 
 def test_package_import_loads_no_submodule(tmp_path):
-    assert modules_loaded([], tmp_path, target="damplab") == [[], ["damplab"]]
+    assert modules_loaded([], tmp_path, target="damplab") == [[], ["damplab"], False]
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
     # damplab runs on numpy alone, so every command starts at numpy speed.
-    assert modules_loaded([], tmp_path) == [[], CLI_MODULES]
+    assert modules_loaded([], tmp_path) == [[], CLI_MODULES, False]
 
 
 @pytest.mark.parametrize(
@@ -471,11 +472,13 @@ def test_startup_bound_commands_leave_scipy_solvers_unloaded(argv, tmp_path):
     # these commands takes (about 0.13 s), and scipy.optimize 0.4 s.
     # Trajectories, section returns and the cycle search run on damplab's
     # own step loop and root finder, and the suites' spectra are paired by
-    # its own matching.  Each command loads only the damplab modules it runs.
+    # its own matching.  Each command loads only the damplab modules it runs,
+    # and only verify, through suites, loads numpy.random: no analysis draws
+    # a random start vector.
     want = sorted(CLI_MODULES + COMMAND_MODULES[argv[0]])
     if argv[0] != "verify":
         argv = [argv[0], os.path.join(ROOT, "models", argv[1]), *argv[2:]]
-    assert modules_loaded(argv, tmp_path) == [[], want]
+    assert modules_loaded(argv, tmp_path) == [[], want, argv[0] == "verify"]
 
 
 def test_package_does_not_import_scipy_integrate():

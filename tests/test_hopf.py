@@ -510,19 +510,40 @@ class TestFrequencyRoute:
         assert [crossing_bits(hopf.track_axis_crossing(p)) for p in paths] == seeded
         assert all(len(c) == 1 for c in seeded) and len(brackets) >= len(paths)
 
+    @staticmethod
+    def tied_path_30():
+        rng = np.random.default_rng(3)
+        model, eq = tied_case2_pair(rng, 30, lossless_base)
+        return swing.grid_damping_path(model, eq, np.arange(30) == 0, (0.1, 0.3))
+
     def test_lapack_calls(self, monkeypatch):
         # n = 30: two end spectra and one per crossing, one Cholesky factor
         # of M and one eigvalsh for the band, no eig and no SVD.  The 82
         # solves: 2 for the band, 64 for the scan, 12 Brent steps inside its
         # two sign changes (the scan holds g at the bracket ends, Brent at
         # the roots), y at the root kept, and M^-1 D for the 3 Jacobians.
-        rng = np.random.default_rng(3)
-        model, eq = tied_case2_pair(rng, 30, lossless_base)
-        path = swing.grid_damping_path(model, eq, np.arange(30) == 0, (0.1, 0.3))
+        path = self.tied_path_30()
         calls = count_lapack(monkeypatch)
         crossings = hopf.track_axis_crossing(path)
         assert len(crossings) == 1
         assert tally(calls) == {"cholesky": 1, "eigvals": 3, "eigvalsh": 1, "solve": 82}
+
+    def test_certificate_lapack_calls(self, monkeypatch):
+        # The certificate at that crossing reads the route's spectrum at the
+        # root from the path's memo: its one eigvals is that of M^-1 L for
+        # the resonance cutoff.  A fresh path computes the root spectrum
+        # too.  r0, l0 and lambda(gamma0 +- h) come from shifted solves, so
+        # there is no eig (an eig-based certificate made 1 eig, 3 eigvals
+        # and 7 solves either way).  The 10 solves: M^-1 D for J at gamma0
+        # and gamma0 +- h, M^-1 D' for J', r0, l0, one shifted solve at
+        # each of gamma0 +- h, and 2 in l1.
+        path = self.tied_path_30()
+        fresh = replace(path)
+        crossing, = hopf.track_axis_crossing(path)
+        for certified, eigvals in ((path, 1), (fresh, 2)):
+            calls = count_lapack(monkeypatch)
+            hopf.hopf_conditions(certified, crossing.gamma, omega_hint=crossing.omega)
+            assert tally(calls) == {"eigvals": eigvals, "solve": 10}
 
 
 def test_a_path_is_not_a_stack(case2_path):
@@ -621,6 +642,34 @@ class TestHopfConditions:
         fd = (lams[0] - lams[1]) / (2 * h)
         assert abs(fd - cert.dlambda_dgamma) <= 1e-5 * abs(cert.dlambda_dgamma)
 
+    def test_scaled_derivative_fails_the_cross_check(self, case2):
+        # J' 1.01 times too large moves the projection by 1 %, and not the
+        # finite differences: both verdicts are in the exception.
+        path = swing.grid_damping_path(*case2, [True, False], (0.1, 0.3))
+        crossing, = hopf.track_axis_crossing(path)
+        jacobian_prime = path.jacobian_prime
+        path.jacobian_prime = lambda g: 1.01 * jacobian_prime(g)
+        with pytest.raises(TheoremViolation) as info:
+            hopf.hopf_conditions(path, crossing.gamma, omega_hint=crossing.omega)
+        projection, fd = info.value.first_verdict, info.value.second_verdict
+        assert projection.real < 0
+        assert abs(projection - 1.01 * fd) <= 1e-6 * abs(projection)
+
+    def test_patched_jacobian_misses_the_memo(self, case2_path, monkeypatch):
+        # After a certificate, J(gamma0) shifted right by 1 as in
+        # test_perturbed_end_spectrum_raises: the memo, keyed on the
+        # Jacobian's content, does not answer, and the pair is off the axis.
+        crossing, = hopf.track_axis_crossing(case2_path)
+        gamma0 = hopf.hopf_conditions(case2_path, crossing.gamma,
+                                      omega_hint=crossing.omega).gamma0
+        jacobian = case2_path.jacobian
+        monkeypatch.setattr(case2_path, "jacobian", lambda g: (
+            jacobian(g) + (g == gamma0) * np.eye(3)))
+        calls = count_lapack(monkeypatch)
+        with pytest.raises(NotAnAxisEigenvalue):
+            hopf.hopf_conditions(case2_path, gamma0, omega_hint=crossing.omega)
+        assert tally(calls) == {"eigvals": 1, "solve": 1}
+
     def test_off_axis_gamma_rejected(self, case1_path):
         with pytest.raises(NotAnAxisEigenvalue):
             hopf.hopf_conditions(case1_path, 0.4)
@@ -633,7 +682,7 @@ class TestHopfConditions:
 
     def test_decided_from_its_own_spectrum(self, case1_path, monkeypatch):
         # The axis and resonance checks read the eigenvalues of the one
-        # eig(J0): no SVD of J, of J - i omega0 I or of a pencil.
+        # eigvals(J0): no SVD of J, of J - i omega0 I or of a pencil.
         calls = []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
         cert = hopf.hopf_conditions(case1_path, 0.0, omega_hint=OMEGA_CASE1)

@@ -145,6 +145,7 @@ class DampingPath:
         zero = np.zeros_like(self.minv_l)
         self._template = _block_jacobian(self.minv_l, zero, self.referenced)
         self._spectrum = (np.empty(0), None)
+        self._radius = None
         if self.damping_derivative is not None:
             mid = 0.5 * (lo + hi)
             analytic = np.asarray(self.damping_derivative(mid), dtype=float)
@@ -177,6 +178,13 @@ class DampingPath:
         out = self._template.copy()
         out[-self.n :, -self.n :] = -np.linalg.solve(self.inertia, d)
         return out
+
+    @property
+    def minv_l_radius(self):
+        """The spectral radius of ``minv_l``, from one ``eigvals`` per path."""
+        if self._radius is None:
+            self._radius = max(np.abs(np.linalg.eigvals(self.minv_l)))
+        return self._radius
 
     def _eigvals(self, jac):
         """``eigvals(jac)``, reused while ``jac`` equals the last one seen."""
@@ -784,8 +792,7 @@ def hopf_conditions(path, gamma0, omega_hint=None, compute_l1=True, boundary=Fal
 
     # Resonances at 0 and at the harmonics i kappa omega0, kappa = 2..kmax:
     # another eigenvalue in the structural-zero box around one of them.
-    rho = max(np.abs(np.linalg.eigvals(path.minv_l)))
-    kmax = int(math.ceil(math.sqrt(max(rho, 0.0)) / omega0)) + 2
+    kmax = int(math.ceil(math.sqrt(max(path.minv_l_radius, 0.0)) / omega0)) + 2
     harmonics = 1j * np.array([0, *range(2, kmax + 1)]) * omega0
     resonance_clear = not structural_zero(others[:, None] - harmonics, band).any()
 

@@ -19,6 +19,10 @@ records errors decides a size whose stack raises again member by member
 ``suite_undamped_pair_family`` keeps its own loop: it checks a fixed
 family of peer counts, not random trials, and records the peer count
 ``n``.
+
+A grid draw takes the rng stream of one scalar call per number, in order:
+a loop of one call is one call of that size, which numpy answers with the
+same numbers, and :func:`_grid_at` builds the model without re-validation.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import _validation as val
 from . import hopf, stability, swing
-from .errors import SingularInertia
+from .errors import AssumptionViolated, SingularInertia
 from .linalg import (
     QuadraticPencil,
     _solved_jacobian,
@@ -107,50 +111,57 @@ def _spd(rng, n, ridge=0.1):
 def _grid_at(rng, y, theta, d, delta):
     """The model with mechanical powers equal to the flow at ``delta``, and
     its equilibrium there; voltages and inertia constants are drawn here,
-    in that order."""
+    in that order.
+
+    The model is built without ``PowerGridModel.__post_init__`` (fields set
+    directly, ``metadata`` empty, the coupling cached); the draw proves each
+    check it skips:
+
+    - shapes: ``y``, ``theta`` are n x n, the vectors drawn with ``size=n``;
+    - finite entries: uniform draws, constants and the flow of those;
+    - ``y >= 0``: ``uniform(0.5, 2.0)`` lines, ``uniform(0.0, 1.0)`` diagonal;
+    - symmetric ``y``: each line sets ``y[a, b]`` and ``y[b, a]`` together;
+    - positive voltages, inertias: ``uniform(0.95, 1.05)``, ``uniform(0.5, 2.0)``;
+    - ``d >= 0``: ``uniform(0.1, 2.0)`` or zeros; ``omega_s`` is 1.0;
+    - connected: the lines include a spanning path over ``rng.permutation(n)``.
+
+    The residual ``p_mech - flow(delta)`` is 0.0: one flow of one coupling.
+    """
     voltage = rng.uniform(0.95, 1.05, size=y.shape[0])
     inertia = rng.uniform(0.5, 2.0, size=y.shape[0])
     coupling = swing._coupling_matrix(voltage, y, theta)
-    model = swing.PowerGridModel(
-        y_mag=y,
-        theta=theta,
-        voltage=voltage,
-        p_mech=swing._flow(coupling, delta),
-        inertia_const=inertia,
-        damping_coeff=d,
-        omega_s=1.0,
-    )
-    vars(model)["_coupling"] = coupling  # fills the cached property: one build per draw
-    return model, model.equilibrium_at(delta)
+    model = object.__new__(swing.PowerGridModel)
+    vars(model).update(y_mag=y, theta=theta, voltage=voltage,
+                       p_mech=swing._flow(coupling, delta), inertia_const=inertia,
+                       damping_coeff=d, omega_s=1.0, metadata={}, _coupling=coupling)
+    return model, swing.GridEquilibrium(delta0=delta, residual=0.0,
+                                        in_omega=model.in_omega(delta))
 
 
 def random_lossless_grid(rng, n, gamma_profile="positive"):
     """Connected lossless model with an equilibrium in the admissible set.
 
     Angles are drawn first and the mechanical powers set to the resulting
-    flow, so the drawn angles are an exact equilibrium.
+    flow, so the drawn angles are an exact equilibrium.  ``gamma_profile``
+    is ``"positive"`` (every generator damped), ``"one_undamped"`` or
+    ``"undamped"``; any other raises AssumptionViolated before a draw.
     """
-    half_pi = math.pi / 2
+    if gamma_profile not in ("positive", "one_undamped", "undamped"):
+        raise AssumptionViolated("damping profile", f"unknown profile {gamma_profile!r}")
     # random connected graph: a spanning path plus extra edges
     y = np.zeros((n, n))
     order = rng.permutation(n)
-    for a, b in zip(order[:-1], order[1:]):
-        y[a, b] = y[b, a] = rng.uniform(0.5, 2.0)
-    extra = rng.integers(0, n)
-    for _ in range(extra):
+    y[order[:-1], order[1:]] = y[order[1:], order[:-1]] = rng.uniform(0.5, 2.0, size=n - 1)
+    for _ in range(rng.integers(0, n)):
         a, b = rng.integers(0, n, size=2)
         if a != b and y[a, b] == 0:
             y[a, b] = y[b, a] = rng.uniform(0.5, 2.0)
-    theta = np.full((n, n), half_pi)
-    np.fill_diagonal(theta, -half_pi)
+    theta = np.full((n, n), math.pi / 2)
+    np.fill_diagonal(theta, -math.pi / 2)
     delta = rng.uniform(-0.3, 0.3, size=n)
-    if gamma_profile == "positive":
-        d = rng.uniform(0.1, 2.0, size=n)
-    elif gamma_profile == "one_undamped":
-        d = rng.uniform(0.1, 2.0, size=n)
+    d = np.zeros(n) if gamma_profile == "undamped" else rng.uniform(0.1, 2.0, size=n)
+    if gamma_profile == "one_undamped":
         d[rng.integers(0, n)] = 0.0
-    else:
-        d = np.zeros(n)
     return _grid_at(rng, y, theta, d, delta)
 
 
@@ -164,17 +175,16 @@ def random_lossy_grid(rng, n):
     y = np.zeros((n, n))
     theta = np.zeros((n, n))
     order = rng.permutation(n)
-    edges = list(zip(order[:-1], order[1:]))
+    a, b = order[:-1], order[1:]
     if n == 3 and rng.random() < 0.5:
-        a, b = order[0], order[2]
-        edges.append((a, b))
-    for a, b in edges:
-        y[a, b] = y[b, a] = rng.uniform(0.5, 2.0)
-        phi = rng.uniform(0.5, math.pi - 0.5)
-        theta[a, b] = theta[b, a] = phi  # both directed angles stay interior
-    for j in range(n):
-        y[j, j] = rng.uniform(0.0, 1.0)
-        theta[j, j] = rng.uniform(-math.pi / 2 + 1e-3, -0.8)
+        a, b = np.append(a, order[0]), np.append(b, order[2])
+    # one (magnitude, angle) pair per line; both directed angles stay interior
+    lines = rng.uniform([0.5, 0.5], [2.0, math.pi - 0.5], size=(a.size, 2))
+    y[a, b] = y[b, a] = lines[:, 0]
+    theta[a, b] = theta[b, a] = lines[:, 1]
+    diag = rng.uniform([0.0, -math.pi / 2 + 1e-3], [1.0, -0.8], size=(n, 2))
+    np.fill_diagonal(y, diag[:, 0])
+    np.fill_diagonal(theta, diag[:, 1])
     d = rng.uniform(0.1, 2.0, size=n)
     d[rng.integers(0, n)] = 0.0
     return _grid_at(rng, y, theta, d, delta)
@@ -432,8 +442,7 @@ def suite_small_grid_hyperbolicity(seed=DEFAULT_SEED, trials=500):
                        damping=model.damping_coeff, delta0=eq.delta0)
     return _suite("small_grid_hyperbolicity", seed, trials,
                   lambda rng: random_lossy_grid(rng, int(rng.integers(2, 4))),
-                  failures, decide=_errors_recorded(
-                      lambda *grids: swing.small_n_hyperbolicity_check(*grids)))
+                  failures, decide=_errors_recorded(swing.small_n_hyperbolicity_check))
 
 
 def suite_undamped_pair_family(seed=DEFAULT_SEED, peers=range(2, 7)):
@@ -559,35 +568,18 @@ def suite_fold_exclusion(seed=DEFAULT_SEED, trials=200):
                   decide=lambda m, singular, l, d: np.linalg.eigvals(jacobian_2n(m, d, l)))
 
 
-SUITES = {
-    "pencil_vs_jacobian": suite_pencil_vs_jacobian,
-    "undamped_map": suite_undamped_map,
-    "referenced_spectrum": suite_referenced_spectrum,
-    "rank_monotonicity": suite_rank_monotonicity,
-    "imag_duality": suite_imag_duality,
-    "imag_updates": suite_imag_updates,
-    "observability_equivalence": suite_observability_equivalence,
-    "damping_monotonicity": suite_damping_monotonicity,
-    "full_damping_stability": suite_full_damping_stability,
-    "small_grid_hyperbolicity": suite_small_grid_hyperbolicity,
-    "undamped_pair_family": suite_undamped_pair_family,
-    "lossless_criterion": suite_lossless_criterion,
-    "safe_damping_region": suite_safe_damping_region,
-    "flow_jacobian_fd": suite_flow_jacobian_fd,
-    "fold_exclusion": suite_fold_exclusion,
-}
+#: Every ``suite_<name>`` above, by name, in the order they are defined.
+SUITES = {name.removeprefix("suite_"): fn for name, fn in globals().items()
+          if name.startswith("suite_")}
 
 
 def run_all(seed=DEFAULT_SEED, scale=1.0):
     """Run every suite with trial counts scaled by ``scale``; returns results in order."""
-    results = []
-    for name, fn in SUITES.items():
-        if name == "undamped_pair_family":
-            results.append(fn(seed=seed))
-            continue
-        import inspect
+    import inspect
 
-        default_trials = inspect.signature(fn).parameters["trials"].default
-        trials = max(1, int(default_trials * scale))
-        results.append(fn(seed=seed, trials=trials))
+    results = []
+    for fn in SUITES.values():
+        trials = inspect.signature(fn).parameters.get("trials")
+        results.append(fn(seed=seed) if trials is None
+                       else fn(seed=seed, trials=max(1, int(trials.default * scale))))
     return results

@@ -545,6 +545,21 @@ class TestFrequencyRoute:
             hopf.hopf_conditions(certified, crossing.gamma, omega_hint=crossing.omega)
             assert tally(calls) == {"eigvals": eigvals, "solve": 10}
 
+    def test_certificates_share_the_radius_of_minv_l(self, monkeypatch):
+        # rho(M^-1 L) sets the resonance cutoff and is fixed with the path:
+        # two certificates on one path make one 30 x 30 eigvals.
+        path = self.tied_path_30()
+        crossing, = hopf.track_axis_crossing(path)
+        shapes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: shapes.append(np.shape(a)) or eigvals(a))
+        first, second = (hopf.hopf_conditions(path, crossing.gamma, omega_hint=crossing.omega)
+                         for _ in range(2))
+        assert shapes.count((30, 30)) == 1
+        assert first.resonance_kmax == second.resonance_kmax
+        assert path.minv_l_radius == max(np.abs(eigvals(path.minv_l)))
+
 
 def test_a_path_is_not_a_stack(case2_path):
     # A DampingPath is one path; linalg.jacobian_2n builds stacked Jacobians.

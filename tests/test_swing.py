@@ -654,6 +654,8 @@ def _grid_built_twice(rng, y, theta, d, delta):
     lambda rng, n: suites.random_lossy_grid(rng, n),
 ])
 def test_random_grid_is_built_once_with_the_same_bits(monkeypatch, draw):
+    # A draw builds its model without validation and with one coupling
+    # matrix; the model is the one the validating constructor builds.
     built = []
     post_init = swing.PowerGridModel.__post_init__
     monkeypatch.setattr(swing.PowerGridModel, "__post_init__",
@@ -663,21 +665,100 @@ def test_random_grid_is_built_once_with_the_same_bits(monkeypatch, draw):
     monkeypatch.setattr(swing, "_coupling_matrix",
                         lambda *args: couplings.append(1) or coupling_matrix(*args))
     draws = [draw(np.random.default_rng(seed), n)
-             for seed in range(8) for n in (2, 3, 5)]
-    assert len(built) == len(draws)
+             for seed in range(8) for n in (1, 2, 3, 5)]
+    assert built == []
     # one coupling matrix per draw: the flow at the equilibrium reuses it
     assert len(couplings) == len(draws)
     for model, eq in draws:
         model.flow(eq.delta0)
     assert len(couplings) == len(draws)
+    names = {f.name for f in fields(swing.PowerGridModel)}
+    for model, _ in draws:
+        assert names <= vars(model).keys()
+        replace(model)  # the full validation passes
+    assert len(built) == len(draws)
     monkeypatch.setattr(suites, "_grid_at", _grid_built_twice)
     twice = [draw(np.random.default_rng(seed), n)
-             for seed in range(8) for n in (2, 3, 5)]
+             for seed in range(8) for n in (1, 2, 3, 5)]
     assert len(built) == 3 * len(draws)
     for (model, eq), (want, want_eq) in zip(draws, twice):
         for name in ("y_mag", "theta", "voltage", "p_mech", "inertia_const",
                      "damping_coeff"):
             assert getattr(model, name).tobytes() == getattr(want, name).tobytes()
+        assert (model.omega_s, model.metadata) == (want.omega_s, want.metadata)
         assert eq.delta0.tobytes() == want_eq.delta0.tobytes()
         assert eq.residual.hex() == want_eq.residual.hex()
         assert eq.in_omega == want_eq.in_omega
+
+
+def _lossless_by_loops(rng, n, profile):
+    """``random_lossless_grid`` with one rng call per spanning-path line: the
+    reference for its one call of size n - 1."""
+    y = np.zeros((n, n))
+    order = rng.permutation(n)
+    for a, b in zip(order[:-1], order[1:]):
+        y[a, b] = y[b, a] = rng.uniform(0.5, 2.0)
+    for _ in range(rng.integers(0, n)):
+        a, b = rng.integers(0, n, size=2)
+        if a != b and y[a, b] == 0:
+            y[a, b] = y[b, a] = rng.uniform(0.5, 2.0)
+    theta = np.full((n, n), math.pi / 2)
+    np.fill_diagonal(theta, -math.pi / 2)
+    delta = rng.uniform(-0.3, 0.3, size=n)
+    d = np.zeros(n) if profile == "undamped" else rng.uniform(0.1, 2.0, size=n)
+    if profile == "one_undamped":
+        d[rng.integers(0, n)] = 0.0
+    return suites._grid_at(rng, y, theta, d, delta)
+
+
+def _lossy_by_loops(rng, n, _):
+    """``random_lossy_grid`` with one rng call per number: the reference for
+    its calls of shape (lines, 2) and (n, 2)."""
+    delta = rng.uniform(-0.1, 0.1, size=n)
+    y = np.zeros((n, n))
+    theta = np.zeros((n, n))
+    order = rng.permutation(n)
+    edges = list(zip(order[:-1], order[1:]))
+    if n == 3 and rng.random() < 0.5:
+        edges.append((order[0], order[2]))
+    for a, b in edges:
+        y[a, b] = y[b, a] = rng.uniform(0.5, 2.0)
+        theta[a, b] = theta[b, a] = rng.uniform(0.5, math.pi - 0.5)
+    for j in range(n):
+        y[j, j] = rng.uniform(0.0, 1.0)
+        theta[j, j] = rng.uniform(-math.pi / 2 + 1e-3, -0.8)
+    d = rng.uniform(0.1, 2.0, size=n)
+    d[rng.integers(0, n)] = 0.0
+    return suites._grid_at(rng, y, theta, d, delta)
+
+
+@pytest.mark.parametrize("draw, reference, profiles", [
+    (suites.random_lossless_grid, _lossless_by_loops, ("positive", "one_undamped", "undamped")),
+    (lambda rng, n, _: suites.random_lossy_grid(rng, n), _lossy_by_loops, (None,)),
+])
+def test_random_grid_draws_equal_one_call_per_number(draw, reference, profiles):
+    # numpy's uniform gives the same stream for one call of size k as for
+    # k scalar calls, and for interleaved pairs with bounds of shape (k, 2).
+    for seed in range(30):
+        for n in range(1, 7):
+            for profile in profiles:
+                rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+                model, eq = draw(rngs[0], n, profile)
+                want, want_eq = reference(rngs[1], n, profile)
+                for f in fields(swing.PowerGridModel):
+                    got, expected = getattr(model, f.name), getattr(want, f.name)
+                    assert (got.tobytes() == expected.tobytes() if isinstance(got, np.ndarray)
+                            else got == expected)
+                assert (eq.delta0.tobytes(), eq.residual, eq.in_omega) == (
+                    want_eq.delta0.tobytes(), want_eq.residual, want_eq.in_omega)
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("profile", ["damped", "Positive", "one-undamped", None])
+def test_random_lossless_grid_rejects_an_unknown_profile(profile):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(AssumptionViolated, match="unknown profile") as info:
+        suites.random_lossless_grid(rng, 3, profile)
+    assert info.value.hypothesis == "damping profile"
+    assert rng.bit_generator.state == state  # refused before any draw

@@ -14,15 +14,14 @@ Commands
 ``reduce``     referenced-model export (equilibrium, Jacobian, spectra).
 
 The ``DAMPLAB_LOG`` environment variable (``debug``, ``info``, default
-``warning``) only sets the logging level: no command logs progress messages
-yet (ROADMAP item 5).
+``warning``) only sets the logging level, and ``logging`` is imported only
+when it is set: no command logs progress messages yet (ROADMAP item 5).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -465,8 +464,10 @@ def build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("DAMPLAB_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("DAMPLAB_LOG")
+    if level:  # unset, logging stays unloaded: no module logs yet
+        import logging
+        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

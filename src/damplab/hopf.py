@@ -575,7 +575,7 @@ def eigenvalue_parameter_derivative(jac, djac, lam, right, left):
     djac = np.asarray(djac, dtype=float)
     right = np.asarray(right, dtype=complex)
     left = np.asarray(left, dtype=complex)
-    scale = max(1.0, np.linalg.norm(jac, 2))
+    scale = max(1.0, np.linalg.norm(jac, axis=0).max())  # <= ||jac||_2, and no SVD
     tol = EIGENPAIR_TOL * scale
     if np.linalg.norm(jac @ right - lam * right) > tol * np.linalg.norm(right):
         raise NormalizationFailure("right eigenpair residual too large")

@@ -26,7 +26,6 @@ __all__ = [
     "numerical_rank",
     "on_axis",
     "pair_upper",
-    "pencil_eigenvalues",
     "referenced_jacobian",
     "structural_zero",
 ]
@@ -116,18 +115,10 @@ class QuadraticPencil:
         return np.concatenate([top, -sol], axis=-2)
 
     def eigenvalues(self):
+        """All 2n eigenvalues, one row per pencil of stacks; as from
+        ``np.linalg.eigvals``, a stacked call returns complex rows when any
+        member's spectrum is complex, where one pencil alone may give a real row."""
         return np.linalg.eigvals(self.companion())
-
-
-def pencil_eigenvalues(a2, a1, a0):
-    """All 2n eigenvalues of the quadratic pencil ``lam^2 a2 + lam a1 + a0``
-    (one row per pencil of stacks).  As from ``np.linalg.eigvals``, a
-    stacked call returns complex rows when any member's spectrum is
-    complex, where one pencil alone may give a real row.
-
-    Raises SingularLeadingCoefficient if ``a2`` is rank deficient.
-    """
-    return QuadraticPencil(a2, a1, a0).eigenvalues()
 
 
 def jacobian_2n(inertia, damping, stiffness):

@@ -23,7 +23,6 @@ from .errors import MatrixShapeError, PreconditionViolated, SingularMatrix
 from .linalg import numerical_rank
 
 __all__ = [
-    "PsdPerturbationInstance",
     "UpdateBase",
     "check_inverse_imag_duality",
     "psd_imag_update_nonsingular",
@@ -104,41 +103,24 @@ def psd_imag_update_nonsingular(s, e):
     return numerical_rank(s + 1j * e) == s.shape[-1]
 
 
-@dataclass(frozen=True)
-class PsdPerturbationInstance:
-    """Triple (A symmetric, D PSD, E PSD) for the rank-monotonicity inequality,
-    or three stacks of one shape holding such triples."""
+def rank_monotonicity_holds(a, d, e, check=True):
+    """Whether ``rank(A + iD) <= rank(A + iD + iE)``, one per matrix of stacks.
 
-    a: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-
-    def validate(self):
-        mats = {}
-        for name in ("a", "d", "e"):
-            mats[name] = val.as_stack(getattr(self, name), name, dtype=float)
-            if not val.every(val.is_symmetric(mats[name])):
-                raise PreconditionViolated(f"{name} must be real symmetric")
-        if not mats["a"].shape == mats["d"].shape == mats["e"].shape:
-            raise PreconditionViolated("a, d, e must share one dimension")
-        for name in ("d", "e"):
-            if not val.every(val.is_psd(mats[name])):
-                raise PreconditionViolated(f"{name} must be positive semidefinite")
-        return self
-
-
-def rank_monotonicity_holds(instance, check=True):
-    """Whether ``rank(A + iD) <= rank(A + iD + iE)``.
-
-    Must be true whenever the instance invariants hold (A symmetric, D and E
-    PSD).  ``check=False`` bypasses the precondition for demonstrating that
-    the symmetry assumption is sharp; both ranks share the threshold of
-    :func:`numerical_rank` (the matrices have one size) so a tolerance
-    straddle cannot fake a violation.
+    Must be true whenever A is symmetric and D and E are PSD; ``check``
+    raises PreconditionViolated otherwise.  ``check=False`` bypasses the
+    precondition for demonstrating that the symmetry assumption is sharp;
+    both ranks share the threshold of :func:`numerical_rank` (the matrices
+    have one size) so a tolerance straddle cannot fake a violation.
     """
+    a, d, e = (np.asarray(m, dtype=float) for m in (a, d, e))
     if check:
-        instance.validate()
-    a = np.asarray(instance.a, dtype=float)
-    base = a + 1j * np.asarray(instance.d, dtype=float)
-    bumped = base + 1j * np.asarray(instance.e, dtype=float)
-    return numerical_rank(base) <= numerical_rank(bumped)
+        for name, m in zip("ade", (a, d, e)):
+            if not val.every(val.is_symmetric(val.as_stack(m, name))):
+                raise PreconditionViolated(f"{name} must be real symmetric")
+        if not a.shape == d.shape == e.shape:
+            raise PreconditionViolated("a, d, e must share one dimension")
+        for name, m in (("d", d), ("e", e)):
+            if not val.every(val.is_psd(m)):
+                raise PreconditionViolated(f"{name} must be positive semidefinite")
+    base = a + 1j * d
+    return numerical_rank(base) <= numerical_rank(base + 1j * e)

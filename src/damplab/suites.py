@@ -43,11 +43,9 @@ from .linalg import (
     jacobian_2n,
     matching_distance,
     numerical_rank,
-    pencil_eigenvalues,
     structural_zero,
 )
 from .perturbation import (
-    PsdPerturbationInstance,
     UpdateBase,
     check_inverse_imag_duality,
     psd_imag_update_nonsingular,
@@ -257,7 +255,7 @@ def suite_pencil_vs_jacobian(seed=DEFAULT_SEED, trials=200):
         n = int(rng.integers(2, 7))
         return _spd(rng, n), rng.normal(size=(n, n)), rng.normal(size=(n, n))
     def decide(m, d, l):
-        pencil = pencil_eigenvalues(m, d, l)  # checks the rank of M once
+        pencil = QuadraticPencil(m, d, l).eigenvalues()  # checks the rank of M once
         return zip(pencil, np.linalg.eigvals(_solved_jacobian(m, d, l)))
     def failures(spectra, m, d, l):
         pencil, direct = spectra
@@ -332,8 +330,7 @@ def suite_rank_monotonicity(seed=DEFAULT_SEED, trials=2000):
     return _suite(
         "rank_monotonicity", seed, trials, draw,
         lambda ok, a, d, e: () if ok else [dict(a=a, d=d, e=e)],
-        decide=lambda a, d, e: rank_monotonicity_holds(
-            PsdPerturbationInstance(a=a, d=d, e=e)),
+        decide=rank_monotonicity_holds,
     )
 
 

@@ -61,7 +61,7 @@ OMEGA_MARGIN = 1e-9
 TOL_EQ = 1e-10
 
 #: Newton iteration caps of :meth:`PowerGridModel.solve_equilibrium` and
-#: :meth:`ReferencedGridSystem.drift_equilibrium`.
+#: :meth:`ReferencedGridSystem.drift_equilibrium`, both solved by :func:`_newton`.
 EQ_MAX_ITER = 100
 DRIFT_MAX_ITER = 50
 
@@ -90,6 +90,42 @@ def _flow(coupling, delta):
     """Electrical power vector ``Re(conj(z) o G z)`` of the coupling ``G``."""
     z = np.exp(1j * np.asarray(delta, dtype=float))
     return (z.conj() * (coupling @ z)).real
+
+
+def _newton(system, x, max_iter, what):
+    """Damped Gauss-Newton (Dennis & Schnabel, SIAM 1996, ch. 6) on
+    ``system(x) = (residual, state, jacobian)``, ``jacobian()`` building the
+    Jacobian at ``x`` when a step needs it: least-squares steps, halved until
+    the residual norm falls.  Returns the state once max |residual| <=
+    ``TOL_EQ``; raises SingularReducedJacobian at a rank-deficient Jacobian
+    and NoConvergence, with the last state, when the halving passes 1e-8 or
+    ``max_iter`` steps do not converge."""
+    res, state, jacobian = system(x)
+    norm = np.linalg.norm(res)
+    for _ in range(max_iter):
+        if np.abs(res).max() <= TOL_EQ:
+            break
+        jac = jacobian()
+        step, _, rank, _ = np.linalg.lstsq(jac, -res, rcond=None)
+        if rank < jac.shape[1]:
+            raise SingularReducedJacobian(
+                "reduced flow Jacobian is rank deficient at the iterate")
+        alpha = 1.0
+        while alpha > 1e-8:
+            trial = system(x + alpha * step)
+            if np.linalg.norm(trial[0]) < norm:
+                break
+            alpha *= 0.5
+        else:
+            raise NoConvergence(f"{what} line search stalled", best=state,
+                                residual=float(np.abs(res).max()))
+        x = x + alpha * step
+        res, state, jacobian = trial
+        norm = np.linalg.norm(res)
+    if np.abs(res).max() > TOL_EQ:
+        raise NoConvergence(f"no {what} within {max_iter} iterations", best=state,
+                            residual=float(np.abs(res).max()))
+    return state
 
 
 @dataclass(frozen=True)
@@ -233,7 +269,7 @@ class PowerGridModel:
         return SecondOrderSystem(inertia=m, damping=d, jac=self.flow_jacobian)
 
     def solve_equilibrium(self, delta_guess):
-        """Damped Gauss-Newton for P_m = P_e(delta) with delta_n pinned.
+        """P_m = P_e(delta) with delta_n pinned, by the damped :func:`_newton`.
 
         The last angle stays at its guess value (rotational gauge); the
         returned equilibrium reports the max power mismatch and membership
@@ -242,50 +278,13 @@ class PowerGridModel:
         guess = val.as_vector(delta_guess, "delta_guess")
         if guess.shape != (self.n,):
             raise ModelFormatError(f"delta_guess must have length {self.n}")
-        n = self.n
-        pinned = guess[-1]
-        x = guess[:-1].copy()
 
-        def residual(xfree):
-            delta = np.concatenate([xfree, [pinned]])
-            return self.p_mech - self.flow(delta), delta
+        def system(xfree):
+            delta = np.concatenate([xfree, guess[-1:]])
+            return (self.p_mech - self.flow(delta), delta,
+                    lambda: -self.flow_jacobian(delta)[:, :-1])
 
-        res, delta = residual(x)
-        norm = np.linalg.norm(res)
-        for _ in range(EQ_MAX_ITER):
-            if np.abs(res).max() <= TOL_EQ:
-                break
-            jac = -self.flow_jacobian(delta)[:, : n - 1]
-            step, _, rank, _ = np.linalg.lstsq(jac, -res, rcond=None)
-            if rank < n - 1:
-                raise SingularReducedJacobian(
-                    "reduced flow Jacobian is rank deficient at the iterate"
-                )
-            alpha = 1.0
-            while alpha > 1e-8:
-                trial_res, trial_delta = residual(x + alpha * step)
-                if np.linalg.norm(trial_res) < norm:
-                    break
-                alpha *= 0.5
-            else:
-                raise NoConvergence(
-                    "equilibrium line search stalled", best=delta,
-                    residual=float(np.abs(res).max()),
-                )
-            x = x + alpha * step
-            res, delta = trial_res, trial_delta
-            norm = np.linalg.norm(res)
-        if np.abs(res).max() > TOL_EQ:
-            raise NoConvergence(
-                f"no equilibrium within {EQ_MAX_ITER} iterations",
-                best=delta,
-                residual=float(np.abs(res).max()),
-            )
-        return GridEquilibrium(
-            delta0=delta,
-            residual=float(np.abs(res).max()),
-            in_omega=self.in_omega(delta),
-        )
+        return self.equilibrium_at(_newton(system, guess[:-1], EQ_MAX_ITER, "equilibrium"))
 
     def equilibrium_at(self, delta0):
         """Equilibrium record for a known angle vector (residual reported as-is)."""
@@ -358,32 +357,22 @@ class ReferencedGridSystem:
         Every machine turns at one common frequency offset ``omega_bar``,
         so the referenced state ``(psi, omega_bar 1)`` is an equilibrium of
         :meth:`rhs` iff ``P_m - P_e(psi) - D omega_bar 1 = 0`` (n equations
-        in n unknowns).  Newton on ``(psi, omega_bar)`` starts from the
-        guess's angles and mean frequency; raises NoConvergence with the
-        best state when the residual stays above ``TOL_EQ`` for
-        ``DRIFT_MAX_ITER`` steps.
+        in n unknowns), solved for ``(psi, omega_bar)`` by :func:`_newton`
+        from the guess's angles and mean frequency; an undamped model has
+        a zero drift column and raises SingularReducedJacobian.
         """
         n = self.model.n
         guess = np.asarray(guess, dtype=float)
-        z = np.concatenate([guess[: n - 1], [guess[n - 1 :].mean()]])
-        d = self._d[:, None]
-        for _ in range(DRIFT_MAX_ITER):
+
+        def system(z):
             delta = self._delta(z[:-1])
-            res = self.model.p_mech - self.model.flow(delta) - self._d * z[-1]
-            if np.abs(res).max() <= TOL_EQ:
-                return np.concatenate([z[:-1], np.full(n, z[-1])])
-            jac = np.hstack([-self.model.flow_jacobian(delta)[:, : n - 1], -d])
-            try:
-                z = z - np.linalg.solve(jac, res)
-            except np.linalg.LinAlgError:
-                raise SingularReducedJacobian(
-                    "drift-equilibrium Newton system is singular"
-                ) from None
-        raise NoConvergence(
-            f"no drift equilibrium within {DRIFT_MAX_ITER} iterations",
-            best=np.concatenate([z[:-1], np.full(n, z[-1])]),
-            residual=float(np.abs(res).max()),
-        )
+            return (self.model.p_mech - self.model.flow(delta) - self._d * z[-1],
+                    np.concatenate([z[:-1], np.full(n, z[-1])]),
+                    lambda: np.hstack([-self.model.flow_jacobian(delta)[:, :-1],
+                                       -self._d[:, None]]))
+
+        z = np.concatenate([guess[: n - 1], [guess[n - 1 :].mean()]])
+        return _newton(system, z, DRIFT_MAX_ITER, "drift equilibrium")
 
     def jacobian(self, u=None):
         n = self.model.n

@@ -216,10 +216,8 @@ def test_criterion_06_rank_monotonicity_suite():
                                             trials=2000)
     # sharpness: the unsymmetric pair violates the inequality under bypass
     s_unsym = np.array([[1 + 1j, math.sqrt(2)], [-math.sqrt(2), -1.0]])
-    inst = perturbation.PsdPerturbationInstance(
-        a=s_unsym.real, d=s_unsym.imag, e=np.diag([0.0, 1.0])
-    )
-    violated = not perturbation.rank_monotonicity_holds(inst, check=False)
+    violated = not perturbation.rank_monotonicity_holds(
+        s_unsym.real, s_unsym.imag, np.diag([0.0, 1.0]), check=False)
     elapsed = time.time() - start
     ok = result.passed and violated and elapsed < 30.0
     report("6", ok, f"{result.trials} trials, bypass violation {violated}, "

@@ -481,6 +481,29 @@ def test_startup_bound_commands_leave_scipy_solvers_unloaded(argv, tmp_path):
     assert modules_loaded(argv, tmp_path) == [[], want, argv[0] == "verify"]
 
 
+@pytest.mark.parametrize("log, root_level", [(None, "not loaded"), ("debug", "DEBUG")])
+def test_logging_loads_only_when_damplab_log_is_set(log, root_level, tmp_path):
+    # No module logs yet, so a run without DAMPLAB_LOG does not pay the
+    # import of logging (about 5 ms of a fresh command).
+    code = (
+        "import sys\n"
+        "from damplab import cli\n"
+        "cli.main(sys.argv[1:])\n"
+        "logging = sys.modules.get('logging')\n"
+        "print('not loaded' if logging is None\n"
+        "      else logging.getLevelName(logging.getLogger().level), file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("DAMPLAB_LOG", None)
+    if log:
+        env["DAMPLAB_LOG"] = log
+    out = subprocess.run(
+        [sys.executable, "-c", code, "spectrum", os.path.join(ROOT, "models", "case2.json"),
+         "--gamma", "0.25"], check=True, capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert out.stderr.splitlines()[-1] == root_level
+
+
 def test_package_does_not_import_scipy_integrate():
     # Not every function is reached by a command (swing.locate_homoclinic
     # is not), so only the source shows that no scipy module is imported.

@@ -545,6 +545,23 @@ class TestFrequencyRoute:
             hopf.hopf_conditions(certified, crossing.gamma, omega_hint=crossing.omega)
             assert tally(calls) == {"eigvals": eigvals, "solve": 10}
 
+    def test_certificate_takes_no_matrix_2_norm(self, monkeypatch):
+        # A matrix 2-norm is an SVD inside np.linalg.norm, which
+        # count_lapack cannot see: the eigenpair residual tolerance scales
+        # with the largest column 2-norm of J instead of ||J||_2.
+        path = self.tied_path_30()
+        crossing, = hopf.track_axis_crossing(path)
+        norm, matrix_norms = np.linalg.norm, []
+
+        def recorded(x, ord=None, axis=None, keepdims=False):
+            if ord in (2, -2) and (np.ndim(axis) == 1 or axis is None and np.ndim(x) == 2):
+                matrix_norms.append(np.shape(x))
+            return norm(x, ord, axis, keepdims)
+
+        monkeypatch.setattr(np.linalg, "norm", recorded)
+        hopf.hopf_conditions(path, crossing.gamma, omega_hint=crossing.omega)
+        assert matrix_norms == []
+
     def test_certificates_share_the_radius_of_minv_l(self, monkeypatch):
         # rho(M^-1 L) sets the resonance cutoff and is fixed with the path:
         # two certificates on one path make one 30 x 30 eigvals.

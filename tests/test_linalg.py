@@ -40,13 +40,13 @@ def charpoly_roots(a2, a1, a0):
 
 class TestPencilEigenvalues:
     def test_harmonic_oscillator(self):
-        eigs = linalg.pencil_eigenvalues(np.eye(1), np.zeros((1, 1)), np.eye(1))
+        eigs = linalg.QuadraticPencil(np.eye(1), np.zeros((1, 1)), np.eye(1)).eigenvalues()
         assert linalg.matching_distance(eigs, [1j, -1j]) < 1e-12
 
     def test_case1_contains_axis_pair(self):
-        eigs = linalg.pencil_eigenvalues(
+        eigs = linalg.QuadraticPencil(
             np.eye(3), np.diag([0.0, 0.0, 1.5]), L_CASE1
-        )
+        ).eigenvalues()
         for target in (1j * OMEGA_CASE1, -1j * OMEGA_CASE1):
             assert np.abs(eigs - target).min() < 1e-10
 
@@ -60,13 +60,13 @@ class TestPencilEigenvalues:
             h = 0.4 * rng.normal(size=(4, 4))
             a1 = h @ h.T  # PSD damping
             a0 = rng.normal(size=(4, 4))
-            got = linalg.pencil_eigenvalues(a2, a1, a0)
+            got = linalg.QuadraticPencil(a2, a1, a0).eigenvalues()
             want = charpoly_roots(a2, a1, a0)
             assert linalg.matching_distance(got, want) < 1e-8
 
     def test_singular_leading_coefficient(self):
         with pytest.raises(SingularLeadingCoefficient):
-            linalg.pencil_eigenvalues(np.zeros((2, 2)), np.eye(2), np.eye(2))
+            linalg.QuadraticPencil(np.zeros((2, 2)), np.eye(2), np.eye(2)).eigenvalues()
 
     def test_residual_contract(self):
         rng = np.random.default_rng(3)
@@ -85,7 +85,7 @@ class TestPencilEigenvalues:
     def test_nan_rejected(self):
         bad = np.array([[np.nan]])
         with pytest.raises(MatrixShapeError):
-            linalg.pencil_eigenvalues(bad, np.eye(1), np.eye(1))
+            linalg.QuadraticPencil(bad, np.eye(1), np.eye(1)).eigenvalues()
 
 
 class TestJacobian2n:
@@ -316,7 +316,7 @@ def test_pencil_jacobian_correspondence():
         m = rng.normal(size=(n, n)) + 2 * np.eye(n)
         d = rng.normal(size=(n, n))
         l = rng.normal(size=(n, n))
-        pencil = linalg.pencil_eigenvalues(m, d, l)
+        pencil = linalg.QuadraticPencil(m, d, l).eigenvalues()
         direct = np.linalg.eigvals(linalg.jacobian_2n(m, d, l))
         scale = max(1.0, np.abs(direct).max())
         assert linalg.matching_distance(pencil, direct) < 1e-8 * scale

@@ -90,28 +90,21 @@ class TestPsdUpdate:
 
 class TestRankMonotonicity:
     def test_zero_base(self):
-        inst = perturbation.PsdPerturbationInstance(
-            a=np.zeros((3, 3)), d=np.zeros((3, 3)), e=np.eye(3)
-        )
-        assert perturbation.rank_monotonicity_holds(inst)
+        assert perturbation.rank_monotonicity_holds(
+            np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3))
 
     def test_unsymmetric_a_rejected(self):
-        inst = perturbation.PsdPerturbationInstance(
-            a=S_UNSYM.real + np.array([[0.0, 0.0], [0.0, 0.0]]),
-            d=np.diag([1.0, 0.0]),
-            e=E_UNSYM,
-        )
         # Re(S_UNSYM) is not symmetric, so the precondition fires.
         with pytest.raises(PreconditionViolated):
-            perturbation.rank_monotonicity_holds(inst)
+            perturbation.rank_monotonicity_holds(
+                S_UNSYM.real + np.array([[0.0, 0.0], [0.0, 0.0]]),
+                np.diag([1.0, 0.0]), E_UNSYM)
 
     def test_counterexample_under_bypass(self):
         # With the symmetry check bypassed the inequality genuinely fails:
         # the update drops the rank from 2 to 1.
-        inst = perturbation.PsdPerturbationInstance(
-            a=S_UNSYM.real, d=S_UNSYM.imag, e=E_UNSYM
-        )
-        assert not perturbation.rank_monotonicity_holds(inst, check=False)
+        assert not perturbation.rank_monotonicity_holds(
+            S_UNSYM.real, S_UNSYM.imag, E_UNSYM, check=False)
         assert numerical_rank(S_UNSYM) == 2
         assert numerical_rank(S_UNSYM + 1j * E_UNSYM) == 1
 

@@ -14,6 +14,7 @@ from damplab.errors import (
     NotInOmega,
     NotLossless,
     PreconditionViolated,
+    SingularReducedJacobian,
 )
 from damplab.linalg import classify_spectrum
 from damplab.stability import ObservabilityWitness
@@ -311,6 +312,24 @@ class TestReferencedReduction:
         assert np.abs(ref.rhs(0.0, saddle)).max() <= 1e-9
         eigs = np.linalg.eigvals(ref.jacobian(saddle))
         assert np.count_nonzero(eigs.real > 0) == 1
+
+    def test_drift_equilibrium_pinned_saddle(self, case2):
+        # The saddle of the homoclinic search at gamma = 0.34, as the plain
+        # Newton of the parent solver reached it: the damped Newton with its
+        # least-squares steps moves it only in the last bits.
+        model, eq = case2
+        ref = model.with_damping([0.34, 1.0]).referenced(eq)
+        saddle = ref.drift_equilibrium([1.8, -0.5, -0.5])
+        np.testing.assert_allclose(
+            saddle, [1.8205905840230585, -0.48867862209446394, -0.48867862209446394],
+            rtol=0, atol=1e-12)
+
+    def test_drift_equilibrium_undamped_is_singular(self, case2):
+        # Without damping the drift frequency has a zero column.
+        model, eq = case2
+        ref = model.with_damping([0.0, 0.0]).referenced(eq)
+        with pytest.raises(SingularReducedJacobian, match="rank deficient"):
+            ref.drift_equilibrium([1.8, -0.5, -0.5])
 
     def test_drift_equilibrium_without_drift(self, case2):
         model, eq = case2

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from damplab import stability, suites, swing
+from damplab import linalg, stability, suites, swing
 
 import verdict_digest
 
@@ -87,14 +87,14 @@ def _inject_failures(monkeypatch):
                     for model, verdict in zip(models, f(models, eqs))]
         return injected
 
-    wrap(suites, "pencil_eigenvalues", lambda f: lambda m, d, l: (
-        f(m, d, l) + (m[..., :1, 0] > 3.0)))
+    wrap(linalg.QuadraticPencil, "eigenvalues", lambda f: lambda pencil: (
+        f(pencil) + (pencil.a2[..., :1, 0] > 3.0)))
     wrap(stability, "undamped_spectral_map", lambda f: lambda m, l: (
         fail("injected map") if (m[..., 0, 0] > 3.0).any() else f(m, l)))
     wrap(swing.ReferencedGridSystem, "jacobian", lambda f: lambda system, u=None: (
         f(system, u) + 0.5 * (system.model.inertia_const[0] > 1.2)))
-    wrap(suites, "rank_monotonicity_holds", lambda f: lambda inst: (
-        f(inst) & (inst.a[..., 0, 0] < 0.5)))
+    wrap(suites, "rank_monotonicity_holds", lambda f: lambda a, d, e: (
+        f(a, d, e) & (a[..., 0, 0] < 0.5)))
     wrap(stability, "hyperbolicity_symmetric", lambda f: lambda system, x0: (
         fail("injected verdict") if system.inertia[0, 0] > 4.0 else f(system, x0)))
     wrap(stability, "observability_test", lambda f: lambda a, b: (

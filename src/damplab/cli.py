@@ -8,9 +8,10 @@ Commands
                per axis crossing.
 ``simulate``   time-domain integration of the referenced model, optional
                Poincare cycle search; trajectory CSV and cycle JSON.
-``verify``     seeded randomized suites for every implemented theorem-level
-               claim (exit 3 on any failure, with the failing instance
-               serialized for replay).
+``verify``     seeded randomized suites for the theorem-level claims (exit 3
+               on any failure, with the failing instance serialized for
+               replay); no suite checks the unsymmetric imaginary-pair test
+               ``stability.imaginary_pair_sufficient_unsymmetric`` yet.
 ``reduce``     referenced-model export (equilibrium, Jacobian, spectra).
 
 The ``DAMPLAB_LOG`` environment variable (``debug``, ``info``, default
@@ -36,7 +37,7 @@ from .errors import (
     StepSizeUnderflow,
     TrackingAmbiguity,
 )
-from .linalg import classify_spectrum, pair_upper
+from .linalg import _reports, classify_spectrum, pair_upper
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -129,9 +130,7 @@ def cmd_spectrum(args):
     mfile, model = _load(args)
     eq = _equilibrium(mfile, model, args)
     system = model.to_second_order()
-    report = classify_spectrum(
-        np.linalg.eigvals(system.jacobian_at(eq.delta0)), args.tol_axis
-    )
+    report = _reports(system.inertia, system.damping, system.jac(eq.delta0), args.tol_axis)[0]
     eigenvalues = _sorted_eigenvalues(report.eigenvalues)
     print(f"model: {args.model}")
     print(f"equilibrium angles: {np.array2string(eq.delta0, precision=6)}")
@@ -376,9 +375,8 @@ def cmd_reduce(args):
     mfile, model = _load(args)
     eq = _equilibrium(mfile, model, args)
     ref = model.referenced(eq)
-    full_report = classify_spectrum(
-        np.linalg.eigvals(model.to_second_order().jacobian_at(eq.delta0))
-    )
+    system = model.to_second_order()
+    full_report = _reports(system.inertia, system.damping, system.jac(eq.delta0))[0]
     jac = ref.jacobian()
     reduced_eigs = np.linalg.eigvals(jac)
     reduced_report = classify_spectrum(reduced_eigs)

@@ -243,6 +243,14 @@ def classify_spectrum(eigs, tol_axis=val.TOL_AXIS):
     )
 
 
+def _reports(m, d, l, tol_axis=val.TOL_AXIS):
+    """:func:`classify_spectrum` of the Jacobian of each ``(M, D, L)``, in
+    ``np.ndindex`` order: one :func:`_solved_jacobian` and one ``eigvals``
+    for stacks, each inertia checked before."""
+    eigs = np.linalg.eigvals(_solved_jacobian(m, d, l))
+    return [classify_spectrum(eigs[k], tol_axis) for k in np.ndindex(eigs.shape[:-1])]
+
+
 def matching_distance(first, second):
     """Bottleneck distance between two eigenvalue multisets of one size: the
     least largest distance of a one-to-one pairing (:func:`subset_distance`);

@@ -21,8 +21,8 @@ from . import _validation as val
 from .errors import AssumptionViolated, MatrixShapeError, TheoremViolation
 from .linalg import (
     SpectrumReport,
+    _reports,
     _solved_jacobian,
-    classify_spectrum,
     jacobian_2n,
     matching_distance,
     numerical_rank,
@@ -289,31 +289,29 @@ def hyperbolicity_symmetric(system, x0):
     ``(M^-1 L, M^-1 D)`` (by :func:`observability_symmetric`) and absence
     of axis eigenvalues of the 2n Jacobian are computed independently; they
     are equivalent in this setting, so a disagreement raises
-    TheoremViolation carrying both verdicts.
+    TheoremViolation carrying both verdicts.  A stacked system gives a list
+    of verdicts in ``np.ndindex`` order; the hypotheses hold for every
+    member or raise, and the first member whose verdicts disagree raises.
     """
-    x0 = np.asarray(x0, dtype=float)
     m, d = system.inertia, system.damping
-    l = system.jac(x0)
+    l = system.jac(np.asarray(x0, dtype=float))
     _check_symmetric_setting(m, d, l)
-    obs = observability_symmetric(m, l, d)
-
-    report = classify_spectrum(np.linalg.eigvals(system.jacobian_at(x0)))
-    spectral_hyperbolic = report.axis_count == 0
-
-    if spectral_hyperbolic != obs.observable:
-        raise TheoremViolation(
-            "observability and spectral hyperbolicity verdicts disagree "
-            "(tolerance pathology)",
-            first_verdict=obs,
-            second_verdict=report,
-        )
-    return HyperbolicityVerdict(
-        hyperbolic=spectral_hyperbolic,
-        via_observability=obs.observable,
-        axis_eigenvalues=report.axis_set,
-        observability=obs,
-        spectrum=report,
-    )
+    observability = observability_symmetric(m, l, d)
+    verdicts = []
+    for obs, report in zip(observability if m.ndim > 2 else [observability],
+                           _reports(m, d, l)):
+        hyperbolic = report.axis_count == 0
+        if hyperbolic != obs.observable:
+            raise TheoremViolation(
+                "observability and spectral hyperbolicity verdicts disagree "
+                "(tolerance pathology)",
+                first_verdict=obs,
+                second_verdict=report,
+            )
+        verdicts.append(HyperbolicityVerdict(
+            hyperbolic=hyperbolic, via_observability=obs.observable,
+            axis_eigenvalues=report.axis_set, observability=obs, spectrum=report))
+    return verdicts if m.ndim > 2 else verdicts[0]
 
 
 def imaginary_pair_sufficient_unsymmetric(inertia, damping, stiffness):
@@ -375,6 +373,8 @@ def monotonicity_compare(first, second, x0, check=True):
     not checked again: :class:`SecondOrderSystem` enforces it on
     construction.  ``check=False`` bypasses the hypothesis validation and
     recomputes anyway, which is how the unsymmetric counterexample is shown.
+    Stacked systems give a list of reports in ``np.ndindex`` order; the
+    hypotheses hold for every member (each with its own ``max|L|``) or raise.
     """
     x0 = np.asarray(x0, dtype=float)
     l1 = first.jac(x0)
@@ -382,30 +382,26 @@ def monotonicity_compare(first, second, x0, check=True):
     if check:
         if not np.allclose(first.inertia, second.inertia, rtol=0, atol=1e-12):
             raise AssumptionViolated("identical inertia")
-        if l1.shape != l2.shape or np.abs(l1 - l2).max() > 1e-10 * max(
-            1.0, np.abs(l1).max()
-        ):
+        if l1.shape != l2.shape or np.any(np.abs(l1 - l2).max(axis=(-2, -1)) > 1e-10 * (
+                np.maximum(1.0, np.abs(l1).max(axis=(-2, -1))))):
             raise AssumptionViolated("identical vector-field jacobian")
-        if not (val.is_symmetric(first.inertia)):
+        if not val.every(val.is_symmetric(first.inertia)):
             raise AssumptionViolated("inertia symmetric")
         for name, dmat in (("first", first.damping), ("second", second.damping)):
-            if not (val.is_symmetric(dmat) and val.is_psd(dmat)):
+            if not (val.every(val.is_symmetric(dmat)) and val.every(val.is_psd(dmat))):
                 raise AssumptionViolated(f"{name} damping symmetric PSD")
-        if not val.is_symmetric(l1):
+        if not val.every(val.is_symmetric(l1)):
             raise AssumptionViolated("jacobian symmetric")
 
-    diff = val.sym_part(second.damping - first.damping)
-    dpsd = val.is_psd(diff)
-
-    axis_first = classify_spectrum(np.linalg.eigvals(first.jacobian_at(x0))).axis_set
-    axis_second = classify_spectrum(np.linalg.eigvals(second.jacobian_at(x0))).axis_set
-    subset = subset_distance(axis_second, axis_first) <= MATCH_TOL
-    return MonotonicityReport(
-        damping_increase_psd=bool(dpsd),
-        axis_set_first=axis_first,
-        axis_set_second=axis_second,
-        subset_holds=bool(subset),
-    )
+    dpsd = np.ravel(val.is_psd(val.sym_part(second.damping - first.damping)))
+    reports = [MonotonicityReport(
+        damping_increase_psd=bool(psd),
+        axis_set_first=a.axis_set,
+        axis_set_second=b.axis_set,
+        subset_holds=bool(subset_distance(b.axis_set, a.axis_set) <= MATCH_TOL),
+    ) for psd, a, b in zip(dpsd, _reports(first.inertia, first.damping, l1),
+                           _reports(second.inertia, second.damping, l2))]
+    return reports if first.inertia.ndim > 2 else reports[0]
 
 
 def undamped_spectral_map(inertia, stiffness):
@@ -448,8 +444,5 @@ def asymptotic_stability_full_damping(inertia, damping, stiffness):
     _check_symmetric_setting(m, d, l)  # proves M positive definite
     if not val.every(val.is_pd(d)):
         raise AssumptionViolated("damping symmetric positive definite")
-    eigs = np.linalg.eigvals(_solved_jacobian(m, d, l))
-    left = np.empty(eigs.shape[:-1], dtype=bool)
-    for idx in np.ndindex(left.shape):
-        left[idx] = classify_spectrum(eigs[idx]).left_count == eigs.shape[-1]
-    return left[()]
+    left = [r.left_count == r.eigenvalues.size for r in _reports(m, d, l)]
+    return np.array(left, dtype=bool).reshape(m.shape[:-2])[()]

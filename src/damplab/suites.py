@@ -9,16 +9,14 @@ payloads for replay, and are shared between the test suite and the CLI
 A random suite states only its draw and its check; :func:`_suite` runs
 them.  Every instance is drawn first, with the rng calls in trial order;
 the check then runs once per matrix size on stacks (:func:`_by_size`),
-through the same stack-capable functions the CLI calls, or once per
-instance in ``observability_equivalence``, ``damping_monotonicity`` and
-``flow_jacobian_fd``; ``safe_damping_region`` stacks the linear
-Jacobians of its paths at all their samples.  Failure payloads are
-recorded in trial order under a 0-based ``trial`` index.  A suite that
-records errors decides a size whose stack raises again member by member
-(:func:`_errors_recorded`), so each error lands on its own trial.
-``suite_undamped_pair_family`` keeps its own loop: it checks a fixed
-family of peer counts, not random trials, and records the peer count
-``n``.
+through the same stack-capable functions the CLI calls;
+``safe_damping_region`` stacks the linear Jacobians of its paths at all
+their samples.  Failure payloads are recorded in trial order under a
+0-based ``trial`` index.  A suite that records errors decides a size
+whose stack raises again member by member (:func:`_errors_recorded`), so
+each error lands on its own trial.  ``suite_undamped_pair_family`` keeps
+its own loop: it checks a fixed family of peer counts, not random trials,
+and records the peer count ``n``.
 
 A grid draw takes the rng stream of one scalar call per number, in order:
 a loop of one call is one call of that size, which numpy answers with the
@@ -191,22 +189,16 @@ def random_lossy_grid(rng, n):
 # -- suites -----------------------------------------------------------------
 
 
-def _suite(name, seed, trials, draw, failures, decide=None):
-    """The :class:`SuiteResult` of ``trials`` instances ``draw(rng)``.
-
-    ``failures(*instance)`` gives an instance's failure payloads; with
-    ``decide``, run per size by :func:`_by_size`, ``failures(verdict, *instance)``.
+def _suite(name, seed, trials, draw, failures, decide):
+    """The :class:`SuiteResult` of ``trials`` instances ``draw(rng)``, decided
+    per size by :func:`_by_size`; ``failures(verdict, *instance)`` gives an
+    instance's failure payloads.
     """
     rng = np.random.default_rng(seed)
     instances = [draw(rng) for _ in range(trials)]
-    if decide is None:
-        found = [failures(*inst) for inst in instances]
-    else:
-        found = [failures(verdict, *inst)
-                 for inst, verdict in zip(instances, _by_size(instances, decide))]
     result = SuiteResult(name, trials)
-    for k, payloads in enumerate(found):
-        for payload in payloads:
+    for k, (inst, verdict) in enumerate(zip(instances, _by_size(instances, decide))):
+        for payload in failures(verdict, *inst):
             result.record(trial=k, **payload)
     return result
 
@@ -376,22 +368,24 @@ def suite_observability_equivalence(seed=DEFAULT_SEED, trials=500):
     """Symmetric setting: hyperbolic iff the damping pair is observable.
 
     The symmetric observability verdict inside ``hyperbolicity_symmetric``
-    is also checked against the PBH test, witness count by witness count.
+    is also checked against the PBH test, witness count by witness count;
+    the PBH reference runs per trial.
     """
     def draw(rng):
         n = int(rng.integers(2, 7))
         return _spd(rng, n), _spd(rng, n), _psd(rng, n, rank=int(rng.integers(0, n + 1)))
-    def failures(m, l, d):
-        system = stability.SecondOrderSystem.linear(m, d, l)
-        try:
-            verdict = stability.hyperbolicity_symmetric(system, np.zeros(len(m)))
-        except Exception as exc:
-            yield dict(m=m, d=d, l=l, error=str(exc))
+    def decide(m, l, d):
+        return stability.hyperbolicity_symmetric(
+            stability.SecondOrderSystem.linear(m, d, l), np.zeros(m.shape[-1]))
+    def failures(verdict, m, l, d):
+        if isinstance(verdict, Exception):
+            yield dict(m=m, d=d, l=l, error=str(verdict))
             return
         pbh = stability.observability_test(np.linalg.solve(m, l), np.linalg.solve(m, d))
         if len(pbh.witnesses) != len(verdict.observability.witnesses):
             yield dict(m=m, d=d, l=l, error="symmetric and PBH observability disagree")
-    return _suite("observability_equivalence", seed, trials, draw, failures)
+    return _suite("observability_equivalence", seed, trials, draw, failures,
+                  decide=_errors_recorded(decide))
 
 
 def suite_damping_monotonicity(seed=DEFAULT_SEED, trials=500):
@@ -404,15 +398,16 @@ def suite_damping_monotonicity(seed=DEFAULT_SEED, trials=500):
         l = _sym(rng, n)
         d1 = _psd(rng, n, rank=int(rng.integers(0, n + 1)))
         return m, l, d1, d1 + _psd(rng, n, rank=int(rng.integers(0, n + 1)))
-    def failures(m, l, d1, d2):
+    def decide(m, l, d1, d2):
         first = stability.SecondOrderSystem.linear(m, d1, l)
-        report = stability.monotonicity_compare(first, first.with_damping(d2),
-                                                np.zeros(len(m)))
+        return stability.monotonicity_compare(first, first.with_damping(d2),
+                                              np.zeros(m.shape[-1]))
+    def failures(report, m, l, d1, d2):
         if not (report.damping_increase_psd and report.subset_holds):
             yield dict(m=m, l=l, d1=d1, d2=d2,
                        axis_first=report.axis_set_first,
                        axis_second=report.axis_set_second)
-    return _suite("damping_monotonicity", seed, trials, draw, failures)
+    return _suite("damping_monotonicity", seed, trials, draw, failures, decide)
 
 
 def suite_full_damping_stability(seed=DEFAULT_SEED, trials=500):
@@ -531,17 +526,20 @@ def suite_flow_jacobian_fd(seed=DEFAULT_SEED, trials=100):
         model, eq = (random_lossy_grid(rng, min(n, 3)) if rng.random() < 0.5
                      else random_lossless_grid(rng, n))
         return model, eq.delta0 + rng.uniform(-0.05, 0.05, size=model.n)
-    def failures(model, delta):
-        jac = model.flow_jacobian(delta)
-        fd = np.stack([hopf._central(model.flow, delta, 1e-6, e_i)
-                       for e_i in np.eye(model.n)], axis=1)
+    def decide(models, deltas):
+        return [(model.flow_jacobian(delta),
+                 np.stack([hopf._central(model.flow, delta, 1e-6, e_i)
+                           for e_i in np.eye(model.n)], axis=1))
+                for model, delta in zip(models, deltas)]
+    def failures(jacobians, model, delta):
+        jac, fd = jacobians
         err = np.abs(jac - fd).max()
         if err > 1e-6 * max(1.0, np.abs(jac).max()):
             yield dict(error=float(err))
         rowsum = np.abs(jac.sum(axis=1)).max()
         if rowsum > 1e-12 * max(1.0, np.abs(jac).max()):
             yield dict(rowsum=float(rowsum))
-    return _suite("flow_jacobian_fd", seed, trials, draw, failures)
+    return _suite("flow_jacobian_fd", seed, trials, draw, failures, decide)
 
 
 def suite_fold_exclusion(seed=DEFAULT_SEED, trials=200):

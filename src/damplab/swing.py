@@ -34,7 +34,7 @@ from .errors import (
     SingularReducedJacobian,
     TheoremViolation,
 )
-from .linalg import _solved_jacobian, classify_spectrum, jacobian_2n, referenced_jacobian
+from .linalg import _reports, jacobian_2n, referenced_jacobian
 from .stability import SecondOrderSystem, observability_symmetric
 
 __all__ = [
@@ -464,14 +464,13 @@ def lossless_imaginary_criterion(model, eq, tol_axis=val.TOL_AXIS):
     system = _second_order(models)
     lmat = system.jac([eq.delta0 for eq in eqs])
     verdicts = observability_symmetric(system.inertia, lmat, system.damping)
-    spectra = np.linalg.eigvals(_solved_jacobian(system.inertia, system.damping, lmat))
     results = []
-    for model, verdict, eigs in zip(models, verdicts, spectra):
+    for model, verdict, report in zip(models, verdicts,
+                                      _reports(system.inertia, system.damping, lmat, tol_axis)):
         scale = max(1.0, max(abs(lam) for lam, _ in verdict.margins))
         positive = tuple(w for w in verdict.witnesses if w.eigenvalue.real > 1e-9 * scale)
         pair_from_observability = (not verdict.observable) and (
             len(positive) > 0 or np.all(model.damping_coeff == 0))
-        report = classify_spectrum(eigs, tol_axis)
         pair_from_spectrum = report.nonzero_axis_set.size > 0
         if pair_from_observability != pair_from_spectrum:
             raise TheoremViolation(
@@ -572,8 +571,9 @@ def small_n_hyperbolicity_check(model, eq):
         if model.n == 3 and not eq.in_omega:
             raise AssumptionViolated("equilibrium in the admissible angle set")
 
-    spectra = np.linalg.eigvals(_second_order(models).jacobian_at([eq.delta0 for eq in eqs]))
-    verdicts = [classify_spectrum(eigs).nonzero_axis_set.size == 0 for eigs in spectra]
+    system = _second_order(models)
+    reports = _reports(system.inertia, system.damping, system.jac([eq.delta0 for eq in eqs]))
+    verdicts = [report.nonzero_axis_set.size == 0 for report in reports]
     return verdicts[0] if single else verdicts
 
 

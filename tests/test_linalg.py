@@ -251,11 +251,11 @@ class TestSubsetDistance:
         first = stability.SecondOrderSystem.linear(
             np.eye(3), np.diag([0.0, 0.0, 1.5]), L_CASE1)
         second = first.with_damping(np.diag([0.0, 0.0, 3.0]))
-        classify = stability.classify_spectrum
+        classify = linalg.classify_spectrum
         reports = []
 
-        def moved(eigs):
-            report = classify(eigs)
+        def moved(eigs, tol_axis):
+            report = classify(eigs, tol_axis)
             reports.append(report)
             if len(reports) == 2:
                 axis = report.axis_set.copy()
@@ -263,7 +263,7 @@ class TestSubsetDistance:
                 report = dataclasses.replace(report, axis_set=axis)
             return report
 
-        monkeypatch.setattr(stability, "classify_spectrum", moved)
+        monkeypatch.setattr(linalg, "classify_spectrum", moved)
         report = stability.monotonicity_compare(first, second, np.zeros(3))
         assert len(report.axis_set_second) == 3
         assert report.subset_holds is holds

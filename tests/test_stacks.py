@@ -276,6 +276,58 @@ def test_grid_criteria_on_stacks(n):
             swing.small_n_hyperbolicity_check(*x) for x in zip(models, eqs)] == [True] * 6
 
 
+def symmetric_systems(rng, n, count=6):
+    """SPD inertia and stiffness with PSD dampings: every third damping is
+    zero (every eigenvalue on the axis), the others of rank n - 1."""
+    m, l = spd(rng, n, count), spd(rng, n, count)
+    d = np.stack([np.zeros((n, n)) if k % 3 == 0 else psd(rng, n, n - 1)
+                  for k in range(count)])
+    return m, l, d
+
+
+def hyperbolicity_bits(verdict):
+    return (verdict.hyperbolic, verdict.via_observability,
+            verdict.axis_eigenvalues.tobytes(), verdict_bits(verdict.observability),
+            verdict.spectrum.inertia, verdict.spectrum.eigenvalues.tobytes())
+
+
+def monotonicity_bits(report):
+    return (report.damping_increase_psd, report.subset_holds,
+            report.axis_set_first.tobytes(), report.axis_set_second.tobytes())
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_symmetric_verdicts_on_stacks(n):
+    # Each member's verdict and report equal one call's, bit for bit.
+    rng = np.random.default_rng(800 + n)
+    m, l, d = symmetric_systems(rng, n)
+    x0 = np.zeros(n)
+    stacked = stability.hyperbolicity_symmetric(stability.SecondOrderSystem.linear(m, d, l), x0)
+    alone = [stability.hyperbolicity_symmetric(stability.SecondOrderSystem.linear(*x), x0)
+             for x in zip(m, d, l)]
+    assert [hyperbolicity_bits(v) for v in stacked] == [hyperbolicity_bits(v) for v in alone]
+    assert {v.hyperbolic for v in alone} == {True, False}
+    two = stability.hyperbolicity_symmetric(stability.SecondOrderSystem.linear(
+        *(x.reshape(2, 3, n, n) for x in (m, d, l))), x0)
+    assert [hyperbolicity_bits(v) for v in two] == [hyperbolicity_bits(v) for v in stacked]
+
+    # Every third second damping swaps the first for another; the others add
+    # PSD damping of rank 0 or 1.
+    d2 = np.stack([psd(rng, n, n - 1) if k % 3 == 2 else x + psd(rng, n, k % 2)
+                   for k, x in enumerate(d)])
+    first = stability.SecondOrderSystem.linear(m, d, l)
+    stacked = stability.monotonicity_compare(first, first.with_damping(d2), x0)
+    alone = []
+    for x in zip(m, d, l, d2):
+        one = stability.SecondOrderSystem.linear(*x[:3])
+        alone.append(stability.monotonicity_compare(one, one.with_damping(x[3]), x0))
+    assert [monotonicity_bits(r) for r in stacked] == [monotonicity_bits(r) for r in alone]
+    assert {r.damping_increase_psd for r in alone} == {True, False}
+    assert any(r.axis_set_second.size for r in alone)
+    # one system keeps a single record
+    assert isinstance(alone[0], stability.MonotonicityReport)
+
+
 # -- a failed precondition anywhere in a stack ------------------------------
 
 
@@ -346,6 +398,131 @@ def test_one_bad_member_raises_the_single_matrix_error_in_spectra():
         swing.lossless_imaginary_criterion(models, [eqs[0], far, eqs[2]])
     with pytest.raises(AssumptionViolated, match="found 0"):
         swing.small_n_hyperbolicity_check([lossy, models[0]], [lossy_eq, eqs[0]])
+
+
+def raised(fn, *args):
+    """The exception ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.value
+
+
+def test_one_bad_member_raises_the_single_error_in_symmetric_verdicts():
+    rng = np.random.default_rng(11)
+    m, l, d = symmetric_systems(rng, 3)
+    x0 = np.zeros(3)
+
+    def hyperbolicity(m, d, l):
+        return stability.hyperbolicity_symmetric(stability.SecondOrderSystem.linear(m, d, l), x0)
+
+    indefinite = l.copy()
+    indefinite[4] = -np.eye(3)
+    negative = d.copy()
+    negative[2] = -np.eye(3)
+    for ls, ds, k, message in ((indefinite, d, 4, "jacobian symmetric positive definite"),
+                               (l, negative, 2, "damping symmetric positive semidefinite")):
+        want = raised(hyperbolicity, m[k], ds[k], ls[k])
+        got = raised(hyperbolicity, m, ds, ls)
+        assert type(got) is type(want) is AssumptionViolated
+        assert str(got) == str(want) == f"assumption violated: {message}"
+
+    def monotonicity(m, d1, l1, d2, l2):
+        first = stability.SecondOrderSystem.linear(m, d1, l1)
+        second = stability.SecondOrderSystem.linear(m, d2, l2)
+        return stability.monotonicity_compare(first, second, x0)
+
+    # Member 0's stiffness is large, and member 1's moves by 1e-6: within
+    # member 0's bound 1e-10 * max|L|, beyond member 1's own.
+    big = l.copy()
+    big[0] *= 1e6
+    moved = big.copy()
+    moved[1, 0, 0] += 1e-6
+    unsymmetric = l.copy()
+    unsymmetric[5, 0, 1] += 1.0
+    cases = ((d, big, d, moved, 1, "identical vector-field jacobian"),
+             (d, l, negative, l, 2, "second damping symmetric PSD"),
+             (d, unsymmetric, d, unsymmetric, 5, "jacobian symmetric"))
+    for d1, l1, d2, l2, k, message in cases:
+        want = raised(monotonicity, m[k], d1[k], l1[k], d2[k], l2[k])
+        got = raised(monotonicity, m, d1, l1, d2, l2)
+        assert type(got) is type(want) is AssumptionViolated
+        assert str(got) == str(want) == f"assumption violated: {message}"
+    # the bound is the member's own: member 0 alone passes
+    monotonicity(m[0], d[0], big[0], d[0], big[0] * (1 + 1e-15))
+
+
+def observability_draws(seed, trials):
+    """The instances ``(m, l, d)`` of ``suites.suite_observability_equivalence``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        n = int(rng.integers(2, 7))
+        yield (suites._spd(rng, n), suites._spd(rng, n),
+               suites._psd(rng, n, rank=int(rng.integers(0, n + 1))))
+
+
+def per_trial_observability(seed, trials):
+    """The suite as a per-trial loop: one verdict and one PBH test per trial."""
+    result = suites.SuiteResult("observability_equivalence", trials)
+    for k, (m, l, d) in enumerate(observability_draws(seed, trials)):
+        system = stability.SecondOrderSystem.linear(m, d, l)
+        try:
+            verdict = stability.hyperbolicity_symmetric(system, np.zeros(len(m)))
+        except Exception as exc:
+            result.record(trial=k, m=m, d=d, l=l, error=str(exc))
+            continue
+        pbh = stability.observability_test(np.linalg.solve(m, l), np.linalg.solve(m, d))
+        if len(pbh.witnesses) != len(verdict.observability.witnesses):
+            result.record(trial=k, m=m, d=d, l=l,
+                          error="symmetric and PBH observability disagree")
+    return result
+
+
+def test_disagreeing_member_raises_and_keeps_its_own_payload():
+    # Trial 173 of seed 1 is one of the suite's known failures: its
+    # two verdicts disagree.  A stack of its size holding it raises the
+    # TheoremViolation of the single call, and the suite records it on its
+    # own trial, with the other members' verdicts as in a per-trial loop.
+    draws = list(observability_draws(seed=1, trials=200))
+    m, l, d = draws[173]
+    same = [k for k, x in enumerate(draws) if x[0].shape == m.shape][:8] + [173]
+    stack = [np.stack([draws[k][i] for k in same]) for i in range(3)]
+    want = raised(stability.hyperbolicity_symmetric,
+                  stability.SecondOrderSystem.linear(m, d, l), np.zeros(3))
+    got = raised(stability.hyperbolicity_symmetric,
+                 stability.SecondOrderSystem.linear(stack[0], stack[2], stack[1]),
+                 np.zeros(3))
+    assert type(got) is type(want) is TheoremViolation
+    assert str(got) == str(want)
+    assert verdict_bits(got.first_verdict) == verdict_bits(want.first_verdict)
+    assert got.second_verdict.eigenvalues.tobytes() == want.second_verdict.eigenvalues.tobytes()
+    suite = suites.suite_observability_equivalence(seed=1, trials=200)
+    assert [f["trial"] for f in suite.failures] == [173]
+    assert json.dumps(suite.failures) == json.dumps(per_trial_observability(1, 200).failures)
+
+
+def test_damping_monotonicity_failure_recorded_as_the_per_trial_loop(monkeypatch):
+    # Seed 0 fails at trial 495 (a known failure); the suite, deciding on stacks
+    # only, records the per-trial loop's payload.
+    rng = np.random.default_rng(0)
+    want = suites.SuiteResult("damping_monotonicity", 500)
+    for k in range(500):
+        n = int(rng.integers(2, 7))
+        m = suites._sym(rng, n) + np.eye(n) * 0.1
+        if abs(np.linalg.det(m)) < 1e-6:
+            m += 0.5 * np.eye(n)
+        l = suites._sym(rng, n)
+        d1 = suites._psd(rng, n, rank=int(rng.integers(0, n + 1)))
+        d2 = d1 + suites._psd(rng, n, rank=int(rng.integers(0, n + 1)))
+        first = stability.SecondOrderSystem.linear(m, d1, l)
+        report = stability.monotonicity_compare(first, first.with_damping(d2), np.zeros(n))
+        if not (report.damping_increase_psd and report.subset_holds):
+            want.record(trial=k, m=m, l=l, d1=d1, d2=d2, axis_first=report.axis_set_first,
+                        axis_second=report.axis_set_second)
+    calls = count_lapack(monkeypatch)
+    got = suites.suite_damping_monotonicity(seed=0)
+    assert tally(calls, ndim=2) == {}
+    assert [f["trial"] for f in got.failures] == [495]
+    assert json.dumps(got.failures) == json.dumps(want.failures)
 
 
 # -- the suites: one LAPACK call per size, failures in trial order ----------
@@ -432,6 +609,45 @@ def test_fold_exclusion_calls_per_size(monkeypatch):
     calls = count_lapack(monkeypatch)
     assert suites.suite_fold_exclusion().passed
     assert tally(calls, ndim=3) == tally(calls) == {"svd": 5, "solve": 5, "eigvals": 5}
+
+
+def test_observability_equivalence_calls_per_size(monkeypatch):
+    # The per-trial loop made 1 SVD, 3 eigvalsh, 1 Cholesky, 1 eigh, 6
+    # solves and 1 eigvals per trial for the symmetric side.  The PBH
+    # reference stays per trial: 1 eigvals, 2 solves and one SVD per
+    # eigenvalue cluster.
+    calls = count_lapack(monkeypatch)
+    assert suites.suite_observability_equivalence().passed
+    assert tally(calls, ndim=3) == {"svd": 5, "eigvalsh": 15, "cholesky": 5, "eigh": 5,
+                                    "solve": 30, "eigvals": 5}
+    assert tally(calls, ndim=2) == {"eigvals": 500, "solve": 1000, "svd": 2031}
+
+
+def test_damping_monotonicity_calls_per_size(monkeypatch):
+    # The per-trial loop made 1 SVD, 3 eigvalsh, 2 solves and 2 eigvals per
+    # trial: 500, 1,500, 1,000 and 1,000 calls.
+    calls = count_lapack(monkeypatch)
+    assert suites.suite_damping_monotonicity().passed
+    assert tally(calls, ndim=3) == tally(calls) == {
+        "svd": 5, "eigvalsh": 15, "solve": 10, "eigvals": 10}
+
+
+def test_every_random_suite_decides_per_size(monkeypatch):
+    # One path through the suite skeleton: each random suite hands all its
+    # instances to ``_by_size`` once.  ``undamped_pair_family`` checks a
+    # fixed family of peer counts in its own loop.
+    by_size = suites._by_size
+    seen = []
+    monkeypatch.setattr(suites, "_by_size", lambda instances, decide: (
+        seen.append(len(instances)) or by_size(instances, decide)))
+    for name, suite in suites.SUITES.items():
+        seen.clear()
+        if name == "undamped_pair_family":
+            suite(seed=3, peers=range(2, 4))
+            assert seen == []
+        else:
+            suite(seed=3, trials=7)
+            assert seen == [7], name
 
 
 def test_numpy_scalars_in_payloads_serialize():

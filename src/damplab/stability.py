@@ -116,13 +116,13 @@ class ObservabilityVerdict:
     per cluster so near misses are visible even when the verdict is
     observable.  The pair is observable iff there is no witness.
 
-    Two functions return it.  :func:`observability_test` (PBH, any square
-    A) records as residual ``||B x||`` for the unit x minimizing
-    ``||stack(A - lam I, B) x||``.  :func:`observability_symmetric`
+    Two functions return it, per pair of a stack.  :func:`observability_test`
+    (PBH, any square A) records as residual ``||B x||`` for the unit x
+    minimizing ``||stack(A - lam I, B) x||``.  :func:`observability_symmetric`
     (``A = M^-1 L`` with M symmetric positive definite and L symmetric)
     records ``min ||B x||`` over unit x in the cluster's eigenspace.
-    ``scale`` is the cluster scale ``max(1, ||A||_2, ||B||_2)`` the
-    threshold ``TOL_OBS * scale`` was written with.
+    ``scale``, a float, is the cluster scale ``max(1, ||A||_2, ||B||_2)``
+    the threshold ``TOL_OBS * scale`` was written with.
     """
 
     witnesses: tuple
@@ -147,20 +147,33 @@ def _eigenvalue_clusters(eigs, scale):
     return clusters
 
 
-def _pbh_scale(a, b):
-    """The cluster scale ``max(1, ||A||_2, ||B||_2)`` and the PBH threshold,
-    one each per matrix of stacks."""
-    norms = (np.linalg.norm(x, 2, axis=(-2, -1)) for x in (a, b))
-    scale = np.maximum(1.0, np.maximum(*norms))
-    return scale, val.TOL_OBS * scale
-
-
 def _witnesses(lam, sing, vh, b, threshold, basis=None):
     """One witness per singular value at or below ``threshold``: the right
     singular vector ``vh[-1 - j]``, mapped through ``basis`` when given."""
     count = int(np.count_nonzero(sing <= threshold))
     vecs = [row.conj() if basis is None else basis @ row for row in vh[::-1][:count]]
     return [ObservabilityWitness(lam, v, float(np.linalg.norm(b @ v))) for v in vecs]
+
+
+def _verdicts(eigs, a, b, cluster):
+    """One :class:`ObservabilityVerdict` per pair of the stacks ``(A, B)`` (a
+    list in ``np.ndindex`` order, one record for one pair), A of spectra
+    ``eigs``.  ``cluster(k, lam, idx, threshold)`` gives the margin ``(lam,
+    residual)`` and the witnesses of pair ``k``'s cluster ``lam``.  A spectrum
+    with all imaginary parts 0 is read as real, as ``eigvals`` gives it alone."""
+    norms = (np.linalg.norm(x, 2, axis=(-2, -1)) for x in (a, b))
+    scale = np.maximum(1.0, np.maximum(*norms))
+    real = ~eigs.imag.any(axis=-1)
+    verdicts = []
+    for k in np.ndindex(a.shape[:-2]):
+        threshold = val.TOL_OBS * scale[k]
+        witnesses, margins = [], []
+        for lam, idx in _eigenvalue_clusters(eigs[k].real if real[k] else eigs[k], scale[k]):
+            margin, found = cluster(k, lam, idx, threshold)
+            margins.append(margin)
+            witnesses += found
+        verdicts.append(ObservabilityVerdict(tuple(witnesses), tuple(margins), float(scale[k])))
+    return verdicts if a.ndim > 2 else verdicts[0]
 
 
 def observability_test(a, b):
@@ -178,25 +191,24 @@ def observability_test(a, b):
     any A: :func:`imaginary_pair_sufficient_unsymmetric` calls it, and the
     ``observability_equivalence`` suite checks
     :func:`observability_symmetric`, which the symmetric setting uses,
-    against it.
+    against it.  Stacks ``A (..., n, n)``, ``B (..., p, n)`` take one
+    ``eigvals`` call and give a list of verdicts in ``np.ndindex`` order,
+    each that of one call bit for bit; the SVDs run per pair and cluster.
     """
-    a = val.as_matrix(a, "a", dtype=float)
+    a = val.as_stack(a, "a", dtype=float)
     b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[1] != a.shape[0]:
-        raise AssumptionViolated("shape", "b must have as many columns as a")
-    eigs = np.linalg.eigvals(a)
-    scale, threshold = _pbh_scale(a, b)
-    witnesses = []
-    margins = []
-    eye = np.eye(a.shape[0])
-    for lam, _ in _eigenvalue_clusters(eigs, scale):
-        _, sing, vh = np.linalg.svd(np.vstack([a - lam * eye, b]))
-        margins.append((lam, float(np.linalg.norm(b @ vh[-1].conj()))))
+    if b.ndim != a.ndim or b.shape[:-2] != a.shape[:-2] or b.shape[-1] != a.shape[-1]:
+        raise AssumptionViolated("shape", "b must have a's leading axes and as many columns")
+    eye = np.eye(a.shape[-1])
+
+    def cluster(k, lam, idx, threshold):
+        _, sing, vh = np.linalg.svd(np.vstack([a[k] - lam * eye, b[k]]))
         # One witness per deficiency dimension: the unobservable subspace of
         # a repeated eigenvalue can be multidimensional, and downstream
         # damping repair needs a basis of it.
-        witnesses += _witnesses(lam, sing, vh, b, threshold)
-    return ObservabilityVerdict(tuple(witnesses), tuple(margins), scale)
+        return ((lam, float(np.linalg.norm(b[k] @ vh[-1].conj()))),
+                _witnesses(lam, sing, vh, b[k], threshold))
+    return _verdicts(np.linalg.eigvals(a), a, b, cluster)
 
 
 def observability_symmetric(m, l, d):
@@ -238,27 +250,18 @@ def observability_symmetric(m, l, d):
     vecs = np.linalg.solve(ct, u)
     vecs /= np.linalg.norm(vecs, axis=-2, keepdims=True)
     b = np.linalg.solve(m, d)
-    scale, threshold = _pbh_scale(np.linalg.solve(ct, half), b)  # M^-1 L
     residuals = np.linalg.norm(b @ vecs, axis=-2)
 
-    verdicts = []
-    for k in np.ndindex(m.shape[:-2]):
-        witnesses = []
-        margins = []
-        for lam, idx in _eigenvalue_clusters(mu[k], scale[k]):
-            lam = complex(lam)
-            if len(idx) == 1:
-                res = float(residuals[k][idx[0]])
-                margins.append((lam, res))
-                if res <= threshold[k]:
-                    witnesses.append(ObservabilityWitness(lam, vecs[k][:, idx[0]], res))
-                continue
-            basis, _ = np.linalg.qr(vecs[k][:, idx])
-            _, sing, vh = np.linalg.svd(b[k] @ basis)
-            margins.append((lam, float(sing[-1])))
-            witnesses += _witnesses(lam, sing, vh, b[k], threshold[k], basis)
-        verdicts.append(ObservabilityVerdict(tuple(witnesses), tuple(margins), float(scale[k])))
-    return verdicts if m.ndim > 2 else verdicts[0]
+    def cluster(k, lam, idx, threshold):
+        lam = complex(lam)
+        if len(idx) == 1:
+            res = float(residuals[k][idx[0]])
+            return (lam, res), ([ObservabilityWitness(lam, vecs[k][:, idx[0]], res)]
+                                if res <= threshold else [])
+        basis, _ = np.linalg.qr(vecs[k][:, idx])
+        _, sing, vh = np.linalg.svd(b[k] @ basis)
+        return (lam, float(sing[-1])), _witnesses(lam, sing, vh, b[k], threshold, basis)
+    return _verdicts(mu, np.linalg.solve(ct, half), b, cluster)  # A = M^-1 L
 
 
 @dataclass(frozen=True)

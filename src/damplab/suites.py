@@ -369,20 +369,21 @@ def suite_observability_equivalence(seed=DEFAULT_SEED, trials=500):
 
     The symmetric observability verdict inside ``hyperbolicity_symmetric``
     is also checked against the PBH test, witness count by witness count;
-    the PBH reference runs per trial.
+    both decide per size.
     """
     def draw(rng):
         n = int(rng.integers(2, 7))
         return _spd(rng, n), _spd(rng, n), _psd(rng, n, rank=int(rng.integers(0, n + 1)))
     def decide(m, l, d):
-        return stability.hyperbolicity_symmetric(
-            stability.SecondOrderSystem.linear(m, d, l), np.zeros(m.shape[-1]))
+        system = stability.SecondOrderSystem.linear(m, d, l)
+        return zip(stability.hyperbolicity_symmetric(system, np.zeros(m.shape[-1])),
+                   stability.observability_test(np.linalg.solve(m, l), np.linalg.solve(m, d)))
     def failures(verdict, m, l, d):
         if isinstance(verdict, Exception):
             yield dict(m=m, d=d, l=l, error=str(verdict))
             return
-        pbh = stability.observability_test(np.linalg.solve(m, l), np.linalg.solve(m, d))
-        if len(pbh.witnesses) != len(verdict.observability.witnesses):
+        hyperbolicity, pbh = verdict
+        if len(pbh.witnesses) != len(hyperbolicity.observability.witnesses):
             yield dict(m=m, d=d, l=l, error="symmetric and PBH observability disagree")
     return _suite("observability_equivalence", seed, trials, draw, failures,
                   decide=_errors_recorded(decide))

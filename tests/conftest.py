@@ -79,7 +79,8 @@ def count_lapack(monkeypatch):
     ``np.linalg`` LAPACK drivers (``np.linalg.norm``'s own SVDs are not
     counted); :func:`tally` sums them."""
     calls = []
-    for name in ("svd", "eig", "eigvals", "eigvalsh", "eigh", "inv", "solve", "cholesky"):
+    for name in ("svd", "eig", "eigvals", "eigvalsh", "eigh", "inv", "solve", "cholesky",
+                 "qr", "det"):
         fn = getattr(np.linalg, name)
 
         def counted(a, *args, fn=fn, name=name, **kw):

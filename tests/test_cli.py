@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from damplab import cli, hopf, suites, swing
+from damplab import cli, hopf, simulate, suites, swing
+from damplab.errors import StepSizeUnderflow, TrackingAmbiguity
 from conftest import CASE1_FILE
 
 
@@ -169,6 +170,21 @@ def test_non_finite_option_is_a_usage_error(case1_file, command, option, value,
 
 
 class TestHopfScan:
+    def test_tracking_ambiguity_hints_at_the_sample_count(self, case2_file, tmp_path,
+                                                          monkeypatch, capsys):
+        def ambiguous(path, samples):
+            raise TrackingAmbiguity("ambiguous eigenvalue pairing", gamma=0.2)
+
+        monkeypatch.setattr(hopf, "sweep", ambiguous)
+        out = tmp_path / "out"
+        code = cli.main(["hopf-scan", case2_file, "--gamma-range", "0.1:0.3:21",
+                         "--out", str(out)])
+        assert code == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: ambiguous eigenvalue pairing\n"
+            "hint: increase the sample count in --gamma-range\n")
+        assert not out.exists()
+
     def test_each_grid_gamma_is_solved_once(self, case2_file, tmp_path,
                                             monkeypatch, capsys):
         # locus.csv reuses the sweep's spectra instead of solving again
@@ -265,6 +281,23 @@ class TestSimulate:
             ["simulate", case1_file, "--gamma", "0.2", "--state", "1", "2"]
         )
         assert code == cli.EXIT_ERROR
+
+    def test_failed_integration_is_an_error(self, case1_file, tmp_path,
+                                            monkeypatch, capsys):
+        # The integrator's error reaches ``main``'s one error path: exit 1,
+        # its message on stderr and no trajectory written.
+        def underflow(*args, **kwargs):
+            raise StepSizeUnderflow("integration failed: Required step size is "
+                                    "less than spacing between numbers.")
+
+        monkeypatch.setattr(simulate, "integrate", underflow)
+        out = tmp_path / "out"
+        code = cli.main(["simulate", case1_file, "--gamma", "0", "--out", str(out)])
+        assert code == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: integration failed: Required step size is less than "
+            "spacing between numbers.\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "option",

@@ -500,6 +500,58 @@ def test_disagreeing_member_raises_and_keeps_its_own_payload():
     assert json.dumps(suite.failures) == json.dumps(per_trial_observability(1, 200).failures)
 
 
+def pbh_bits(verdict):
+    """``verdict_bits`` with the types the bits are held in: a member whose
+    spectrum is real keeps real eigenvalues and witness vectors."""
+    return (verdict_bits(verdict), type(verdict.scale),
+            [type(lam) for lam, _ in verdict.margins],
+            [w.vector.dtype for w in verdict.witnesses])
+
+
+def assert_pbh_per_member(a, b):
+    """``observability_test`` on the stacks ``(a, b)`` with one leading axis
+    equals one call per member bit for bit; returns the stacked verdicts."""
+    stacked = stability.observability_test(a, b)
+    assert [pbh_bits(v) for v in stacked] == [
+        pbh_bits(stability.observability_test(x, y)) for x, y in zip(a, b)]
+    assert {type(v.scale) for v in stacked} == {float}
+    return stacked
+
+
+def test_pbh_on_stacks_of_the_suite_draws():
+    # The suite's reference, grouped by n as the suite decides it: seed 1
+    # holds trial 173, whose two verdicts disagree, and dampings of rank 0.
+    draws = list(observability_draws(seed=1, trials=200))
+    for n in range(2, 7):
+        m, l, d = (np.stack(x) for x in zip(*(t for t in draws if len(t[0]) == n)))
+        stacked = assert_pbh_per_member(np.linalg.solve(m, l), np.linalg.solve(m, d))
+        assert any(v.witnesses for v in stacked) and any(v.observable for v in stacked)
+
+
+def test_pbh_on_stacks_mixing_real_and_complex_spectra():
+    # A stacked eigvals returns complex rows for every member once one
+    # member has a complex eigenvalue; a real member still gets the verdict
+    # of its real spectrum.  Every third A keeps e1 as an eigenvector that B
+    # annihilates, and the last A, 2 I, has the two-dimensional kernel of B
+    # as unobservable subspace.
+    rng = np.random.default_rng(700)
+    a = rng.normal(size=(40, 4, 4))
+    b = rng.normal(size=(40, 2, 4))
+    a[::3, 1:, 0] = 0.0
+    b[::3, :, 0] = 0.0
+    a[-1] = 2.0 * np.eye(4)
+    stacked = assert_pbh_per_member(a, b)
+    assert np.iscomplexobj(np.linalg.eigvals(a))
+    assert {type(v.margins[0][0]) for v in stacked} == {np.float64, np.complex128}
+    assert all(v.witnesses for v in stacked[::3])
+    assert len(stacked[-1].witnesses) == 2 and len(stacked[-1].margins) == 1
+    two = stability.observability_test(a.reshape(2, 20, 4, 4), b.reshape(2, 20, 2, 4))
+    assert [pbh_bits(v) for v in two] == [pbh_bits(v) for v in stacked]
+    for bad in (b[:-1], b[0], b.reshape(2, 20, 2, 4)):
+        with pytest.raises(AssumptionViolated):
+            stability.observability_test(a, bad)
+
+
 def test_damping_monotonicity_failure_recorded_as_the_per_trial_loop(monkeypatch):
     # Seed 0 fails at trial 495 (a known failure); the suite, deciding on stacks
     # only, records the per-trial loop's payload.
@@ -520,7 +572,7 @@ def test_damping_monotonicity_failure_recorded_as_the_per_trial_loop(monkeypatch
                         axis_second=report.axis_set_second)
     calls = count_lapack(monkeypatch)
     got = suites.suite_damping_monotonicity(seed=0)
-    assert tally(calls, ndim=2) == {}
+    assert tally(calls, ndim=2) == {"det": 500}  # the draw's inertia bump
     assert [f["trial"] for f in got.failures] == [495]
     assert json.dumps(got.failures) == json.dumps(want.failures)
 
@@ -530,9 +582,10 @@ def test_damping_monotonicity_failure_recorded_as_the_per_trial_loop(monkeypatch
 
 def test_rank_monotonicity_calls_per_size(monkeypatch):
     # The per-trial loop made 2 SVDs and 2 eigvalsh per trial: 4,000 each.
+    # The draw's common kernels take one QR each.
     calls = count_lapack(monkeypatch)
     assert suites.suite_rank_monotonicity().passed
-    assert tally(calls) == {"svd": 16, "eigvalsh": 16}
+    assert tally(calls) == {"svd": 16, "eigvalsh": 16, "qr": 494}
 
 
 def test_imag_duality_calls_per_size(monkeypatch):
@@ -613,14 +666,15 @@ def test_fold_exclusion_calls_per_size(monkeypatch):
 
 def test_observability_equivalence_calls_per_size(monkeypatch):
     # The per-trial loop made 1 SVD, 3 eigvalsh, 1 Cholesky, 1 eigh, 6
-    # solves and 1 eigvals per trial for the symmetric side.  The PBH
-    # reference stays per trial: 1 eigvals, 2 solves and one SVD per
-    # eigenvalue cluster.
+    # solves and 1 eigvals per trial for the symmetric side, and 1 eigvals,
+    # 2 solves and one SVD per eigenvalue cluster for the PBH reference.
+    # Per size the reference takes 2 solves and 1 eigvals; its SVDs stay
+    # one per cluster and trial.
     calls = count_lapack(monkeypatch)
     assert suites.suite_observability_equivalence().passed
     assert tally(calls, ndim=3) == {"svd": 5, "eigvalsh": 15, "cholesky": 5, "eigh": 5,
-                                    "solve": 30, "eigvals": 5}
-    assert tally(calls, ndim=2) == {"eigvals": 500, "solve": 1000, "svd": 2031}
+                                    "solve": 40, "eigvals": 10}
+    assert tally(calls, ndim=2) == {"svd": 2031}
 
 
 def test_damping_monotonicity_calls_per_size(monkeypatch):
@@ -628,8 +682,8 @@ def test_damping_monotonicity_calls_per_size(monkeypatch):
     # trial: 500, 1,500, 1,000 and 1,000 calls.
     calls = count_lapack(monkeypatch)
     assert suites.suite_damping_monotonicity().passed
-    assert tally(calls, ndim=3) == tally(calls) == {
-        "svd": 5, "eigvalsh": 15, "solve": 10, "eigvals": 10}
+    assert tally(calls, ndim=3) == {"svd": 5, "eigvalsh": 15, "solve": 10, "eigvals": 10}
+    assert tally(calls, ndim=2) == {"det": 500}  # the draw's inertia bump
 
 
 def test_every_random_suite_decides_per_size(monkeypatch):
@@ -648,6 +702,23 @@ def test_every_random_suite_decides_per_size(monkeypatch):
         else:
             suite(seed=3, trials=7)
             assert seen == [7], name
+
+
+def test_no_suite_decides_in_its_failures(monkeypatch):
+    # Every LAPACK call of a random suite is made by its draw or by its
+    # ``decide``: none follows the return of ``_by_size``, after which only
+    # ``failures`` runs.
+    calls = count_lapack(monkeypatch)
+    by_size = suites._by_size
+    ends = []
+    monkeypatch.setattr(suites, "_by_size", lambda instances, decide: (
+        by_size(instances, decide), ends.append(len(calls)))[0])
+    for name, suite in suites.SUITES.items():
+        if name != "undamped_pair_family":
+            calls.clear()
+            ends.clear()
+            suite()
+            assert len(ends) == 1 and calls[ends[0]:] == [], name
 
 
 def test_numpy_scalars_in_payloads_serialize():

@@ -97,8 +97,9 @@ def _inject_failures(monkeypatch):
     wrap(stability, "hyperbolicity_symmetric", lambda f: lambda system, x0: (
         fail("injected verdict") if (system.inertia[..., 0, 0] > 4.0).any()
         else f(system, x0)))
-    wrap(stability, "observability_test", lambda f: lambda a, b: (
-        SimpleNamespace(witnesses=[None] * 7) if a[0, 0] > 3.0 else f(a, b)))
+    wrap(stability, "observability_test", lambda f: lambda a, b: [
+        SimpleNamespace(witnesses=[None] * 7) if x[0, 0] > 3.0 else v
+        for x, v in zip(a, f(a, b))])
     wrap(stability, "monotonicity_compare", monotonicity)
     wrap(stability, "asymptotic_stability_full_damping", lambda f: lambda m, d, l: (
         f(m, d, l) & (m[..., 0, 0] < 4.0)))
